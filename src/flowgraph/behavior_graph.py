@@ -152,42 +152,6 @@ def label_nodes(graph: SnapshotGraph, flows: list[FlowRecord]) -> None:
         node.label = majority_label(attack[i], total[i])
 
 
-def extract_features(entity: EntityId, flows: list[FlowRecord]) -> np.ndarray:
-    """Behaviour vector of one entity from its incident flows.
-
-    Straightforward per-entity scan; build_graph computes the same
-    vectors in a single pass over the snapshot.
-    """
-    in_peers: set[EntityId] = set()
-    out_peers: set[EntityId] = set()
-    ports: set[int] = set()
-    n_flows = 0
-    sent = received = packets = 0
-    dur_sum = 0.0
-    for flow in flows:
-        if flow.src == entity:
-            n_flows += 1
-            out_peers.add(flow.dst)
-            ports.add(flow.dst.port)
-            sent += flow.bytes_src_to_dst
-            received += flow.bytes_dst_to_src
-            packets += flow.packets_total
-            dur_sum += flow.duration
-        if flow.dst == entity:
-            n_flows += 1
-            in_peers.add(flow.src)
-            sent += flow.bytes_dst_to_src
-            received += flow.bytes_src_to_dst
-            packets += flow.packets_total
-            dur_sum += flow.duration
-    if n_flows == 0:
-        raise ValueError(f"entity {entity} has no incident flow")
-    return np.array([
-        len(in_peers), len(out_peers), n_flows, sent, received,
-        packets, dur_sum / n_flows, len(ports),
-    ], dtype=np.float64)
-
-
 def feature_matrix(graph: SnapshotGraph) -> np.ndarray:
     if not graph.nodes:
         return np.zeros((0, N_FEATURES))

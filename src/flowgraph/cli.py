@@ -91,10 +91,6 @@ class PipelineConfig:
         return "synthetic"
 
     def cluster_params(self) -> ClusterParams:
-        if self.algorithm in ("dbscan", "optics") and self.eps <= 0:
-            raise NonPositiveParameter(f"eps must be > 0, got {self.eps}")
-        if self.min_pts <= 0:
-            raise NonPositiveParameter(f"min_pts must be > 0, got {self.min_pts}")
         return ClusterParams(algorithm=self.algorithm, eps=self.eps,
                              min_pts=self.min_pts,
                              min_cluster_size=self.min_cluster_size)
@@ -118,8 +114,13 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        synth_keys = loaded.get("synth", {})
+        if not isinstance(synth_keys, dict):
+            raise ValueError("config key 'synth' must be an object")
         known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(loaded) - known
+        known_synth = {f.name for f in dataclasses.fields(synth.SynthConfig)}
+        unknown = (set(loaded) - known) | {
+            f"synth.{key}" for key in set(synth_keys) - known_synth}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)

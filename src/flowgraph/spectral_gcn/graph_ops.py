@@ -1,15 +1,15 @@
-"""Dense graph operators for spectral convolution.
+"""Edge-list graph operators for spectral convolution.
 
-Everything works on the symmetrized adjacency matrix of a snapshot (or
-clustered) graph: an edge in either direction makes A_ij = A_ji
-nonzero. The default adjacency is binary; flow-count weights are only
-used when explicitly requested, in which case the two directions'
-weights are summed.
+Every operator is an `EdgeOperator` built from the symmetrized adjacency
+of a snapshot (or clustered) graph: an edge in either direction makes
+A_ij = A_ji nonzero. The default adjacency is binary; flow-count weights
+are only used when explicitly requested, in which case the two
+directions' weights are summed. Applying an operator costs O(|E| h).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,64 +18,80 @@ _POWER_MAX_ITER = 1000
 _LAMBDA_MAX_FALLBACK = 2.0
 
 
-def adjacency_matrix(graph, *, weighted: bool = False) -> np.ndarray:
-    """Symmetrized n x n adjacency; binary unless weighted is true."""
-    n = graph.n_nodes
-    a = np.zeros((n, n))
-    for src, dst, w in graph.edges:
-        if weighted:
-            a[src, dst] += w
-            if src != dst:
-                a[dst, src] += w
-        else:
-            a[src, dst] = 1.0
-            a[dst, src] = 1.0
-    return a
+@dataclass
+class EdgeOperator:
+    """Symmetric n x n matrix as (rows, cols, vals) triplets.
+
+    Entries are sorted by row, then column, and every diagonal entry is
+    stored even when it is zero: each row is therefore non-empty, and
+    `diagonal` selects exactly one entry per row, in row order.
+    """
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)  # first entry of each row
+
+    def __post_init__(self):
+        self.starts = np.searchsorted(self.rows, np.arange(self.n))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.rows, self.cols, self.vals, self.starts))
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.rows == self.cols
+
+    def with_vals(self, vals: np.ndarray) -> EdgeOperator:
+        return EdgeOperator(self.n, self.rows, self.cols, vals)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = x[self.cols] * (self.vals if x.ndim == 1 else self.vals[:, None])
+        return np.add.reduceat(terms, self.starts, axis=0)
 
 
-def renormalize_adjacency(a: np.ndarray) -> np.ndarray:
+def renormalize_adjacency(a: EdgeOperator) -> EdgeOperator:
     """D^(-1/2) (A + I) D^(-1/2) with D the degree of A + I.
 
     The added self-loops keep every row stochastic-normalizable, so the
     spectrum stays within [-1, 1] and repeated application cannot blow
     activations up.
     """
-    a_tilde = a + np.eye(len(a))
-    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    a_tilde = a.vals + a.diagonal
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(a.rows, weights=a_tilde, minlength=a.n))
+    return a.with_vals(a_tilde * inv_sqrt[a.rows] * inv_sqrt[a.cols])
 
 
-def normalize_renormalized(graph, *, weighted: bool = False) -> np.ndarray:
-    return renormalize_adjacency(adjacency_matrix(graph, weighted=weighted))
-
-
-def normalized_laplacian(a: np.ndarray) -> np.ndarray:
+def normalized_laplacian(a: EdgeOperator) -> EdgeOperator:
     """Symmetric normalized Laplacian I - D^(-1/2) A D^(-1/2).
 
     Degree-0 rows use the convention that the D^(-1/2) factor and the
     identity entry are both 0, so an isolated node contributes an
     all-zero row instead of a division by zero.
     """
-    degree = a.sum(axis=1)
+    degree = np.bincount(a.rows, weights=a.vals, minlength=a.n)
     connected = degree > 0
     inv_sqrt = np.where(connected, 1.0 / np.sqrt(np.where(connected, degree, 1.0)), 0.0)
-    lap = -(a * inv_sqrt[:, None] * inv_sqrt[None, :])
-    lap[np.diag_indices_from(lap)] += connected.astype(float)
-    return lap
+    lap = -(a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols])
+    lap[a.diagonal] += connected
+    return a.with_vals(lap)
 
 
-@dataclass
-class ScaledLaplacian:
-    """L rescaled to (2/lambda_max) L - I so its spectrum fits [-1, 1]."""
+def lambda_max(lap: EdgeOperator) -> float:
+    """Largest eigenvalue of a normalized Laplacian, by power iteration.
 
-    matrix: np.ndarray
-    lambda_max: float
-
-
-def _power_iteration_lambda_max(lap: np.ndarray) -> float | None:
-    """Largest eigenvalue of a PSD matrix, or None when it cannot converge."""
+    Falls back to 2, the upper bound of a normalized Laplacian's
+    spectrum, when the iteration does not converge or the graph is (all
+    but) edgeless, so that its top eigenvalue is numerically zero.
+    """
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(len(lap))
+    v = rng.standard_normal(lap.n)
     v /= np.linalg.norm(v)
     previous = np.inf
     for _ in range(_POWER_MAX_ITER):
@@ -83,29 +99,20 @@ def _power_iteration_lambda_max(lap: np.ndarray) -> float | None:
         estimate = float(v @ w)  # Rayleigh quotient, v is unit length
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0.0:
-            return None
+            break
         v = w / norm
         if abs(estimate - previous) <= _POWER_TOL:
-            return estimate
+            return estimate if estimate > 1e-8 else _LAMBDA_MAX_FALLBACK
         previous = estimate
-    return None
+    return _LAMBDA_MAX_FALLBACK
 
 
-def scale_laplacian(lap: np.ndarray) -> ScaledLaplacian:
-    lambda_max = _power_iteration_lambda_max(lap)
-    if lambda_max is None or lambda_max <= 1e-8:
-        # no convergence, or an (all but) edgeless graph whose top
-        # eigenvalue is numerically zero
-        lambda_max = _LAMBDA_MAX_FALLBACK
-    matrix = (2.0 / lambda_max) * lap - np.eye(len(lap))
-    return ScaledLaplacian(matrix=matrix, lambda_max=lambda_max)
+def scale_laplacian(lap: EdgeOperator) -> EdgeOperator:
+    """L rescaled to (2/lambda_max) L - I so its spectrum fits [-1, 1]."""
+    return lap.with_vals((2.0 / lambda_max(lap)) * lap.vals - lap.diagonal)
 
 
-def scaled_laplacian(graph, *, weighted: bool = False) -> ScaledLaplacian:
-    return scale_laplacian(normalized_laplacian(adjacency_matrix(graph, weighted=weighted)))
-
-
-def chebyshev_basis(l_tilde: np.ndarray, x: np.ndarray, k: int) -> list[np.ndarray]:
+def chebyshev_basis(l_tilde: EdgeOperator, x: np.ndarray, k: int) -> list[np.ndarray]:
     """[T_0 x, ..., T_k x] via T_j x = 2 L~ T_{j-1} x - T_{j-2} x."""
     if k < 0:
         raise ValueError(f"polynomial order must be >= 0, got {k}")
@@ -121,18 +128,29 @@ def union_matrices(graphs, *, weighted: bool = False):
     """Block-diagonal adjacency plus stacked features and labels.
 
     Disconnected union of the given graphs: node i of graph g lands at
-    offset(g) + i, no edges are added between blocks.
+    offset(g) + i, no edges are added between blocks. Binary adjacency
+    has a 1 per connected pair; weighted adjacency sums the weights of
+    both directions and counts a self-loop's weight once.
     """
-    sizes = [g.n_nodes for g in graphs]
-    total = sum(sizes)
-    a = np.zeros((total, total))
-    features, labels = [], []
-    offset = 0
-    for g, n in zip(graphs, sizes):
-        a[offset:offset + n, offset:offset + n] = adjacency_matrix(g, weighted=weighted)
-        features.append(np.stack([node.features for node in g.nodes]))
-        labels.append(g.node_labels())
-        offset += n
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
+    n = int(offsets[-1])
+    edges = np.array([(s + offset, d + offset, w)
+                      for g, offset in zip(graphs, offsets) for s, d, w in g.edges],
+                     dtype=np.float64).reshape(-1, 3)
+    src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    weight = edges[:, 2] if weighted else np.ones(len(edges))
+    mirror = src != dst
+    nodes = np.arange(n)
+    keys, inverse = np.unique(
+        np.concatenate([src * n + dst, dst[mirror] * n + src[mirror], nodes * n + nodes]),
+        return_inverse=True)
+    vals = np.bincount(inverse, weights=np.concatenate([weight, weight[mirror], np.zeros(n)]))
+    if not weighted:
+        vals = (vals > 0.0).astype(np.float64)
+    a = EdgeOperator(n, keys // n, keys % n, vals)
+
+    features = [np.stack([node.features for node in g.nodes]) for g in graphs]
+    labels = [g.node_labels() for g in graphs]
     x = np.vstack(features) if features else np.zeros((0, 0))
     y = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
     return a, x, y

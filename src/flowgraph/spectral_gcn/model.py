@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from .graph_ops import (
+    EdgeOperator,
     chebyshev_basis,
     normalized_laplacian,
     renormalize_adjacency,
@@ -91,16 +92,11 @@ def init_model(config: TrainConfig) -> GcnModel:
                     seed=config.seed, w0=w0, w1=w1)
 
 
-def build_operator(graph_or_a, variant: str, *, weighted: bool = False) -> np.ndarray:
-    """The propagation matrix: A^ (renormalized) or L~ (chebyshev)."""
-    if isinstance(graph_or_a, np.ndarray):
-        a = graph_or_a
-    else:
-        from .graph_ops import adjacency_matrix
-        a = adjacency_matrix(graph_or_a, weighted=weighted)
+def build_operator(a: EdgeOperator, variant: str) -> EdgeOperator:
+    """The propagation operator from an adjacency: A^ (renormalized) or L~ (chebyshev)."""
     if variant == VARIANT_RENORMALIZED:
         return renormalize_adjacency(a)
-    return scale_laplacian(normalized_laplacian(a)).matrix
+    return scale_laplacian(normalized_laplacian(a))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -114,18 +110,25 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def forward(model: GcnModel, operator: np.ndarray, features: np.ndarray):
-    """Per-node class scores (n x 2) and softmax probabilities."""
+def _propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> list[np.ndarray]:
+    """One input per weight block: [A^ x], or [T_0(L~) x, ..., T_k(L~) x]."""
     if model.variant == VARIANT_RENORMALIZED:
-        z1 = (operator @ features) @ model.w0[0]
-        h = np.maximum(z1, 0.0)
-        scores = (operator @ h) @ model.w1[0]
-    else:
-        basis = chebyshev_basis(operator, features, model.k)
-        z1 = sum(b @ w for b, w in zip(basis, model.w0))
-        h = np.maximum(z1, 0.0)
-        h_basis = chebyshev_basis(operator, h, model.k)
-        scores = sum(b @ w for b, w in zip(h_basis, model.w1))
+        return [operator @ x]
+    return chebyshev_basis(operator, x, model.k)
+
+
+def _forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
+    """Per-node class scores (n x 2), and the intermediates backward needs."""
+    basis = _propagate(model, operator, features)
+    z1 = sum(b @ w for b, w in zip(basis, model.w0))
+    h_basis = _propagate(model, operator, np.maximum(z1, 0.0))
+    scores = sum(b @ w for b, w in zip(h_basis, model.w1))
+    return scores, (basis, z1, h_basis)
+
+
+def forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
+    """Per-node class scores (n x 2) and softmax probabilities."""
+    scores, _ = _forward(model, operator, features)
     return scores, _softmax(scores)
 
 
@@ -136,7 +139,7 @@ def inverse_frequency_weights(labels: np.ndarray) -> tuple[float, float]:
     return tuple(n / (N_CLASSES * max(int(c), 1)) for c in counts[:N_CLASSES])
 
 
-def loss_and_grads(model: GcnModel, operator: np.ndarray, features: np.ndarray,
+def loss_and_grads(model: GcnModel, operator: EdgeOperator, features: np.ndarray,
                    labels: np.ndarray, class_weights: tuple[float, float]):
     """Class-weighted cross-entropy and analytic parameter gradients.
 
@@ -147,19 +150,7 @@ def loss_and_grads(model: GcnModel, operator: np.ndarray, features: np.ndarray,
     sample_w = np.asarray(class_weights, dtype=float)[labels]
     total_w = sample_w.sum()
 
-    if model.variant == VARIANT_RENORMALIZED:
-        m0 = operator @ features
-        z1 = m0 @ model.w0[0]
-        h = np.maximum(z1, 0.0)
-        m1 = operator @ h
-        scores = m1 @ model.w1[0]
-    else:
-        basis = chebyshev_basis(operator, features, model.k)
-        z1 = sum(b @ w for b, w in zip(basis, model.w0))
-        h = np.maximum(z1, 0.0)
-        h_basis = chebyshev_basis(operator, h, model.k)
-        scores = sum(b @ w for b, w in zip(h_basis, model.w1))
-
+    scores, (basis, z1, h_basis) = _forward(model, operator, features)
     log_p = _log_softmax(scores)
     loss = float(-(sample_w * log_p[rows, labels]).sum() / total_w)
 
@@ -167,19 +158,12 @@ def loss_and_grads(model: GcnModel, operator: np.ndarray, features: np.ndarray,
     d_scores[rows, labels] -= 1.0
     d_scores *= (sample_w / total_w)[:, None]
 
-    if model.variant == VARIANT_RENORMALIZED:
-        gw1 = [m1.T @ d_scores]
-        dh = (operator @ d_scores) @ model.w1[0].T  # operator is symmetric
-        dz1 = dh * (z1 > 0.0)
-        gw0 = [m0.T @ dz1]
-    else:
-        gw1 = [b.T @ d_scores for b in h_basis]
-        # T_j(L~) is symmetric, so the adjoint of each per-order term is
-        # T_j applied to the upstream gradient
-        g_basis = chebyshev_basis(operator, d_scores, model.k)
-        dh = sum(g @ w.T for g, w in zip(g_basis, model.w1))
-        dz1 = dh * (z1 > 0.0)
-        gw0 = [b.T @ dz1 for b in basis]
+    gw1 = [b.T @ d_scores for b in h_basis]
+    # A^ and each T_j(L~) are symmetric, so the adjoint of a propagation
+    # is the same propagation of the upstream gradient
+    dh = sum(g @ w.T for g, w in zip(_propagate(model, operator, d_scores), model.w1))
+    dz1 = dh * (z1 > 0.0)
+    gw0 = [b.T @ dz1 for b in basis]
     return loss, gw0, gw1
 
 

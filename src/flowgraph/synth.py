@@ -69,7 +69,11 @@ def _attack_entity(k: int) -> EntityId:
 
 
 def _victim_entity(v: int) -> EntityId:
-    return EntityId(f"192.168.{v // 200}.{v % 200 + 1}", 1 + v % 1024)
+    # 51,200 = 256 * 200 victims fill 192.168.0.0/16 once; each later
+    # round reuses those hosts on a fresh block of 1024 ports (63 rounds
+    # fit the port range)
+    return EntityId(f"192.168.{v // 200 % 256}.{v % 200 + 1}",
+                    1 + v % 1024 + 1024 * (v // 51_200))
 
 
 def _normal_volume(rng: np.random.Generator):

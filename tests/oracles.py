@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from flowgraph.flow_model import EntityId, FlowRecord
+
 NOISE = -1
 
 
@@ -104,3 +106,76 @@ def chebyshev_eig_oracle(l_tilde: np.ndarray, x: np.ndarray, j: int) -> np.ndarr
         for _ in range(2, j + 1):
             t_prev, t = t, 2.0 * lam * t - t_prev
     return (u * t) @ (u.T @ x)
+
+
+def extract_features(entity: EntityId, flows: list[FlowRecord]) -> np.ndarray:
+    """Behaviour vector of one entity from its incident flows.
+
+    Straightforward per-entity scan; build_graph must compute the same
+    vectors in its single pass over the snapshot.
+    """
+    in_peers: set[EntityId] = set()
+    out_peers: set[EntityId] = set()
+    ports: set[int] = set()
+    n_flows = 0
+    sent = received = packets = 0
+    dur_sum = 0.0
+    for flow in flows:
+        if flow.src == entity:
+            n_flows += 1
+            out_peers.add(flow.dst)
+            ports.add(flow.dst.port)
+            sent += flow.bytes_src_to_dst
+            received += flow.bytes_dst_to_src
+            packets += flow.packets_total
+            dur_sum += flow.duration
+        if flow.dst == entity:
+            n_flows += 1
+            in_peers.add(flow.src)
+            sent += flow.bytes_dst_to_src
+            received += flow.bytes_src_to_dst
+            packets += flow.packets_total
+            dur_sum += flow.duration
+    if n_flows == 0:
+        raise ValueError(f"entity {entity} has no incident flow")
+    return np.array([
+        len(in_peers), len(out_peers), n_flows, sent, received,
+        packets, dur_sum / n_flows, len(ports),
+    ], dtype=np.float64)
+
+
+def adjacency_oracle(graph, *, weighted: bool = False) -> np.ndarray:
+    """Dense symmetrized n x n adjacency; binary unless weighted is true."""
+    n = graph.n_nodes
+    a = np.zeros((n, n))
+    for src, dst, w in graph.edges:
+        if weighted:
+            a[src, dst] += w
+            if src != dst:
+                a[dst, src] += w
+        else:
+            a[src, dst] = 1.0
+            a[dst, src] = 1.0
+    return a
+
+
+def renormalize_oracle(a: np.ndarray) -> np.ndarray:
+    """Dense D^(-1/2) (A + I) D^(-1/2) with D the degree of A + I."""
+    a_tilde = a + np.eye(len(a))
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def laplacian_oracle(a: np.ndarray) -> np.ndarray:
+    """Dense I - D^(-1/2) A D^(-1/2); degree-0 rows and columns are all zero."""
+    degree = a.sum(axis=1)
+    connected = degree > 0
+    inv_sqrt = np.where(connected, 1.0 / np.sqrt(np.where(connected, degree, 1.0)), 0.0)
+    lap = -(a * inv_sqrt[:, None] * inv_sqrt[None, :])
+    lap[np.diag_indices_from(lap)] += connected.astype(float)
+    return lap
+
+
+def edges_of(a: np.ndarray) -> list[tuple[int, int, int]]:
+    """Unit-weight edge list of a dense symmetric 0/1 adjacency (upper triangle)."""
+    return [(int(i), int(j), 1) for i, j in zip(*np.nonzero(np.triu(a)))]

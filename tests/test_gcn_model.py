@@ -9,9 +9,9 @@ from flowgraph.flow_model import EntityId
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
     VARIANT_RENORMALIZED,
+    EdgeOperator,
     GcnModel,
     TrainConfig,
-    adjacency_matrix,
     build_operator,
     evaluate,
     forward,
@@ -111,7 +111,7 @@ def test_forward_single_node_by_hand():
     model.w1[0][0, 1] = -1.0
     a, x, _ = union_matrices([g])
     operator = build_operator(a, VARIANT_RENORMALIZED)
-    assert np.array_equal(operator, [[1.0]])
+    assert np.array_equal(operator @ np.eye(1), [[1.0]])
     scores, probs = forward(model, operator, x)
     # relu([2, -3]) = [2, 0]; scores = [2, -2]
     assert np.array_equal(scores, [[2.0, -2.0]])
@@ -227,6 +227,22 @@ def test_load_rejects_other_files(tmp_path):
         load_model(path)
 
 
+def permuted_graph(g, perm):
+    """The graph whose node i is node perm[i] of g."""
+    new_index = np.argsort(perm)
+    return SnapshotGraph(snapshot=g.snapshot, nodes=[g.nodes[i] for i in perm],
+                         edges=[(int(new_index[s]), int(new_index[d]), w)
+                                for s, d, w in g.edges])
+
+
+def permuted_operator(op, perm):
+    """P op P^T for P = I[perm], kept in row-sorted triplet form."""
+    new_index = np.argsort(perm)
+    rows, cols = new_index[op.rows], new_index[op.cols]
+    order = np.lexsort((cols, rows))
+    return EdgeOperator(op.n, rows[order], cols[order], op.vals[order])
+
+
 def test_permutation_equivariance_renormalized():
     rng = np.random.default_rng(13)
     g = separable_graph(seed=13)
@@ -237,8 +253,10 @@ def test_permutation_equivariance_renormalized():
     for _ in range(5):
         perm = rng.permutation(g.n_nodes)
         p = np.eye(g.n_nodes)[perm]
-        operator_p = build_operator(p @ a @ p.T, VARIANT_RENORMALIZED)
-        scores_p, probs_p = forward(model, operator_p, p @ x)
+        a_p, x_p, _ = union_matrices([permuted_graph(g, perm)])
+        assert np.array_equal(x_p, p @ x)
+        operator_p = build_operator(a_p, VARIANT_RENORMALIZED)
+        scores_p, probs_p = forward(model, operator_p, x_p)
         assert np.abs(scores_p - p @ scores).max() < 1e-12
         assert np.abs(probs_p - p @ probs).max() < 1e-12
 
@@ -258,7 +276,10 @@ def test_permutation_equivariance_chebyshev_operator():
     for _ in range(5):
         perm = rng.permutation(g.n_nodes)
         p = np.eye(g.n_nodes)[perm]
-        scores_p, _ = forward(model, p @ operator @ p.T, p @ x)
+        operator_p = permuted_operator(operator, perm)
+        assert np.array_equal(operator_p @ np.eye(g.n_nodes),
+                              p @ (operator @ np.eye(g.n_nodes)) @ p.T)
+        scores_p, _ = forward(model, operator_p, p @ x)
         assert np.abs(scores_p - p @ scores).max() < 1e-12
 
 

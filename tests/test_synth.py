@@ -5,7 +5,8 @@ import pytest
 
 from flowgraph.behavior_graph import build_graph
 from flowgraph.flow_model import write_flows
-from flowgraph.synth import SynthConfig, generate
+from flowgraph.flow_model import EntityId
+from flowgraph.synth import SynthConfig, _victim_entity, generate
 from flowgraph.temporal import dissect
 
 
@@ -57,6 +58,19 @@ def test_scan_targets_are_fresh_victims():
     scan_dsts = [f.dst for f in flows
                  if f.label == 1 and f.dst.ip.startswith("192.168.")]
     assert len(scan_dsts) == len(set(scan_dsts))  # one scan per victim
+
+
+def test_more_scans_than_victim_hosts_get_distinct_endpoints():
+    # 600 normal flows at a 99% attack share: 59,400 scans, more than the
+    # 51,200 hosts of 192.168.0.0/16 that the victim numbering uses
+    flows = generate(SynthConfig(seed=0, duration=12000.0, n_normal_entities=10,
+                                 attack_fraction_of_flows=0.99))
+    scan_dsts = [f.dst for f in flows if f.dst.ip.startswith("192.168.")]
+    assert len(scan_dsts) == 59_400
+    assert len(set(scan_dsts)) == len(scan_dsts)
+    for v in (0, 199, 200, 51_199):  # unchanged below the wrap
+        assert _victim_entity(v) == EntityId(f"192.168.{v // 200}.{v % 200 + 1}",
+                                             1 + v % 1024)
 
 
 def test_attack_share_near_nominal():
