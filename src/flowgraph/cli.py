@@ -27,11 +27,11 @@ Layout under --out-dir:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,21 +108,42 @@ class PipelineConfig:
         return synth.SynthConfig(**kwargs)
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", dict: "an object", type(None): "null"}
+
+
+def _check_config_keys(values: dict, cls, prefix: str = "") -> None:
+    """Reject keys `cls` has no field for and values of the wrong JSON type.
+
+    An integer fits a float field; true/false fits only a bool field;
+    null fits only a field whose default is None.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(f"{prefix}{key}" for key in set(values) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    for key, value in values.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if isinstance(value, bool):
+            fits = bool in kinds
+        else:
+            fits = isinstance(value, kinds) or (type(value) is int and float in kinds)
+        if not fits:
+            expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            raise ValueError(f"config key '{prefix}{key}' must be {expected}, "
+                             f"got {json.dumps(value)}")
+
+
 def load_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults <- JSON config file <- explicit command-line flags."""
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        synth_keys = loaded.get("synth", {})
-        if not isinstance(synth_keys, dict):
-            raise ValueError("config key 'synth' must be an object")
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        known_synth = {f.name for f in dataclasses.fields(synth.SynthConfig)}
-        unknown = (set(loaded) - known) | {
-            f"synth.{key}" for key in set(synth_keys) - known_synth}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
+        _check_config_keys(loaded, PipelineConfig)
+        _check_config_keys(loaded.get("synth", {}), synth.SynthConfig, "synth.")
         values.update(loaded)
     for name in ("input", "schema", "on_malformed", "out_dir", "width",
                  "algorithm", "eps", "min_pts", "min_cluster_size",

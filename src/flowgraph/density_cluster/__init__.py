@@ -1,11 +1,12 @@
 """Density clustering of normal behavioural entities.
 
 DBSCAN, OPTICS (with flat epsilon extraction) and HDBSCAN are
-implemented here directly on dense numpy arrays; neighbor search is
-exact blockwise brute force. Clustering is applied only to the
-normal-labeled nodes of a snapshot; noise points are discarded and the
-surviving clusters are aggregated into super-nodes with averaged
-behaviour.
+implemented here directly on dense numpy arrays. All three take their
+distances from one exact kernel, `distance_rows`, in the difference
+form; DBSCAN fills a boolean eps-ball mask from it in a single
+blockwise pass. Clustering is applied only to the normal-labeled nodes
+of a snapshot; noise points are discarded and the surviving clusters
+are aggregated into super-nodes with averaged behaviour.
 """
 
 from __future__ import annotations
@@ -15,6 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 NOISE = -1
+_BLOCK = 256
+
+
+def distance_rows(points: np.ndarray, idx) -> np.ndarray:
+    """Euclidean distances from points[idx] to all points, one row each.
+
+    `idx` is an index array, or a single index for a one-row result.
+    d(p, q) and d(q, p) are the same bits: the squared differences are
+    equal and are summed in the same order.
+    """
+    diff = points[idx, None, :] - points[None, :, :]
+    diff *= diff  # in place: one block-sized temporary, not two
+    return np.sqrt(diff.sum(axis=2))
+
+
+def row_blocks(n: int):
+    """Index ranges of at most _BLOCK rows covering 0..n-1."""
+    for lo in range(0, n, _BLOCK):
+        yield np.arange(lo, min(lo + _BLOCK, n))
 
 
 @dataclass

@@ -13,25 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import NOISE, ClusterResult
-
-_BLOCK = 256
-
-
-def _distance_rows(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Euclidean distances from points[idx] to all points, one row each."""
-    diff = points[idx, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def neighbor_counts(points: np.ndarray, eps: float) -> np.ndarray:
-    """|closed eps-ball| per point, computed in row blocks."""
-    n = len(points)
-    counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, n))
-        counts[idx] = (_distance_rows(points, idx) <= eps).sum(axis=1)
-    return counts
+from . import NOISE, ClusterResult, distance_rows, row_blocks
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
@@ -40,11 +22,15 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
     if n == 0:
         return ClusterResult.empty()
 
-    core = neighbor_counts(points, eps) >= min_pts
+    # One blockwise pass computes every distance row once; within is the
+    # symmetric closed eps-ball mask and its row sums are the ball sizes.
+    within = np.empty((n, n), dtype=bool)
+    for idx in row_blocks(n):
+        within[idx] = distance_rows(points, idx) <= eps
+    core = within.sum(axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=np.int64)
 
-    # Grow one component per unlabeled core, scanning starts in index
-    # order; each core point's distance row is computed exactly once.
+    # Grow one component per unlabeled core, scanning starts in index order.
     cluster_count = 0
     for start in range(n):
         if not core[start] or labels[start] != NOISE:
@@ -55,15 +41,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
         stack = [start]
         while stack:
             p = stack.pop()
-            row = np.sqrt(((points - points[p]) ** 2).sum(axis=1))
-            reachable = np.flatnonzero((row <= eps) & core & (labels == NOISE))
+            reachable = np.flatnonzero(within[p] & core & (labels == NOISE))
             labels[reachable] = cid
             stack.extend(reachable.tolist())
 
     # Border assignment: lowest-index core within eps.
     for p in np.flatnonzero(~core):
-        row = np.sqrt(((points - points[p]) ** 2).sum(axis=1))
-        cores_in_reach = np.flatnonzero((row <= eps) & core)
+        cores_in_reach = np.flatnonzero(within[p] & core)
         if cores_in_reach.size:
             labels[p] = labels[cores_in_reach[0]]
 

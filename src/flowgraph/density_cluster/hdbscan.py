@@ -16,19 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import NOISE, ClusterResult
-
-_BLOCK = 256
+from . import NOISE, ClusterResult, distance_rows, row_blocks
 
 
 def core_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
     """Distance to the min_pts-th nearest neighbor, self included."""
-    n = len(points)
-    core = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, n))
-        diff = points[idx, None, :] - points[None, :, :]
-        rows = np.sqrt((diff * diff).sum(axis=2))
+    core = np.empty(len(points))
+    for idx in row_blocks(len(points)):
+        rows = distance_rows(points, idx)
         core[idx] = np.partition(rows, min_pts - 1, axis=1)[:, min_pts - 1]
     return core
 
@@ -44,7 +39,7 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
     in_tree[0] = True
 
     def mr_row(j: int) -> np.ndarray:
-        d = np.sqrt(((points - points[j]) ** 2).sum(axis=1))
+        d = distance_rows(points, j)[0]
         return np.maximum(np.maximum(core[j], core), d)
 
     best = mr_row(0)

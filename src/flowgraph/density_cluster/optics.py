@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NOISE, ClusterResult
+from . import NOISE, ClusterResult, distance_rows
 
 
 @dataclass
@@ -60,7 +60,7 @@ def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
         processed[p] = True
         in_seeds[p] = False
         order[position] = p
-        row = np.sqrt(((points - points[p]) ** 2).sum(axis=1))
+        row = distance_rows(points, p)[0]
         within = row <= eps
         if within.sum() >= min_pts:
             # min_pts-th nearest neighbor, the ball including p itself

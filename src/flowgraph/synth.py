@@ -36,6 +36,9 @@ import numpy as np
 from .flow_model import EntityId, FlowRecord
 
 _NORMAL_PEERS = 3  # ring partners contacted per cycle
+# 256 * 200 hosts fill 10.0.0.0/16; 40000 + k must stay a valid port
+MAX_NORMAL_ENTITIES = 51_200
+MAX_ATTACK_ENTITIES = 25_536
 
 
 @dataclass
@@ -51,6 +54,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_normal_entities < 0 or self.n_attack_entities < 0:
             raise ValueError("entity counts must be >= 0")
+        if self.n_normal_entities > MAX_NORMAL_ENTITIES:
+            raise ValueError(f"n_normal_entities must be <= {MAX_NORMAL_ENTITIES}, "
+                             f"got {self.n_normal_entities}")
+        if self.n_attack_entities > MAX_ATTACK_ENTITIES:
+            raise ValueError(f"n_attack_entities must be <= {MAX_ATTACK_ENTITIES}, "
+                             f"got {self.n_attack_entities}")
         if self.duration < 0 or self.flows_per_entity_rate < 0:
             raise ValueError("duration and rate must be >= 0")
         if not 0.0 <= self.attack_fraction_of_flows <= 1.0:

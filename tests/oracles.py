@@ -19,6 +19,25 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def exact_eps_cases() -> list[tuple[np.ndarray, float]]:
+    """(points, eps) inputs where many pairs sit at exactly eps.
+
+    Integer-grid points have integer squared distances, so eps in
+    {1, 2, 5} is met exactly (5 through 3-4-5 triangles); half of each
+    grid is stacked on again so points have coincident twins, and one
+    input is a single point repeated.
+    """
+    cases = [(np.zeros((5, 8)), 1.0)]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        dims = (2, 3, 8)[seed % 3]
+        n = int(rng.integers(5, 40))
+        grid = rng.integers(0, 6 if dims < 8 else 3, size=(n, dims)).astype(np.float64)
+        points = np.vstack([grid, grid[: len(grid) // 2]])
+        cases.extend((points, eps) for eps in (1.0, 2.0, 5.0))
+    return cases
+
+
 def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int):
     """Reachability-closure DBSCAN over the full distance matrix.
 

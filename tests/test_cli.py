@@ -154,6 +154,36 @@ def test_unknown_synth_key_rejected(tmp_path, capsys):
     assert "'synth' must be an object" in capsys.readouterr().err
 
 
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    for bad, key in (({"width": "600"}, "'width'"),
+                     ({"eps": "0.2"}, "'eps'"),
+                     ({"min_pts": 2.5}, "'min_pts'"),
+                     ({"jobs": True}, "'jobs'"),
+                     ({"eps": None}, "'eps'"),
+                     ({"weighted_adjacency": 1}, "'weighted_adjacency'"),
+                     ({"synth": {"duration": "600"}}, "'synth.duration'"),
+                     ({"synth": {"n_normal_entities": 20.0}}, "'synth.n_normal_entities'")):
+        cfg.write_text(json.dumps({"out_dir": out, **bad}))
+        assert run("synth", "--config", cfg) == 1, bad
+        err = capsys.readouterr().err
+        assert "flowgraph synth: error:" in err, bad
+        assert key in err, bad
+    assert not (tmp_path / "out" / "flows.csv").exists()
+
+
+def test_config_value_types_that_fit_are_accepted(tmp_path):
+    # an integer where a number is expected, null where the default is None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "width": 600,
+                               "eps": 1, "k": None, "dataset": None,
+                               "weighted_adjacency": False,
+                               "synth": {**SMALL_SYNTH, "duration": 600}}))
+    assert run("synth", "--config", cfg) == 0
+    assert (tmp_path / "out" / "flows.csv").is_file()
+
+
 def test_missing_input_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan
-from oracles import dbscan_oracle
+from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, distance_rows
+from oracles import dbscan_oracle, distance_matrix, exact_eps_cases
 
 
 def test_chain_within_eps():
@@ -36,16 +36,24 @@ def test_empty_input():
 
 
 def test_oracle_equivalence_100_seeds():
+    cases = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 101))
         points = rng.uniform(0, 1, size=(n, 8))
         eps = float(rng.uniform(0.2, 0.9))
         min_pts = int(rng.integers(2, 6))
+        cases.append((f"seed {seed}", points, eps, min_pts))
+    for i, (points, eps) in enumerate(exact_eps_cases()):
+        cases.extend((f"exact eps case {i}", points, eps, m) for m in (2, 3, 5))
+    for name, points, eps, min_pts in cases:
+        # the shared kernel is the oracle's distance matrix, bit for bit
+        assert np.array_equal(distance_rows(points, np.arange(len(points))),
+                              distance_matrix(points)), name
         result = dbscan(points, eps, min_pts)
         expected, count = dbscan_oracle(points, eps, min_pts)
-        assert result.cluster_count == count, f"seed {seed}"
-        assert np.array_equal(result.assignment, expected), f"seed {seed}"
+        assert result.cluster_count == count, name
+        assert np.array_equal(result.assignment, expected), name
 
 
 def test_determinism():

@@ -4,7 +4,7 @@ import numpy as np
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, hdbscan
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
-from oracles import mst_weight_oracle
+from oracles import distance_matrix, exact_eps_cases, mst_weight_oracle
 
 
 def three_blobs(seed: int, spread: float = 0.02, separation: float = 1.0):
@@ -65,18 +65,24 @@ def test_single_point():
 
 
 def test_mst_weight_against_exhaustive_oracle():
+    cases = []
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 51))
         points = rng.uniform(0, 1, size=(n, 8))
         min_pts = int(rng.integers(2, 5))
-        if n < min_pts:
+        cases.append((f"seed {seed}", points, min_pts))
+    for i, (points, _) in enumerate(exact_eps_cases()[::3]):
+        cases.extend((f"exact eps case {i}", points, m) for m in (2, 4))
+    for name, points, min_pts in cases:
+        if len(points) < min_pts:
             continue
         core = core_distances(points, min_pts)
+        assert np.array_equal(core, np.sort(distance_matrix(points), axis=1)[:, min_pts - 1]), name
         edges = mutual_reachability_mst(points, core)
         total = sum(w for _, _, w in edges)
-        assert len(edges) == n - 1
-        assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, f"seed {seed}"
+        assert len(edges) == len(points) - 1
+        assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, name
 
 
 def test_selected_clusters_respect_min_cluster_size():

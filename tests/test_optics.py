@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, optics
+from oracles import distance_matrix, exact_eps_cases
 
 
 def test_two_close_points():
@@ -39,23 +40,31 @@ def test_agreement_with_dbscan_on_core_points():
     restricted to core points; at min_pts=2 every clustered point is
     core and the assignments must match outright.
     """
+    cases = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 101))
         points = rng.uniform(0, 1, size=(n, 8))
         eps = float(rng.uniform(0.2, 0.9))
         min_pts = int(rng.integers(2, 6))
-
+        cases.append((f"seed {seed}", points, eps, min_pts))
+    for i, (points, eps) in enumerate(exact_eps_cases()):
+        cases.extend((f"exact eps case {i}", points, eps, m) for m in (2, 3, 5))
+    for name, points, eps, min_pts in cases:
         o = optics(points, eps, min_pts)
         extracted = o.extract_at_eps(eps)
         flat = dbscan(points, eps, min_pts)
         core = o.core_distance <= eps
 
-        assert extracted.cluster_count == flat.cluster_count, f"seed {seed}"
+        d = distance_matrix(points)
+        expected_core = np.where((d <= eps).sum(axis=1) >= min_pts,
+                                 np.sort(d, axis=1)[:, min(min_pts, len(d)) - 1], np.inf)
+        assert np.array_equal(o.core_distance, expected_core), name
+        assert extracted.cluster_count == flat.cluster_count, name
         assert np.array_equal(extracted.assignment[core],
-                              flat.assignment[core]), f"seed {seed}"
+                              flat.assignment[core]), name
         if min_pts == 2:
-            assert np.array_equal(extracted.assignment, flat.assignment), f"seed {seed}"
+            assert np.array_equal(extracted.assignment, flat.assignment), name
 
 
 def test_extraction_ids_dense():

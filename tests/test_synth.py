@@ -6,7 +6,8 @@ import pytest
 from flowgraph.behavior_graph import build_graph
 from flowgraph.flow_model import write_flows
 from flowgraph.flow_model import EntityId
-from flowgraph.synth import SynthConfig, _victim_entity, generate
+from flowgraph.synth import (MAX_ATTACK_ENTITIES, MAX_NORMAL_ENTITIES, SynthConfig,
+                             _attack_entity, _normal_entity, _victim_entity, generate)
 from flowgraph.temporal import dissect
 
 
@@ -106,6 +107,23 @@ def test_config_validation():
         SynthConfig(behaviour_separation="medium")
     with pytest.raises(ValueError):
         SynthConfig(duration=-60.0)
+
+
+def test_entity_counts_capped_at_address_limits():
+    # the limits are tight: the last allowed entity of each population
+    # has a valid address and the next one would not
+    _normal_entity(MAX_NORMAL_ENTITIES - 1)
+    _attack_entity(MAX_ATTACK_ENTITIES - 1)
+    with pytest.raises(ValueError, match="IP address"):
+        _normal_entity(MAX_NORMAL_ENTITIES)
+    with pytest.raises(ValueError, match="port"):
+        _attack_entity(MAX_ATTACK_ENTITIES)
+    SynthConfig(n_normal_entities=MAX_NORMAL_ENTITIES,
+                n_attack_entities=MAX_ATTACK_ENTITIES)
+    with pytest.raises(ValueError, match="n_normal_entities must be <= 51200"):
+        SynthConfig(n_normal_entities=MAX_NORMAL_ENTITIES + 1)
+    with pytest.raises(ValueError, match="n_attack_entities must be <= 25536"):
+        SynthConfig(n_attack_entities=MAX_ATTACK_ENTITIES + 1)
 
 
 def test_low_separation_still_labels_by_initiator():
