@@ -26,12 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import MalformedArtefact
 from .flow_model import EntityId, FlowRecord
 from .temporal import SnapshotIndex
 
 N_FEATURES = 8
 
-# column layout of the node table in the text export
+# column layouts of the node table and the edge list in the text export
 _NODE_COLUMNS = "node_index ip port label f1 f2 f3 f4 f5 f6 f7 f8"
 _EDGE_COLUMNS = "src_index dst_index weight"
 
@@ -78,7 +79,8 @@ def build_graph(flows: list[FlowRecord],
     in_peers: list[set[int]] = []
     out_peers: list[set[int]] = []
     dst_ports: list[set[int]] = []
-    sums: list[np.ndarray] = []  # per node: flows, bytes sent, bytes recv, packets, duration
+    # per node: flows, bytes sent, bytes received, packets, duration, attack flows
+    sums: list[np.ndarray] = []
     edge_index: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int, int]] = []
 
@@ -90,7 +92,7 @@ def build_graph(flows: list[FlowRecord],
             in_peers.append(set())
             out_peers.append(set())
             dst_ports.append(set())
-            sums.append(np.zeros(5))
+            sums.append(np.zeros(6))
         return i
 
     for flow in flows:
@@ -100,11 +102,11 @@ def build_graph(flows: list[FlowRecord],
         out_peers[si].add(di)
         dst_ports[si].add(flow.dst.port)
         sums[si] += (1, flow.bytes_src_to_dst, flow.bytes_dst_to_src,
-                     flow.packets_total, flow.duration)
+                     flow.packets_total, flow.duration, flow.label)
 
         in_peers[di].add(si)
         sums[di] += (1, flow.bytes_dst_to_src, flow.bytes_src_to_dst,
-                     flow.packets_total, flow.duration)
+                     flow.packets_total, flow.duration, flow.label)
 
         key = (si, di)
         at = edge_index.get(key)
@@ -117,7 +119,7 @@ def build_graph(flows: list[FlowRecord],
 
     nodes = []
     for eid, i in index_of.items():
-        n_flows, sent, received, packets, dur_sum = sums[i]
+        n_flows, sent, received, packets, dur_sum, n_attack = sums[i]
         features = np.array([
             len(in_peers[i]),
             len(out_peers[i]),
@@ -128,28 +130,11 @@ def build_graph(flows: list[FlowRecord],
             dur_sum / n_flows,
             len(dst_ports[i]),
         ], dtype=np.float64)
-        nodes.append(BehaviorNode(id=eid, label=0, features=features,
-                                  attack_flow_count=0, total_flow_count=0))
+        nodes.append(BehaviorNode(id=eid, label=majority_label(n_attack, n_flows),
+                                  features=features, attack_flow_count=int(n_attack),
+                                  total_flow_count=int(n_flows)))
 
-    graph = SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
-    label_nodes(graph, flows)
-    return graph
-
-
-def label_nodes(graph: SnapshotGraph, flows: list[FlowRecord]) -> None:
-    """Recompute every node's majority-vote label from the flow list."""
-    index_of = {node.id: i for i, node in enumerate(graph.nodes)}
-    attack = [0] * len(graph.nodes)
-    total = [0] * len(graph.nodes)
-    for flow in flows:
-        for eid in (flow.src, flow.dst):
-            i = index_of[eid]
-            total[i] += 1
-            attack[i] += flow.label
-    for i, node in enumerate(graph.nodes):
-        node.attack_flow_count = attack[i]
-        node.total_flow_count = total[i]
-        node.label = majority_label(attack[i], total[i])
+    return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
 
 
 def feature_matrix(graph: SnapshotGraph) -> np.ndarray:
@@ -177,52 +162,90 @@ def normalize_features(graph: SnapshotGraph) -> SnapshotGraph:
     return SnapshotGraph(snapshot=graph.snapshot, nodes=nodes, edges=list(graph.edges))
 
 
-def write_graph_text(path, graph: SnapshotGraph) -> None:
-    """Write the node-table + edge-list text export.
-
-    Note the attack/total flow tallies are not serialized; nodes read
-    back carry counts consistent with their label but not the originals.
-    """
+def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
+                        rows: list[str], edges) -> None:
+    """Write the layout of graph and clustered files; `rows[i]` follows index i."""
     with open(path, "w", encoding="utf-8") as fh:
-        s = graph.snapshot
-        fh.write(f"# snapshot {s.index} {s.window_start!r} {s.window_end!r}\n")
-        fh.write(f"# nodes {len(graph.nodes)}\n")
-        fh.write(f"# {_NODE_COLUMNS}\n")
-        for i, node in enumerate(graph.nodes):
-            feats = " ".join(repr(float(v)) for v in node.features)
-            fh.write(f"{i} {node.id.ip} {node.id.port} {node.label} {feats}\n")
-        fh.write(f"# edges {len(graph.edges)}\n")
-        fh.write(f"# {_EDGE_COLUMNS}\n")
-        for src, dst, weight in graph.edges:
-            fh.write(f"{src} {dst} {weight}\n")
+        fh.write(f"# snapshot {snapshot.index} {snapshot.window_start!r} "
+                 f"{snapshot.window_end!r}\n# {noun} {len(rows)}\n# {columns}\n")
+        for i, row in enumerate(rows):
+            fh.write(f"{i} {row}\n")
+        fh.write(f"# edges {len(edges)}\n# {_EDGE_COLUMNS}\n")
+        for s, d, w in edges:
+            fh.write(f"{s} {d} {w}\n")
+
+
+def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
+    """(snapshot, nodes, edges) from the layout `write_snapshot_text` writes.
+
+    `make_node` builds a node from a row's fields, `weight` an edge
+    weight. Raises MalformedArtefact naming `path` unless the counts
+    match the rows, the last line ends with a newline, each node row
+    has one field per column and its position as index, and each edge
+    endpoint is a node index: any truncation of a written file fails.
+    """
+    names = columns.split()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate(fh, start=1)
+        lineno, line = 0, ""
+
+        def take(n: int, *prefix: str) -> list[str]:
+            nonlocal lineno, line
+            lineno, line = next(lines, (lineno + 1, ""))
+            parts = line.split()
+            if len(parts) != n or tuple(parts[:len(prefix)]) != prefix:
+                raise ValueError(f"expected {n} fields starting {' '.join(prefix)!r}, got "
+                                 + (repr(line.rstrip()) if line else "end of file"))
+            return parts
+
+        try:
+            _, _, index, start, end = take(5, "#", "snapshot")
+            snapshot = SnapshotIndex(int(index), float(start), float(end))
+            n_nodes = int(take(3, "#", noun)[2])
+            take(1 + len(names), "#", *names)
+            nodes = []
+            for i, (lineno, line) in zip(range(n_nodes), lines):
+                row = line.split()
+                if len(row) != len(names) or row[0] != str(i):
+                    raise ValueError(f"expected node row {i}, got {line.rstrip()!r}")
+                nodes.append(make_node(row))
+            n_edges = int(take(3, "#", "edges")[2])
+            take(4, "#", *_EDGE_COLUMNS.split())
+            edges = []
+            for _, (lineno, line) in zip(range(n_edges), lines):
+                s, d, w = line.split()
+                s, d = int(s), int(d)
+                if not (0 <= s < n_nodes and 0 <= d < n_nodes):
+                    raise ValueError(f"edge endpoint out of range [0, {n_nodes})")
+                edges.append((s, d, weight(w)))
+            if min(n_nodes, n_edges) < 0 or len(edges) != n_edges:
+                raise ValueError(f"counted {n_nodes} nodes and {n_edges} edges, "
+                                 f"found {len(nodes)} and {len(edges)} rows")
+            if not line.endswith("\n"):
+                raise ValueError("no newline at end of file")
+            for lineno, _ in lines:
+                raise ValueError("unexpected line after the edge list")
+        except ValueError as exc:
+            raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
+    return snapshot, nodes, edges
+
+
+def write_graph_text(path, graph: SnapshotGraph) -> None:
+    """Write a graph file; flow tallies are left out (read back, they follow the label)."""
+    rows = [f"{node.id.ip} {node.id.port} {node.label} "
+            + " ".join(repr(float(v)) for v in node.features)
+            for node in graph.nodes]
+    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges)
+
+
+def _graph_node(row: list[str]) -> BehaviorNode:
+    label = int(row[3])
+    return BehaviorNode(id=EntityId(row[1], int(row[2])), label=label,
+                        features=np.array([float(v) for v in row[4:4 + N_FEATURES]]),
+                        attack_flow_count=label, total_flow_count=1)
 
 
 def read_graph_text(path) -> SnapshotGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split()
-    snapshot = SnapshotIndex(index=int(head[2]),
-                             window_start=float(head[3]),
-                             window_end=float(head[4]))
-    n_nodes = int(lines[1].split()[2])
-    nodes = []
-    at = 3
-    for line in lines[at:at + n_nodes]:
-        parts = line.split()
-        label = int(parts[3])
-        features = np.array([float(v) for v in parts[4:4 + N_FEATURES]])
-        nodes.append(BehaviorNode(
-            id=EntityId(parts[1], int(parts[2])),
-            label=label,
-            features=features,
-            attack_flow_count=label,
-            total_flow_count=1,
-        ))
-    at += n_nodes
-    n_edges = int(lines[at].split()[2])
-    at += 2
-    edges = []
-    for line in lines[at:at + n_edges]:
-        s, d, w = line.split()
-        edges.append((int(s), int(d), int(w)))
+    snapshot, nodes, edges = read_snapshot_text(path, "nodes", _NODE_COLUMNS,
+                                                _graph_node, int)
     return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)

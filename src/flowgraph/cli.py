@@ -194,11 +194,12 @@ def cmd_graph(config: PipelineConfig) -> list[Path]:
     return paths
 
 
-def _graph_files(config: PipelineConfig) -> list[Path]:
-    files = sorted(Path(config.out_dir).glob("graphs/snapshot_*.txt"))
+def _snapshot_files(config: PipelineConfig, subdir: str, stage: str) -> list[Path]:
+    """The snapshot files `stage` wrote under `subdir`; at least one."""
+    files = sorted(Path(config.out_dir).glob(f"{subdir}/snapshot_*.txt"))
     if not files:
-        raise FileNotFoundError(
-            f"no graph files under {config.out_dir}/graphs; run the graph stage first")
+        raise FileNotFoundError(f"no snapshot files under {config.out_dir}/{subdir}; "
+                                f"run the {stage} stage first")
     return files
 
 
@@ -215,7 +216,7 @@ def cmd_cluster(config: PipelineConfig) -> list[Path]:
     params = config.cluster_params()
     tag = params.tag()
     tasks = []
-    for graph_path in _graph_files(config):
+    for graph_path in _snapshot_files(config, "graphs", "graph"):
         stem = graph_path.stem
         tasks.append((graph_path, params,
                       _out(config, "clusters", tag, f"{stem}.txt"),
@@ -224,15 +225,6 @@ def cmd_cluster(config: PipelineConfig) -> list[Path]:
     log.info("cluster: %d snapshots -> %s", len(paths),
              Path(config.out_dir) / "clusters" / tag)
     return paths
-
-
-def _clustered_files(config: PipelineConfig, tag: str) -> list[Path]:
-    files = sorted(Path(config.out_dir).glob(f"clusters/{tag}/snapshot_*.txt"))
-    if not files:
-        raise FileNotFoundError(
-            f"no clustered graphs under {config.out_dir}/clusters/{tag}; "
-            "run the cluster stage first")
-    return files
 
 
 def _temporal_split(graphs, train_fraction: float):
@@ -245,7 +237,8 @@ def _temporal_split(graphs, train_fraction: float):
 
 def cmd_train(config: PipelineConfig) -> Path:
     tag = config.cluster_params().tag()
-    graphs = [read_clustered_text(p) for p in _clustered_files(config, tag)]
+    graphs = [read_clustered_text(p)
+              for p in _snapshot_files(config, f"clusters/{tag}", "cluster")]
     train_graphs, test_graphs = _temporal_split(graphs, config.train_fraction)
     if not train_graphs:
         raise ValueError("temporal split left no non-empty training snapshots")
@@ -286,24 +279,22 @@ def _tag_to_method_eps(tag: str) -> tuple[str, float | None]:
 
 
 def cmd_report(config: PipelineConfig) -> list[Path]:
-    params = config.cluster_params()
-    tag = params.tag()
-    graphs = [behavior_graph.read_graph_text(p) for p in _graph_files(config)]
-    clustered = [read_clustered_text(p) for p in _clustered_files(config, tag)]
-    rows = report.population_series(graphs, clustered)
+    tag = config.cluster_params().tag()
+    graphs = [behavior_graph.read_graph_text(p)
+              for p in _snapshot_files(config, "graphs", "graph")]
+    _snapshot_files(config, f"clusters/{tag}", "cluster")  # the configured run must exist
+    runs = {tag_dir.name: [read_clustered_text(p) for p in sorted(tag_dir.glob("snapshot_*.txt"))]
+            for tag_dir in sorted(Path(config.out_dir).glob("clusters/*"))}
+    rows = report.population_series(graphs, runs[tag])
     eps = None if config.algorithm == "hdbscan" else config.eps
     series_path = _out(config, "reports",
                        report.run_filename(config.dataset_name, config.algorithm, eps))
     report.write_population_csv(series_path, rows)
 
-    runs = []
-    for tag_dir in sorted(Path(config.out_dir).glob("clusters/*")):
-        method, run_eps = _tag_to_method_eps(tag_dir.name)
-        run_graphs = [read_clustered_text(p)
-                      for p in sorted(tag_dir.glob("snapshot_*.txt"))]
-        runs.append((method, run_eps, run_graphs))
+    table = report.clustering_effects_table(
+        [(*_tag_to_method_eps(name), run_graphs) for name, run_graphs in runs.items()])
     effects_path = _out(config, "reports", f"{config.dataset_name}_effects.csv")
-    report.write_effects_csv(effects_path, report.clustering_effects_table(runs))
+    report.write_effects_csv(effects_path, table)
     log.info("report: %s, %s", series_path, effects_path)
     return [series_path, effects_path]
 

@@ -56,6 +56,10 @@ class ClusterParams:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ("dbscan", "optics") and not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        for name in ("min_pts", "min_cluster_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.algorithm == "hdbscan" and self.min_cluster_size < 2:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..behavior_graph import N_FEATURES, SnapshotGraph, minmax_scale, normalize_features
+from ..behavior_graph import (N_FEATURES, SnapshotGraph, minmax_scale, normalize_features,
+                              read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
 from ..flow_model import EntityId
 from ..temporal import SnapshotIndex
@@ -26,7 +27,6 @@ KIND_CLUSTER = "cluster"
 KIND_ATTACK = "singleton-attack"
 
 _NODE_COLUMNS = "node_index kind hard_label behaviour_fraction f1 f2 f3 f4 f5 f6 f7 f8 members"
-_EDGE_COLUMNS = "src_index dst_index weight"
 
 
 @dataclass
@@ -117,8 +117,8 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult, *,
     return ClusteredGraph(snapshot=graph.snapshot, nodes=nodes, edges=edges)
 
 
-def cluster_snapshot(graph: SnapshotGraph, params: ClusterParams, *,
-                     renormalize: bool = True) -> tuple[ClusterResult, ClusteredGraph]:
+def cluster_snapshot(graph: SnapshotGraph,
+                     params: ClusterParams) -> tuple[ClusterResult, ClusteredGraph]:
     """Normalize, cluster the normal nodes, aggregate. One snapshot.
 
     Distances are computed on per-snapshot min-max normalized features;
@@ -129,7 +129,7 @@ def cluster_snapshot(graph: SnapshotGraph, params: ClusterParams, *,
     normal = [node.features for node in normalized.nodes if node.label == 0]
     points = np.stack(normal) if normal else np.zeros((0, N_FEATURES))
     result = cluster_points(points, params)
-    return result, aggregate(graph, result, renormalize=renormalize)
+    return result, aggregate(graph, result)
 
 
 def write_assignment_csv(path, result: ClusterResult) -> None:
@@ -140,60 +140,24 @@ def write_assignment_csv(path, result: ClusterResult) -> None:
             fh.write(f"{i},{int(cid)}\n")
 
 
-def _format_members(members: list[EntityId]) -> str:
-    return ";".join(f"{m.ip}|{m.port}" for m in members)
-
-
-def _parse_members(text: str) -> list[EntityId]:
-    out = []
-    for chunk in text.split(";"):
-        ip, port = chunk.rsplit("|", 1)
-        out.append(EntityId(ip, int(port)))
-    return out
-
-
 def write_clustered_text(path, graph: ClusteredGraph) -> None:
     """Text export mirroring the snapshot-graph format plus members."""
-    with open(path, "w", encoding="utf-8") as fh:
-        s = graph.snapshot
-        fh.write(f"# snapshot {s.index} {s.window_start!r} {s.window_end!r}\n")
-        fh.write(f"# supernodes {len(graph.nodes)}\n")
-        fh.write(f"# {_NODE_COLUMNS}\n")
-        for i, node in enumerate(graph.nodes):
-            feats = " ".join(repr(float(v)) for v in node.features)
-            fh.write(f"{i} {node.kind} {node.hard_label} {node.behaviour_fraction!r} "
-                     f"{feats} {_format_members(node.members)}\n")
-        fh.write(f"# edges {len(graph.edges)}\n")
-        fh.write(f"# {_EDGE_COLUMNS}\n")
-        for src, dst, weight in graph.edges:
-            fh.write(f"{src} {dst} {weight!r}\n")
+    rows = [f"{node.kind} {node.hard_label} {node.behaviour_fraction!r} "
+            + " ".join(repr(float(v)) for v in node.features) + " "
+            + ";".join(f"{m.ip}|{m.port}" for m in node.members)
+            for node in graph.nodes]
+    write_snapshot_text(path, graph.snapshot, "supernodes", _NODE_COLUMNS, rows, graph.edges)
+
+
+def _super_node(row: list[str]) -> SuperNode:
+    members = [EntityId(ip, int(port)) for ip, port in
+               (chunk.rsplit("|", 1) for chunk in row[4 + N_FEATURES].split(";"))]
+    return SuperNode(kind=row[1], members=members,
+                     features=np.array([float(v) for v in row[4:4 + N_FEATURES]]),
+                     behaviour_fraction=float(row[3]), hard_label=int(row[2]))
 
 
 def read_clustered_text(path) -> ClusteredGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split()
-    snapshot = SnapshotIndex(index=int(head[2]),
-                             window_start=float(head[3]),
-                             window_end=float(head[4]))
-    n_nodes = int(lines[1].split()[2])
-    nodes = []
-    at = 3
-    for line in lines[at:at + n_nodes]:
-        parts = line.split()
-        features = np.array([float(v) for v in parts[4:4 + N_FEATURES]])
-        nodes.append(SuperNode(
-            kind=parts[1],
-            members=_parse_members(parts[4 + N_FEATURES]),
-            features=features,
-            behaviour_fraction=float(parts[3]),
-            hard_label=int(parts[2]),
-        ))
-    at += n_nodes
-    n_edges = int(lines[at].split()[2])
-    at += 2
-    edges = []
-    for line in lines[at:at + n_edges]:
-        s, d, w = line.split()
-        edges.append((int(s), int(d), float(w)))
+    snapshot, nodes, edges = read_snapshot_text(path, "supernodes", _NODE_COLUMNS,
+                                                _super_node, float)
     return ClusteredGraph(snapshot=snapshot, nodes=nodes, edges=edges)

@@ -46,3 +46,8 @@ class NonFiniteLoss(FlowgraphError):
 
 class LengthMismatch(FlowgraphError):
     """Two per-snapshot sequences that must correspond 1:1 differ in length."""
+
+
+
+class MalformedArtefact(FlowgraphError):
+    """A file one stage wrote for another does not have the writer's layout."""

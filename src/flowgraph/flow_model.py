@@ -33,6 +33,8 @@ UNSW15_COLUMNS = [
     "sbytes", "dbytes", "spkts", "dpkts", "label",
 ]
 
+# parse_flows decodes both in this order: every column between the byte
+# counts and the label is a packet count, and those are summed
 SCHEMAS = {"unsw15": UNSW15_COLUMNS, "synthetic": SYNTHETIC_COLUMNS}
 
 
@@ -153,40 +155,20 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
         for row_index, row in enumerate(reader, start=1):
             try:
                 fields = [row[i] for i in idx]
-                if schema == "unsw15":
-                    (srcip, sport, dstip, dsport, stime, dur,
-                     sbytes, dbytes, spkts, dpkts, label) = fields
-                    parsed = (
-                        EntityId(srcip.strip(), _parse_port(sport)),
-                        EntityId(dstip.strip(), _parse_port(dsport)),
-                        _parse_seconds(stime),
-                        _parse_seconds(dur),
-                        _parse_count(sbytes),
-                        _parse_count(dbytes),
-                        # per-direction packet counts are summed; the
-                        # pipeline only uses the aggregate
-                        _parse_count(spkts) + _parse_count(dpkts),
-                        _parse_label(label),
-                    )
-                else:
-                    (src_ip, src_port, dst_ip, dst_port, start_time,
-                     duration, bytes_fwd, bytes_bwd, packets, label) = fields
-                    parsed = (
-                        EntityId(src_ip.strip(), _parse_port(src_port)),
-                        EntityId(dst_ip.strip(), _parse_port(dst_port)),
-                        _parse_seconds(start_time),
-                        _parse_seconds(duration),
-                        _parse_count(bytes_fwd),
-                        _parse_count(bytes_bwd),
-                        _parse_count(packets),
-                        _parse_label(label),
-                    )
+                raw.append((
+                    EntityId(fields[0].strip(), _parse_port(fields[1])),
+                    EntityId(fields[2].strip(), _parse_port(fields[3])),
+                    _parse_seconds(fields[4]),
+                    _parse_seconds(fields[5]),
+                    _parse_count(fields[6]),
+                    _parse_count(fields[7]),
+                    sum(map(_parse_count, fields[8:-1])),
+                    _parse_label(fields[-1]),
+                ))
             except (ValueError, IndexError) as exc:
                 if on_malformed == "abort":
                     raise MalformedRow(row_index, str(exc)) from None
                 skipped += 1
-                continue
-            raw.append(parsed)
 
     if not raw:
         return ParseResult([], skipped)

@@ -14,6 +14,22 @@ from flowgraph.flow_model import EntityId, FlowRecord
 NOISE = -1
 
 
+def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
+    """Variants of a written graph or clustered file that must be refused.
+
+    Every truncation (at a line boundary or inside a line), the last
+    edge row replaced by one with an endpoint outside [0, n_nodes), the
+    other count noun, a node row out of place and a line after the
+    edge list.
+    """
+    head = text[:text.rstrip("\n").rindex("\n") + 1]  # all but the last edge row
+    swapped = (text.replace("# nodes ", "# supernodes ") if "# nodes " in text
+               else text.replace("# supernodes ", "# nodes "))
+    return [text[:cut] for cut in range(len(text))] + [
+        head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", swapped,
+        text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"]
+
+
 def distance_matrix(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))

@@ -16,9 +16,10 @@ from flowgraph.density_cluster import (
     write_assignment_csv,
     write_clustered_text,
 )
-from flowgraph.errors import AssignmentMismatch
+from flowgraph.errors import AssignmentMismatch, MalformedArtefact
 from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
+from oracles import corrupted_snapshot_texts
 
 
 def make_graph(labels, features, edges):
@@ -170,3 +171,8 @@ def test_clustered_text_round_trip(tmp_path):
     for s1, s2 in zip(back.nodes, clustered.nodes):
         assert s1.behaviour_fraction == s2.behaviour_fraction
         assert np.array_equal(s1.features, s2.features)
+
+    for bad in corrupted_snapshot_texts(path.read_text(), len(clustered.nodes)):
+        path.write_text(bad)
+        with pytest.raises(MalformedArtefact, match="clustered.txt"):
+            read_clustered_text(path)

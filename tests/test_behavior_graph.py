@@ -13,9 +13,10 @@ from flowgraph.behavior_graph import (
     read_graph_text,
     write_graph_text,
 )
+from flowgraph.errors import MalformedArtefact
 from flowgraph.flow_model import EntityId, FlowRecord
 from flowgraph.temporal import SnapshotIndex
-from oracles import extract_features
+from oracles import corrupted_snapshot_texts, extract_features
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)
@@ -173,6 +174,11 @@ def test_graph_text_round_trip(tmp_path):
     assert [n.label for n in back.nodes] == [n.label for n in g.nodes]
     for n1, n2 in zip(back.nodes, g.nodes):
         assert np.array_equal(n1.features, n2.features)
+
+    for bad in corrupted_snapshot_texts(path.read_text(), len(g.nodes)):
+        path.write_text(bad)
+        with pytest.raises(MalformedArtefact, match="snap.txt"):
+            read_graph_text(path)
 
 
 def test_extract_features_requires_incident_flow():

@@ -201,3 +201,31 @@ def test_cluster_before_graph_fails(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", out)
     assert run("cluster", "--config", cfg) == 1
     assert "graph stage" in capsys.readouterr().err
+
+
+def test_truncated_artefacts_fail_with_diagnostic(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg) == 0
+    assert run("cluster", "--config", cfg) == 0
+
+    # a clustered file missing its last edge row
+    clustered = next(p for p in sorted((out / "clusters" / "dbscan_eps0.5").glob("*.txt"))
+                     if not p.read_text().endswith("weight\n"))
+    lines = clustered.read_text().splitlines(keepends=True)
+    clustered.write_text("".join(lines[:-1]))
+    for command in ("train", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert f"flowgraph {command}: error:" in err and clustered.name in err
+
+    # a graph file cut inside its node table
+    graph = out / "graphs" / "snapshot_00001.txt"
+    lines = graph.read_text().splitlines(keepends=True)
+    graph.write_text("".join(lines[:4]) + lines[4][:10])
+    capsys.readouterr()
+    assert run("cluster", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "flowgraph cluster: error:" in err and graph.name in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, distance_rows
 from oracles import dbscan_oracle, distance_matrix, exact_eps_cases
@@ -83,3 +84,12 @@ def test_dispatch_through_cluster_points():
     params = ClusterParams(algorithm="dbscan", eps=0.2, min_pts=2)
     result = cluster_points(points, params)
     assert np.array_equal(result.assignment, [0, 0, NOISE])
+
+
+def test_cluster_params_reject_non_integer_counts():
+    for bad in (2.5, 3.0, True, "2"):
+        with pytest.raises(ValueError, match="min_pts must be an integer"):
+            ClusterParams("dbscan", 0.2, bad)
+        with pytest.raises(ValueError, match="min_cluster_size must be an integer"):
+            ClusterParams("hdbscan", min_cluster_size=bad)
+    assert ClusterParams("dbscan", 0.2, np.int64(3)).min_pts == 3
