@@ -42,8 +42,6 @@ class BehaviorNode:
     id: EntityId
     label: int
     features: np.ndarray
-    attack_flow_count: int
-    total_flow_count: int
 
 
 @dataclass
@@ -131,8 +129,7 @@ def build_graph(flows: list[FlowRecord],
             len(dst_ports[i]),
         ], dtype=np.float64)
         nodes.append(BehaviorNode(id=eid, label=majority_label(n_attack, n_flows),
-                                  features=features, attack_flow_count=int(n_attack),
-                                  total_flow_count=int(n_flows)))
+                                  features=features))
 
     return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
 
@@ -178,8 +175,9 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
 def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
     """(snapshot, nodes, edges) from the layout `write_snapshot_text` writes.
 
-    `make_node` builds a node from a row's fields, `weight` an edge
-    weight. Raises MalformedArtefact naming `path` unless the counts
+    `make_node` builds a node from a row's fields (ValueError on a value
+    it refuses), `weight` an edge weight. Raises MalformedArtefact naming
+    `path` and the line on a refused value, and unless the counts
     match the rows, the last line ends with a newline, each node row
     has one field per column and its position as index, and each edge
     endpoint is a node index: any truncation of a written file fails.
@@ -231,7 +229,7 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
 
 
 def write_graph_text(path, graph: SnapshotGraph) -> None:
-    """Write a graph file; flow tallies are left out (read back, they follow the label)."""
+    """Write a graph file: one row per node with its entity, label and features."""
     rows = [f"{node.id.ip} {node.id.port} {node.label} "
             + " ".join(repr(float(v)) for v in node.features)
             for node in graph.nodes]
@@ -240,9 +238,10 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
 
 def _graph_node(row: list[str]) -> BehaviorNode:
     label = int(row[3])
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
     return BehaviorNode(id=EntityId(row[1], int(row[2])), label=label,
-                        features=np.array([float(v) for v in row[4:4 + N_FEATURES]]),
-                        attack_flow_count=label, total_flow_count=1)
+                        features=np.array([float(v) for v in row[4:4 + N_FEATURES]]))
 
 
 def read_graph_text(path) -> SnapshotGraph:

@@ -145,11 +145,8 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         _check_config_keys(loaded, PipelineConfig)
         _check_config_keys(loaded.get("synth", {}), synth.SynthConfig, "synth.")
         values.update(loaded)
-    for name in ("input", "schema", "on_malformed", "out_dir", "width",
-                 "algorithm", "eps", "min_pts", "min_cluster_size",
-                 "variant", "k", "seed", "jobs"):
-        flag = getattr(args, name, None)
-        if flag is not None:
+    for name, flag in vars(args).items():
+        if name not in ("command", "config") and flag is not None:
             values[name] = flag
     return PipelineConfig(**values)
 
@@ -247,24 +244,20 @@ def cmd_train(config: PipelineConfig) -> Path:
     spectral_gcn.save_model(model_path, model)
     spectral_gcn.write_loss_trace_csv(_out(config, "loss_trace.csv"), losses)
 
+    rows = [(g.snapshot.index, [g]) for g in test_graphs]
+    if test_graphs:
+        rows.append(("union", test_graphs))
+    else:
+        log.warning("train: temporal split left no test snapshots")
     metrics_path = _out(config, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write("snapshot,accuracy,precision_normal,precision_attack,"
                  "recall_normal,recall_attack,balanced_accuracy,n_nodes\n")
-        for g in test_graphs:
-            m = spectral_gcn.evaluate(model, [g],
-                                      weighted=config.weighted_adjacency)
-            fh.write(f"{g.snapshot.index},{m.accuracy!r},{m.precision[0]!r},"
-                     f"{m.precision[1]!r},{m.recall[0]!r},{m.recall[1]!r},"
-                     f"{m.balanced_accuracy!r},{m.n_nodes}\n")
-        if test_graphs:
-            m = spectral_gcn.evaluate(model, test_graphs,
-                                      weighted=config.weighted_adjacency)
-            fh.write(f"union,{m.accuracy!r},{m.precision[0]!r},{m.precision[1]!r},"
+        for name, split in rows:
+            m = spectral_gcn.evaluate(model, split, weighted=config.weighted_adjacency)
+            fh.write(f"{name},{m.accuracy!r},{m.precision[0]!r},{m.precision[1]!r},"
                      f"{m.recall[0]!r},{m.recall[1]!r},{m.balanced_accuracy!r},"
                      f"{m.n_nodes}\n")
-        else:
-            log.warning("train: temporal split left no test snapshots")
     log.info("train: %d train / %d test snapshots, final loss %s -> %s",
              len(train_graphs), len(test_graphs),
              losses[-1] if losses else "n/a", model_path)

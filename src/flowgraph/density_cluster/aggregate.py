@@ -56,15 +56,13 @@ def _hard_label(fraction: float) -> int:
     return 1 if fraction > 0.5 else 0
 
 
-def aggregate(graph: SnapshotGraph, result: ClusterResult, *,
-              renormalize: bool = True) -> ClusteredGraph:
+def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     """Collapse clustered normal nodes; keep attack nodes as singletons.
 
     `result.assignment` must cover exactly the normal nodes of `graph`
     in node order. Cluster features are averaged from the input graph's
     feature vectors as given (pass the raw graph for raw averaging) and
-    the stacked super-node matrix is min-max re-normalized unless
-    `renormalize` is false.
+    the stacked super-node matrix is then min-max re-normalized.
     """
     normal_positions = [i for i, node in enumerate(graph.nodes) if node.label == 0]
     if len(result.assignment) != len(normal_positions):
@@ -101,7 +99,7 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult, *,
                 hard_label=1,
             ))
 
-    if renormalize and nodes:
+    if nodes:
         scaled = minmax_scale(np.stack([s.features for s in nodes]))
         for supernode, row in zip(nodes, scaled):
             supernode.features = row
@@ -150,11 +148,16 @@ def write_clustered_text(path, graph: ClusteredGraph) -> None:
 
 
 def _super_node(row: list[str]) -> SuperNode:
+    kind, hard_label = row[1], int(row[2])
+    if kind not in (KIND_CLUSTER, KIND_ATTACK):
+        raise ValueError(f"unknown super-node kind {kind!r}")
+    if hard_label not in (0, 1):
+        raise ValueError(f"hard_label must be 0 or 1, got {hard_label}")
     members = [EntityId(ip, int(port)) for ip, port in
                (chunk.rsplit("|", 1) for chunk in row[4 + N_FEATURES].split(";"))]
-    return SuperNode(kind=row[1], members=members,
+    return SuperNode(kind=kind, members=members,
                      features=np.array([float(v) for v in row[4:4 + N_FEATURES]]),
-                     behaviour_fraction=float(row[3]), hard_label=int(row[2]))
+                     behaviour_fraction=float(row[3]), hard_label=hard_label)
 
 
 def read_clustered_text(path) -> ClusteredGraph:

@@ -26,8 +26,6 @@ class OpticsResult:
     order: np.ndarray
     reachability: np.ndarray
     core_distance: np.ndarray
-    eps: float
-    min_pts: int
 
     def extract_at_eps(self, eps_prime: float) -> ClusterResult:
         n = len(self.order)
@@ -82,5 +80,4 @@ def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
             process(q, position)
             position += 1
 
-    return OpticsResult(order=order, reachability=reach,
-                        core_distance=core_dist, eps=eps, min_pts=min_pts)
+    return OpticsResult(order=order, reachability=reach, core_distance=core_dist)

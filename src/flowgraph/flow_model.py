@@ -91,15 +91,6 @@ class ParseResult:
     skipped_rows: int = 0
 
 
-def _parse_port(text: str) -> int:
-    # Entity identity must be exact: hex ports or "-" placeholders are
-    # rejected rather than guessed at.
-    port = int(text)
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range: {port}")
-    return port
-
-
 def _parse_count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -155,9 +146,11 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
         for row_index, row in enumerate(reader, start=1):
             try:
                 fields = [row[i] for i in idx]
+                # Entity identity must be exact: int() rejects hex ports and "-"
+                # placeholders rather than guessing; EntityId checks the range.
                 raw.append((
-                    EntityId(fields[0].strip(), _parse_port(fields[1])),
-                    EntityId(fields[2].strip(), _parse_port(fields[3])),
+                    EntityId(fields[0].strip(), int(fields[1])),
+                    EntityId(fields[2].strip(), int(fields[3])),
                     _parse_seconds(fields[4]),
                     _parse_seconds(fields[5]),
                     _parse_count(fields[6]),

@@ -10,15 +10,15 @@ chebyshev
     layer sums per-order terms sum_j T_j(L~) H W_j before the
     nonlinearity, with one weight block per order.
 
-Training is full-batch gradient descent on class-weighted
-cross-entropy; all gradients are analytic (verified against central
-finite differences by `gradient_check`). Multiple snapshot graphs are
+Training is full-batch gradient descent on cross-entropy weighted by
+inverse class frequency; all gradients are analytic (the tests check
+them against central finite differences). Multiple snapshot graphs are
 combined block-diagonally into one disconnected graph per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TrainConfig:
     hidden: int = 16
     learning_rate: float = 0.01
     epochs: int = 200
-    class_weights: tuple[float, float] | None = None  # None -> inverse class frequency
     seed: int = 0
     weighted_adjacency: bool = False
 
@@ -167,17 +166,16 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, features: np.ndarray
     return loss, gw0, gw1
 
 
-def train(graphs, config: TrainConfig, model: GcnModel | None = None):
-    """Full-batch gradient descent; returns (model, per-epoch loss trace)."""
+def train(graphs, config: TrainConfig):
+    """Full-batch gradient descent from `init_model(config)`; returns (model, losses)."""
     if not graphs:
         raise ValueError("need at least one training graph")
     if any(g.n_nodes == 0 for g in graphs):
         raise ValueError("training graphs must be non-empty")
     a, x, y = union_matrices(graphs, weighted=config.weighted_adjacency)
     operator = build_operator(a, config.variant)
-    class_weights = config.class_weights or inverse_frequency_weights(y)
-    if model is None:
-        model = init_model(config)
+    class_weights = inverse_frequency_weights(y)
+    model = init_model(config)
 
     losses: list[float] = []
     for epoch in range(config.epochs):
@@ -192,37 +190,6 @@ def train(graphs, config: TrainConfig, model: GcnModel | None = None):
         if not all(np.isfinite(w).all() for w in model.w0 + model.w1):
             raise NonFiniteLoss(epoch)
     return model, losses
-
-
-def gradient_check(model: GcnModel, graph, *, weighted: bool = False,
-                   class_weights: tuple[float, float] = (1.0, 1.0),
-                   step: float = 1e-6) -> float:
-    """Max relative error between analytic and central finite differences."""
-    a, x, y = union_matrices([graph], weighted=weighted)
-    operator = build_operator(a, model.variant)
-    _, gw0, gw1 = loss_and_grads(model, operator, x, y, class_weights)
-
-    def loss_at() -> float:
-        loss, _, _ = loss_and_grads(model, operator, x, y, class_weights)
-        return loss
-
-    max_err = 0.0
-    for blocks, grads in ((model.w0, gw0), (model.w1, gw1)):
-        for w, g in zip(blocks, grads):
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = w[idx]
-                w[idx] = original + step
-                upper = loss_at()
-                w[idx] = original - step
-                lower = loss_at()
-                w[idx] = original
-                numeric = (upper - lower) / (2.0 * step)
-                analytic = float(g[idx])
-                err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-                max_err = max(max_err, err)
-    return max_err
 
 
 @dataclass

@@ -127,6 +127,7 @@ def generate(config: SynthConfig) -> list[FlowRecord]:
                 ))
 
     if config.n_attack_entities > 0 and config.attack_fraction_of_flows > 0.0:
+        volume = _attack_volume if config.behaviour_separation == "high" else _normal_volume
         f = config.attack_fraction_of_flows
         if f < 1.0:
             n_attack_flows = int(round(len(records) * f / (1.0 - f)))
@@ -136,10 +137,7 @@ def generate(config: SynthConfig) -> list[FlowRecord]:
         for j in range(n_attack_flows):
             src = _attack_entity(j % config.n_attack_entities)
             dst = _victim_entity(j)
-            if config.behaviour_separation == "high":
-                sent, received, packets, flow_duration = _attack_volume(rng)
-            else:
-                sent, received, packets, flow_duration = _normal_volume(rng)
+            sent, received, packets, flow_duration = volume(rng)
             records.append(FlowRecord(
                 src=src, dst=dst, start_time=float(times[j]),
                 duration=flow_duration,
@@ -157,10 +155,7 @@ def generate(config: SynthConfig) -> list[FlowRecord]:
                 src = _attack_entity(k)
                 dst = _attack_entity((k + 1) % m)
                 for j in range(flows_each):
-                    if config.behaviour_separation == "high":
-                        sent, received, packets, flow_duration = _attack_volume(rng)
-                    else:
-                        sent, received, packets, flow_duration = _normal_volume(rng)
+                    sent, received, packets, flow_duration = volume(rng)
                     records.append(FlowRecord(
                         src=src, dst=dst,
                         start_time=float(probe_phases[k] + j * spacing),

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used by the tests.
+"""Brute-force reference implementations and shared builders for the tests.
 
 Everything here favors obviousness over speed: full distance matrices,
 explicit component searches, eigendecompositions. The production code
@@ -9,9 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
 from flowgraph.flow_model import EntityId, FlowRecord
+from flowgraph.spectral_gcn import build_operator, loss_and_grads, union_matrices
+from flowgraph.temporal import SnapshotIndex
 
 NOISE = -1
+
+
+def graph_from(features, labels, edges=(), index=0) -> SnapshotGraph:
+    """Snapshot `index` (600 s wide) whose node i has labels[i] and features[i]."""
+    nodes = [BehaviorNode(id=EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i),
+                          label=int(lab), features=np.asarray(f, dtype=np.float64))
+             for i, (f, lab) in enumerate(zip(features, labels))]
+    return SnapshotGraph(snapshot=SnapshotIndex.for_width(index, 600.0),
+                         nodes=nodes, edges=list(edges))
 
 
 def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
@@ -28,6 +40,15 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
     return [text[:cut] for cut in range(len(text))] + [
         head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", swapped,
         text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"]
+
+
+def with_node_field(text: str, field: int, value: str) -> str:
+    """A written graph or clustered file with field `field` of node row 0 set to `value`."""
+    lines = text.splitlines(keepends=True)
+    row = lines[3].split(" ")
+    row[field] = value
+    lines[3] = " ".join(row)
+    return "".join(lines)
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -177,6 +198,43 @@ def extract_features(entity: EntityId, flows: list[FlowRecord]) -> np.ndarray:
         len(in_peers), len(out_peers), n_flows, sent, received,
         packets, dur_sum / n_flows, len(ports),
     ], dtype=np.float64)
+
+
+def flow_tallies(entity: EntityId, flows: list[FlowRecord]) -> tuple[int, int]:
+    """(attack flows, all flows) incident to `entity`, once per endpoint role."""
+    incident = [f.label for f in flows for e in (f.src, f.dst) if e == entity]
+    return sum(incident), len(incident)
+
+
+def gradient_check(model, graph, *, weighted: bool = False,
+                   class_weights: tuple[float, float] = (1.0, 1.0),
+                   step: float = 1e-6) -> float:
+    """Max relative error between analytic and central finite differences."""
+    a, x, y = union_matrices([graph], weighted=weighted)
+    operator = build_operator(a, model.variant)
+    _, gw0, gw1 = loss_and_grads(model, operator, x, y, class_weights)
+
+    def loss_at() -> float:
+        loss, _, _ = loss_and_grads(model, operator, x, y, class_weights)
+        return loss
+
+    max_err = 0.0
+    for blocks, grads in ((model.w0, gw0), (model.w1, gw1)):
+        for w, g in zip(blocks, grads):
+            it = np.nditer(w, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                original = w[idx]
+                w[idx] = original + step
+                upper = loss_at()
+                w[idx] = original - step
+                lower = loss_at()
+                w[idx] = original
+                numeric = (upper - lower) / (2.0 * step)
+                analytic = float(g[idx])
+                err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+                max_err = max(max_err, err)
+    return max_err
 
 
 def adjacency_oracle(graph, *, weighted: bool = False) -> np.ndarray:

@@ -20,12 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import (
-    BehaviorNode,
-    SnapshotGraph,
-    build_graph,
-    majority_label,
-)
+from flowgraph.behavior_graph import build_graph, majority_label
 from flowgraph.density_cluster import (
     KIND_ATTACK,
     KIND_CLUSTER,
@@ -44,7 +39,6 @@ from flowgraph.spectral_gcn import (
     TrainConfig,
     chebyshev_basis,
     evaluate,
-    gradient_check,
     init_model,
     normalized_laplacian,
     renormalize_adjacency,
@@ -52,8 +46,15 @@ from flowgraph.spectral_gcn import (
     union_matrices,
 )
 from flowgraph.synth import SynthConfig, generate
-from flowgraph.temporal import SnapshotIndex, dissect
-from oracles import chebyshev_eig_oracle, dbscan_oracle, edges_of, mst_weight_oracle
+from flowgraph.temporal import dissect
+from oracles import (
+    chebyshev_eig_oracle,
+    dbscan_oracle,
+    edges_of,
+    gradient_check,
+    graph_from,
+    mst_weight_oracle,
+)
 
 
 @contextmanager
@@ -82,16 +83,6 @@ def flow(src, dst, label, t=0.0):
     return FlowRecord(src=src, dst=dst, start_time=t, duration=1.0,
                       bytes_src_to_dst=100, bytes_dst_to_src=100,
                       packets_total=2, label=label)
-
-
-def graph_from(features, labels, edges):
-    nodes = [BehaviorNode(id=EntityId(f"10.0.0.{i + 1}", 1000 + i),
-                          label=int(lab),
-                          features=np.asarray(f, dtype=np.float64),
-                          attack_flow_count=int(lab), total_flow_count=1)
-             for i, (f, lab) in enumerate(zip(features, labels))]
-    return SnapshotGraph(snapshot=SnapshotIndex.for_width(0, 600.0),
-                         nodes=nodes, edges=edges)
 
 
 def random_adjacency(rng, n, p=0.3):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph, minmax_scale
+from flowgraph.behavior_graph import minmax_scale
 from flowgraph.density_cluster import (
     KIND_ATTACK,
     KIND_CLUSTER,
@@ -17,24 +17,7 @@ from flowgraph.density_cluster import (
     write_clustered_text,
 )
 from flowgraph.errors import AssignmentMismatch, MalformedArtefact
-from flowgraph.flow_model import EntityId
-from flowgraph.temporal import SnapshotIndex
-from oracles import corrupted_snapshot_texts
-
-
-def make_graph(labels, features, edges):
-    nodes = [
-        BehaviorNode(
-            id=EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i),
-            label=label,
-            features=np.asarray(feats, dtype=np.float64),
-            attack_flow_count=label,
-            total_flow_count=1,
-        )
-        for i, (label, feats) in enumerate(zip(labels, features))
-    ]
-    return SnapshotGraph(snapshot=SnapshotIndex.for_width(0, 600.0),
-                         nodes=nodes, edges=list(edges))
+from oracles import corrupted_snapshot_texts, graph_from, with_node_field
 
 
 def feats(x: float):
@@ -42,7 +25,7 @@ def feats(x: float):
 
 
 def test_cluster_of_normals_has_zero_fraction():
-    graph = make_graph([0, 0], [feats(1.0), feats(3.0)], [(0, 1, 4)])
+    graph = graph_from([feats(1.0), feats(3.0)], [0, 0], [(0, 1, 4)])
     result = ClusterResult(assignment=np.array([0, 0]), cluster_count=1)
     clustered = aggregate(graph, result)
     assert clustered.n_nodes == 1
@@ -55,9 +38,9 @@ def test_cluster_of_normals_has_zero_fraction():
 
 
 def test_three_normals_one_attack():
-    graph = make_graph(
-        [0, 0, 0, 1],
+    graph = graph_from(
         [feats(1.0), feats(2.0), feats(3.0), feats(9.0)],
+        [0, 0, 0, 1],
         [(0, 3, 1), (1, 3, 1), (2, 3, 1)],
     )
     result = ClusterResult(assignment=np.array([0, 0, 0]), cluster_count=1)
@@ -71,27 +54,26 @@ def test_three_normals_one_attack():
 
 
 def test_raw_average_then_renormalized():
-    graph = make_graph(
-        [0, 0, 1],
-        [feats(1.0), feats(3.0), feats(8.0)],
-        [],
-    )
+    graph = graph_from([feats(1.0), feats(3.0), feats(8.0), feats(0.0)], [0, 0, 1, 1])
     result = ClusterResult(assignment=np.array([0, 0]), cluster_count=1)
-    raw = aggregate(graph, result, renormalize=False)
-    # cluster feature = mean of raw member vectors
-    assert np.array_equal(raw.nodes[0].features, np.full(8, 2.0))
-    assert np.array_equal(raw.nodes[1].features, np.full(8, 8.0))
+    # cluster feature = mean of raw member vectors, attacks keep their own;
+    # with three super-nodes the scaled cluster row (0.25) shows the mean
+    raw = np.array([(graph.nodes[0].features + graph.nodes[1].features) / 2,
+                    graph.nodes[2].features, graph.nodes[3].features])
+    assert np.array_equal(raw, [feats(2.0), feats(8.0), feats(0.0)])
 
     scaled = aggregate(graph, result)
-    expected = minmax_scale(np.array([feats(2.0), feats(8.0)]))
-    assert np.array_equal(scaled.nodes[0].features, expected[0])
-    assert np.array_equal(scaled.nodes[1].features, expected[1])
+    expected = minmax_scale(raw)
+    assert np.array_equal(expected[0], feats(0.25))
+    assert len(scaled.nodes) == 3
+    for node, row in zip(scaled.nodes, expected):
+        assert np.array_equal(node.features, row)
 
 
 def test_all_noise_leaves_only_attack_singletons():
-    graph = make_graph(
-        [0, 1, 0],
+    graph = graph_from(
         [feats(1.0), feats(5.0), feats(2.0)],
+        [0, 1, 0],
         [(0, 1, 2), (2, 1, 1), (0, 2, 3)],
     )
     result = ClusterResult(assignment=np.array([NOISE, NOISE]), cluster_count=0)
@@ -102,7 +84,7 @@ def test_all_noise_leaves_only_attack_singletons():
 
 
 def test_assignment_mismatch():
-    graph = make_graph([0, 0, 1], [feats(1.0)] * 3, [])
+    graph = graph_from([feats(1.0)] * 3, [0, 0, 1])
     with pytest.raises(AssignmentMismatch):
         aggregate(graph, ClusterResult(assignment=np.array([0]), cluster_count=1))
 
@@ -113,7 +95,7 @@ def test_attack_population_invariant():
         n = int(rng.integers(5, 40))
         labels = rng.integers(0, 2, size=n).tolist()
         features = rng.uniform(0, 1, size=(n, 8)).tolist()
-        graph = make_graph(labels, features, [])
+        graph = graph_from(features, labels)
         params = ClusterParams(algorithm="dbscan", eps=0.4, min_pts=2)
         _, clustered = cluster_snapshot(graph, params)
         n_attack_in = sum(labels)
@@ -125,9 +107,9 @@ def test_attack_population_invariant():
 
 
 def test_cluster_snapshot_pairs_assignment_with_graph():
-    graph = make_graph(
-        [0, 0, 0, 1],
+    graph = graph_from(
         [feats(0.0), feats(0.05), feats(0.9), feats(0.5)],
+        [0, 0, 0, 1],
         [(0, 1, 1)],
     )
     params = ClusterParams(algorithm="dbscan", eps=0.2, min_pts=2)
@@ -153,9 +135,9 @@ def test_assignment_csv(tmp_path):
 
 
 def test_clustered_text_round_trip(tmp_path):
-    graph = make_graph(
-        [0, 0, 0, 1, 1],
+    graph = graph_from(
         np.random.default_rng(3).uniform(0, 1, size=(5, 8)).tolist(),
+        [0, 0, 0, 1, 1],
         [(0, 1, 2), (1, 3, 1), (4, 2, 5), (3, 4, 1)],
     )
     result = ClusterResult(assignment=np.array([0, 0, NOISE]), cluster_count=1)
@@ -172,7 +154,10 @@ def test_clustered_text_round_trip(tmp_path):
         assert s1.behaviour_fraction == s2.behaviour_fraction
         assert np.array_equal(s1.features, s2.features)
 
-    for bad in corrupted_snapshot_texts(path.read_text(), len(clustered.nodes)):
+    text = path.read_text()
+    bad_values = [with_node_field(text, 1, "noise"), with_node_field(text, 2, "2"),
+                  with_node_field(text, 2, "-1")]
+    for bad in corrupted_snapshot_texts(text, len(clustered.nodes)) + bad_values:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):
             read_clustered_text(path)

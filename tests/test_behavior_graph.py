@@ -16,7 +16,7 @@ from flowgraph.behavior_graph import (
 from flowgraph.errors import MalformedArtefact
 from flowgraph.flow_model import EntityId, FlowRecord
 from flowgraph.temporal import SnapshotIndex
-from oracles import corrupted_snapshot_texts, extract_features
+from oracles import corrupted_snapshot_texts, extract_features, flow_tallies, with_node_field
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)
@@ -87,14 +87,15 @@ def test_features_incoming_only():
 
 
 def test_self_loop_counts_twice():
-    g = build_graph([flow(A, A, label=1), flow(A, A, label=0), flow(A, A, label=0)])
+    flows = [flow(A, A, label=1), flow(A, A, label=0), flow(A, A, label=0)]
+    g = build_graph(flows)
     assert g.n_nodes == 1
     assert g.edges == [(0, 0, 3)]
     node = g.nodes[0]
     # each self-loop flow is seen from both endpoint roles
-    assert node.total_flow_count == 6
-    assert node.attack_flow_count == 2
-    assert node.label == 0
+    tallies = flow_tallies(A, flows)
+    assert tallies == (2, 6)
+    assert node.label == majority_label(*tallies) == 0
     assert node.features[2] == 6
 
 
@@ -116,9 +117,7 @@ def test_build_graph_matches_extract_features():
         assert g.n_nodes <= 2 * len(flows)
         for node in g.nodes:
             assert np.allclose(node.features, extract_features(node.id, flows))
-            # brute-force label recount
-            incident = [f.label for f in flows for e in (f.src, f.dst) if e == node.id]
-            assert node.label == (1 if 2 * sum(incident) > len(incident) else 0)
+            assert node.label == majority_label(*flow_tallies(node.id, flows))
 
 
 def test_features_are_label_free():
@@ -175,7 +174,9 @@ def test_graph_text_round_trip(tmp_path):
     for n1, n2 in zip(back.nodes, g.nodes):
         assert np.array_equal(n1.features, n2.features)
 
-    for bad in corrupted_snapshot_texts(path.read_text(), len(g.nodes)):
+    text = path.read_text()
+    bad_labels = [with_node_field(text, 3, label) for label in ("2", "-1")]
+    for bad in corrupted_snapshot_texts(text, len(g.nodes)) + bad_labels:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="snap.txt"):
             read_graph_text(path)

@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 from flowgraph.cli import main
+from oracles import with_node_field
 
 SMALL_SYNTH = {
     "duration": 3000.0,
@@ -221,11 +222,14 @@ def test_truncated_artefacts_fail_with_diagnostic(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"flowgraph {command}: error:" in err and clustered.name in err
 
-    # a graph file cut inside its node table
+    # a graph file cut inside its node table, then one whose first node has label 2
     graph = out / "graphs" / "snapshot_00001.txt"
-    lines = graph.read_text().splitlines(keepends=True)
-    graph.write_text("".join(lines[:4]) + lines[4][:10])
-    capsys.readouterr()
-    assert run("cluster", "--config", cfg) == 1
-    err = capsys.readouterr().err
-    assert "flowgraph cluster: error:" in err and graph.name in err
+    text = graph.read_text()
+    lines = text.splitlines(keepends=True)
+    for bad, where in (("".join(lines[:4]) + lines[4][:10], graph.name),
+                       (with_node_field(text, 3, "2"), f"{graph.name}: line 4:")):
+        graph.write_text(bad)
+        capsys.readouterr()
+        assert run("cluster", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "flowgraph cluster: error:" in err and where in err

@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
+from flowgraph.behavior_graph import SnapshotGraph
 from flowgraph.errors import NonFiniteLoss
-from flowgraph.flow_model import EntityId
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
     VARIANT_RENORMALIZED,
@@ -15,7 +14,6 @@ from flowgraph.spectral_gcn import (
     build_operator,
     evaluate,
     forward,
-    gradient_check,
     init_model,
     inverse_frequency_weights,
     load_model,
@@ -24,17 +22,7 @@ from flowgraph.spectral_gcn import (
     train,
     union_matrices,
 )
-from flowgraph.temporal import SnapshotIndex
-
-
-def graph_from(features, labels, edges, index=0):
-    nodes = [BehaviorNode(id=EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i),
-                          label=int(lab),
-                          features=np.asarray(f, dtype=np.float64),
-                          attack_flow_count=int(lab), total_flow_count=1)
-             for i, (f, lab) in enumerate(zip(features, labels))]
-    return SnapshotGraph(snapshot=SnapshotIndex.for_width(index, 600.0),
-                         nodes=nodes, edges=edges)
+from oracles import gradient_check, graph_from
 
 
 def separable_graph(seed: int, n_per_class: int = 8, index: int = 0):
@@ -102,7 +90,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_forward_single_node_by_hand():
-    g = graph_from([[2.0, -3.0, 0, 0, 0, 0, 0, 0]], [0], [])
+    g = graph_from([[2.0, -3.0, 0, 0, 0, 0, 0, 0]], [0])
     model = GcnModel(variant=VARIANT_RENORMALIZED, k=1, hidden=2, seed=0,
                      w0=[np.zeros((8, 2))], w1=[np.zeros((2, 2))])
     model.w0[0][0, 0] = 1.0  # hidden0 = f1
@@ -154,11 +142,10 @@ def test_loss_decreases_early_and_task_is_learned():
 def test_zero_learning_rate_keeps_weights():
     g = separable_graph(seed=1)
     config = TrainConfig(variant=VARIANT_RENORMALIZED, epochs=1, learning_rate=0.0)
-    before = init_model(config)
-    snapshot = [w.copy() for w in before.w0 + before.w1]
-    after, losses = train([g], config, model=before)
+    before = init_model(config)  # train starts from the same seeded init
+    after, losses = train([g], config)
     assert len(losses) == 1
-    for w, original in zip(after.w0 + after.w1, snapshot):
+    for w, original in zip(after.w0 + after.w1, before.w0 + before.w1):
         assert np.array_equal(w, original)
 
 
@@ -284,7 +271,7 @@ def test_permutation_equivariance_chebyshev_operator():
 
 
 def test_evaluate_known_predictions():
-    g = graph_from(np.zeros((4, 8)), [0, 0, 1, 1], [])
+    g = graph_from(np.zeros((4, 8)), [0, 0, 1, 1])
     model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED))
     model.w0 = [np.zeros_like(model.w0[0])]
     model.w1 = [np.zeros_like(model.w1[0])]
@@ -301,7 +288,7 @@ def test_evaluate_known_predictions():
 
 
 def test_balanced_accuracy_skips_absent_classes():
-    g = graph_from(np.zeros((3, 8)), [0, 0, 0], [])
+    g = graph_from(np.zeros((3, 8)), [0, 0, 0])
     model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED))
     model.w0 = [np.zeros_like(model.w0[0])]
     model.w1 = [np.zeros_like(model.w1[0])]
@@ -312,6 +299,6 @@ def test_balanced_accuracy_skips_absent_classes():
 def test_train_input_validation():
     with pytest.raises(ValueError):
         train([], TrainConfig())
-    empty = graph_from(np.zeros((0, 8)), [], [])
+    empty = graph_from(np.zeros((0, 8)), [])
     with pytest.raises(ValueError):
         train([empty], TrainConfig())

@@ -3,8 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
-from flowgraph.flow_model import EntityId
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
     build_operator,
@@ -15,25 +13,19 @@ from flowgraph.spectral_gcn import (
     scale_laplacian,
     union_matrices,
 )
-from flowgraph.temporal import SnapshotIndex
 from oracles import (
     adjacency_oracle,
     chebyshev_eig_oracle,
     edges_of,
+    graph_from,
     laplacian_oracle,
     renormalize_oracle,
 )
 
 
 def graph_with_edges(n, edges, labels=None):
-    labels = labels or [0] * n
-    nodes = [BehaviorNode(id=EntityId(f"10.0.0.{i + 1}", 1000 + i),
-                          label=labels[i],
-                          features=np.full(8, float(i)),
-                          attack_flow_count=labels[i], total_flow_count=1)
-             for i in range(n)]
-    return SnapshotGraph(snapshot=SnapshotIndex.for_width(0, 600.0),
-                         nodes=nodes, edges=edges)
+    """n nodes, node i with every feature i; all normal unless `labels` says."""
+    return graph_from([np.full(8, float(i)) for i in range(n)], labels or [0] * n, edges)
 
 
 def adjacency(n, edges, *, weighted=False):

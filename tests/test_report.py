@@ -3,14 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
 from flowgraph.density_cluster import (
     ClusterResult,
     NOISE,
     aggregate,
 )
 from flowgraph.errors import LengthMismatch
-from flowgraph.flow_model import EntityId
 from flowgraph.report import (
     EffectsRow,
     PopulationRow,
@@ -22,16 +20,11 @@ from flowgraph.report import (
     write_effects_csv,
     write_population_csv,
 )
-from flowgraph.temporal import SnapshotIndex
+from oracles import graph_from
 
 
 def snapshot_graph(index, labels):
-    nodes = [BehaviorNode(id=EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i),
-                          label=int(lab), features=np.zeros(8),
-                          attack_flow_count=int(lab), total_flow_count=1)
-             for i, lab in enumerate(labels)]
-    return SnapshotGraph(snapshot=SnapshotIndex.for_width(index, 600.0),
-                         nodes=nodes, edges=[])
+    return graph_from(np.zeros((len(labels), 8)), labels, index=index)
 
 
 def clustered(graph, assignment, cluster_count):
