@@ -22,12 +22,13 @@ A flow counts once per endpoint role, so a self-loop flow (src entity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MalformedArtefact
-from .flow_model import EntityId, FlowRecord
+from .flow_model import EntityId, FlowTable, entity
 from .temporal import SnapshotIndex
 
 N_FEATURES = 8
@@ -63,8 +64,16 @@ def majority_label(attack_flows: int, total_flows: int) -> int:
     return 1 if 2 * attack_flows > total_flows else 0
 
 
-def build_graph(flows: list[FlowRecord],
-                snapshot: SnapshotIndex | None = None) -> SnapshotGraph:
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys in order of first appearance, each key's rank in that order)."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
+
+
+def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> SnapshotGraph:
     """Build the behavioural graph for one snapshot's flows.
 
     Nodes appear in first-appearance order (src before dst per flow);
@@ -72,65 +81,42 @@ def build_graph(flows: list[FlowRecord],
     """
     if snapshot is None:
         snapshot = SnapshotIndex(index=0, window_start=0.0, window_end=0.0)
+    if not len(flows):
+        return SnapshotGraph(snapshot=snapshot, nodes=[], edges=[])
 
-    index_of: dict[EntityId, int] = {}
-    in_peers: list[set[int]] = []
-    out_peers: list[set[int]] = []
-    dst_ports: list[set[int]] = []
-    # per node: flows, bytes sent, bytes received, packets, duration, attack flows
-    sums: list[np.ndarray] = []
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int, int]] = []
+    # endpoint roles interleaved as src0, dst0, src1, dst1, ...: a flow
+    # counts once per role, and bincount adds each node's terms in flow order
+    codes, role_node = _first_appearance(np.stack([flows.src, flows.dst], axis=1).ravel())
+    n = len(codes)
+    src, dst = role_node[0::2], role_node[1::2]
 
-    def node_for(eid: EntityId) -> int:
-        i = index_of.get(eid)
-        if i is None:
-            i = len(index_of)
-            index_of[eid] = i
-            in_peers.append(set())
-            out_peers.append(set())
-            dst_ports.append(set())
-            sums.append(np.zeros(6))
-        return i
+    def per_node(from_src, from_dst) -> np.ndarray:
+        weights = np.stack([from_src, from_dst], axis=1).ravel()
+        return np.bincount(role_node, weights=weights, minlength=n)
 
-    for flow in flows:
-        si = node_for(flow.src)
-        di = node_for(flow.dst)
+    n_flows = np.bincount(role_node, minlength=n).astype(np.float64)
+    n_attack = np.bincount(role_node, weights=np.repeat(flows.label, 2), minlength=n)
 
-        out_peers[si].add(di)
-        dst_ports[si].add(flow.dst.port)
-        sums[si] += (1, flow.bytes_src_to_dst, flow.bytes_dst_to_src,
-                     flow.packets_total, flow.duration, flow.label)
+    edge_keys, edge_of_flow = _first_appearance(src * n + dst)
+    edge_src, edge_dst = edge_keys // n, edge_keys % n
+    # distinct (sender, destination port) pairs give the ports each node contacted
+    port_pairs = np.unique(src * 65536 + flows.ports[flows.dst])
 
-        in_peers[di].add(si)
-        sums[di] += (1, flow.bytes_dst_to_src, flow.bytes_src_to_dst,
-                     flow.packets_total, flow.duration, flow.label)
-
-        key = (si, di)
-        at = edge_index.get(key)
-        if at is None:
-            edge_index[key] = len(edges)
-            edges.append((si, di, 1))
-        else:
-            s, d, w = edges[at]
-            edges[at] = (s, d, w + 1)
-
-    nodes = []
-    for eid, i in index_of.items():
-        n_flows, sent, received, packets, dur_sum, n_attack = sums[i]
-        features = np.array([
-            len(in_peers[i]),
-            len(out_peers[i]),
-            n_flows,
-            sent,
-            received,
-            packets,
-            dur_sum / n_flows,
-            len(dst_ports[i]),
-        ], dtype=np.float64)
-        nodes.append(BehaviorNode(id=eid, label=majority_label(n_attack, n_flows),
-                                  features=features))
-
+    features = np.stack([
+        np.bincount(edge_dst, minlength=n),
+        np.bincount(edge_src, minlength=n),
+        n_flows,
+        per_node(flows.bytes_src_to_dst, flows.bytes_dst_to_src),
+        per_node(flows.bytes_dst_to_src, flows.bytes_src_to_dst),
+        per_node(flows.packets_total, flows.packets_total),
+        per_node(flows.duration, flows.duration) / n_flows,
+        np.bincount(port_pairs // 65536, minlength=n),
+    ], axis=1)
+    labels = (2 * n_attack > n_flows).astype(np.int64).tolist()
+    nodes = [BehaviorNode(id=flows.entities[c], label=label, features=row)
+             for c, label, row in zip(codes.tolist(), labels, features)]
+    edges = list(zip(edge_src.tolist(), edge_dst.tolist(),
+                     np.bincount(edge_of_flow).tolist()))
     return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
 
 
@@ -236,12 +222,21 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
     write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges)
 
 
+def read_features(fields: list[str]) -> np.ndarray:
+    """f1..f8 from their texts; ValueError unless every one is finite."""
+    values = list(map(float, fields))
+    if not all(map(math.isfinite, values)):
+        bad = next(j for j, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"feature f{bad + 1} must be finite, got {fields[bad]}")
+    return np.array(values)
+
+
 def _graph_node(row: list[str]) -> BehaviorNode:
     label = int(row[3])
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    return BehaviorNode(id=EntityId(row[1], int(row[2])), label=label,
-                        features=np.array([float(v) for v in row[4:4 + N_FEATURES]]))
+    return BehaviorNode(id=entity(row[1], row[2]), label=label,
+                        features=read_features(row[4:4 + N_FEATURES]))
 
 
 def read_graph_text(path) -> SnapshotGraph:

@@ -32,7 +32,6 @@ import logging
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -302,6 +301,9 @@ def cmd_run_all(config: PipelineConfig) -> None:
 def _run_tasks(task, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [task(item) for item in items]
+    # imported here: the process pool module costs every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task, items))
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..behavior_graph import (N_FEATURES, SnapshotGraph, minmax_scale, normalize_features,
-                              read_snapshot_text, write_snapshot_text)
+                              read_features, read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
-from ..flow_model import EntityId
+from ..flow_model import EntityId, entity
 from ..temporal import SnapshotIndex
 from . import NOISE, ClusterParams, ClusterResult, cluster_points
 
@@ -148,16 +148,18 @@ def write_clustered_text(path, graph: ClusteredGraph) -> None:
 
 
 def _super_node(row: list[str]) -> SuperNode:
-    kind, hard_label = row[1], int(row[2])
+    kind, hard_label, fraction = row[1], int(row[2]), float(row[3])
     if kind not in (KIND_CLUSTER, KIND_ATTACK):
         raise ValueError(f"unknown super-node kind {kind!r}")
     if hard_label not in (0, 1):
         raise ValueError(f"hard_label must be 0 or 1, got {hard_label}")
-    members = [EntityId(ip, int(port)) for ip, port in
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"behaviour_fraction must be in [0, 1], got {row[3]}")
+    members = [entity(ip, port) for ip, port in
                (chunk.rsplit("|", 1) for chunk in row[4 + N_FEATURES].split(";"))]
     return SuperNode(kind=kind, members=members,
-                     features=np.array([float(v) for v in row[4:4 + N_FEATURES]]),
-                     behaviour_fraction=float(row[3]), hard_label=hard_label)
+                     features=read_features(row[4:4 + N_FEATURES]),
+                     behaviour_fraction=fraction, hard_label=hard_label)
 
 
 def read_clustered_text(path) -> ClusteredGraph:

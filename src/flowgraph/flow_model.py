@@ -17,9 +17,14 @@ starts at 0; downstream snapshot indexing is capture-relative.
 from __future__ import annotations
 
 import csv
+import functools
 import ipaddress
-from dataclasses import dataclass
+import operator
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import MalformedRow, MissingColumn
 
@@ -83,18 +88,83 @@ class FlowRecord:
                 raise ValueError(f"{name} must be >= 0")
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def entity(ip: str, port: str) -> EntityId:
+    """The `EntityId` of an address and a port text, validated once per process.
+
+    Readers and the parser take every entity from here, so a text seen
+    in many files or rows is checked by `ipaddress` only the first time.
+    `int()` rejects hex ports and "-" placeholders rather than guessing.
+    """
+    return EntityId(ip, int(port))
+
+
+@dataclass(eq=False)
+class FlowTable:
+    """Flows as columns: one row per flow, entities as codes into `entities`.
+
+    `src` and `dst` index `entities`, which lists each endpoint once;
+    `ports` holds each entity's port and is shared by every `take` of
+    the table. `start_time` is in seconds relative to the capture
+    start, `label` is 0 for normal and 1 for attack traffic.
+    """
+
+    entities: list[EntityId]
+    src: np.ndarray  # int64
+    dst: np.ndarray  # int64
+    start_time: np.ndarray  # float64
+    duration: np.ndarray  # float64
+    bytes_src_to_dst: np.ndarray  # int64
+    bytes_dst_to_src: np.ndarray  # int64
+    packets_total: np.ndarray  # int64
+    label: np.ndarray  # int64
+    ports: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.ports is None:
+            self.ports = np.array([e.port for e in self.entities], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def take(self, idx) -> FlowTable:
+        """The flows at positions `idx`, in that order, over the same entities."""
+        return FlowTable(self.entities, **{name: getattr(self, name)[idx] for name in _COLUMNS},
+                         ports=self.ports)
+
+    @classmethod
+    def from_records(cls, records: list[FlowRecord]) -> FlowTable:
+        """The table of `records` in order; entities coded by first appearance."""
+        codes: dict[EntityId, int] = {}
+        src, dst = [], []
+        for r in records:
+            src.append(codes.setdefault(r.src, len(codes)))
+            dst.append(codes.setdefault(r.dst, len(codes)))
+        values = {"src": src, "dst": dst,
+                  **{name: [getattr(r, name) for r in records] for name in list(_COLUMNS)[2:]}}
+        return cls(list(codes), **{name: np.array(values[name], dtype=dtype)
+                                   for name, dtype in _COLUMNS.items()})
+
+
+# the per-flow columns of a FlowTable and their types
+_COLUMNS = {"src": np.int64, "dst": np.int64, "start_time": np.float64,
+            "duration": np.float64, "bytes_src_to_dst": np.int64,
+            "bytes_dst_to_src": np.int64, "packets_total": np.int64, "label": np.int64}
+
+
 @dataclass
 class ParseResult:
-    """Accepted records in file order plus the skipped-row counter."""
+    """Accepted flows in file order plus the skipped-row counter."""
 
-    records: list[FlowRecord]
+    records: FlowTable
     skipped_rows: int = 0
 
 
-def _parse_count(text: str) -> int:
-    value = int(text)
+def _count(value: int) -> int:
     if value < 0:
         raise ValueError(f"negative count: {value}")
+    if value >= 1 << 63:
+        raise ValueError(f"count does not fit in 64 bits: {value}")
     return value
 
 
@@ -108,7 +178,7 @@ def _parse_seconds(text: str) -> float:
 
 def parse_flows(path: str | Path, schema: str = "synthetic",
                 on_malformed: str = "abort") -> ParseResult:
-    """Parse a flow CSV into validated records.
+    """Parse a flow CSV into a validated flow table.
 
     Args:
         path: CSV file with a header row, comma separated, UTF-8.
@@ -117,7 +187,7 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
             "skip" drops bad rows and counts them.
 
     Returns:
-        ParseResult with records in file order, start times rebased so
+        ParseResult with flows in file order, start times rebased so
         the minimum observed start time maps to 0.
     """
     if schema not in SCHEMAS:
@@ -141,37 +211,52 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
             )
         idx = [lookup[c] for c in columns]
 
-        raw: list[tuple] = []
+        # entity code of each (ip, port) text; texts naming one entity
+        # (" 10.0.0.1" and "10.0.0.1") share the code through `index`
+        code_of: dict[tuple[str, str], int] = {}
+        index: dict[EntityId, int] = {}
+
+        def code(ip: str, port: str) -> int:
+            found = code_of.get((ip, port))
+            if found is None:
+                found = index.setdefault(entity(ip.strip(), port), len(index))
+                code_of[(ip, port)] = found
+            return found
+
+        pick = operator.itemgetter(*idx)
+        columns = {name: array("d" if dtype is np.float64 else "q")
+                   for name, dtype in _COLUMNS.items()}
+        src, dst, start, duration, sent, received, packets, label = (
+            column.append for column in columns.values())
         skipped = 0
         for row_index, row in enumerate(reader, start=1):
             try:
-                fields = [row[i] for i in idx]
-                # Entity identity must be exact: int() rejects hex ports and "-"
-                # placeholders rather than guessing; EntityId checks the range.
-                raw.append((
-                    EntityId(fields[0].strip(), int(fields[1])),
-                    EntityId(fields[2].strip(), int(fields[3])),
-                    _parse_seconds(fields[4]),
-                    _parse_seconds(fields[5]),
-                    _parse_count(fields[6]),
-                    _parse_count(fields[7]),
-                    sum(map(_parse_count, fields[8:-1])),
-                    _parse_label(fields[-1]),
-                ))
+                fields = pick(row)
+                s, d, t, dur, fwd, bwd, n_packets, lab = (
+                    code(fields[0], fields[1]), code(fields[2], fields[3]),
+                    _parse_seconds(fields[4]), _parse_seconds(fields[5]),
+                    _count(int(fields[6])), _count(int(fields[7])),
+                    _count(sum(map(_count, map(int, fields[8:-1])))),
+                    _parse_label(fields[-1]))
             except (ValueError, IndexError) as exc:
                 if on_malformed == "abort":
                     raise MalformedRow(row_index, str(exc)) from None
                 skipped += 1
+                continue
+            src(s)
+            dst(d)
+            start(t)
+            duration(dur)
+            sent(fwd)
+            received(bwd)
+            packets(n_packets)
+            label(lab)
 
-    if not raw:
-        return ParseResult([], skipped)
-
-    t0 = min(r[2] for r in raw)
-    records = [
-        FlowRecord(src, dst, start - t0, dur, b_fwd, b_bwd, pkts, label)
-        for (src, dst, start, dur, b_fwd, b_bwd, pkts, label) in raw
-    ]
-    return ParseResult(records, skipped)
+    table = {name: np.frombuffer(column, dtype=_COLUMNS[name])
+             for name, column in columns.items()}
+    times = table["start_time"]
+    table["start_time"] = times - times.min() if len(times) else times
+    return ParseResult(FlowTable(list(index), **table), skipped)
 
 
 def _parse_label(text: str) -> int:

@@ -23,18 +23,16 @@ class EdgeOperator:
     """Symmetric n x n matrix as (rows, cols, vals) triplets.
 
     Entries are sorted by row, then column, and every diagonal entry is
-    stored even when it is zero: each row is therefore non-empty, and
-    `diagonal` selects exactly one entry per row, in row order.
+    stored even when it is zero: `diagonal` therefore selects exactly
+    one entry per row, in row order.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    starts: np.ndarray = field(init=False, repr=False)  # first entry of each row
-
-    def __post_init__(self):
-        self.starts = np.searchsorted(self.rows, np.arange(self.n))
+    # bincount index row * h + column of each entry's terms, per width h
+    _slots: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -42,7 +40,7 @@ class EdgeOperator:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.rows, self.cols, self.vals, self.starts))
+        return sum(a.nbytes for a in (self.rows, self.cols, self.vals))
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -52,8 +50,14 @@ class EdgeOperator:
         return EdgeOperator(self.n, self.rows, self.cols, vals)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        terms = x[self.cols] * (self.vals if x.ndim == 1 else self.vals[:, None])
-        return np.add.reduceat(terms, self.starts, axis=0)
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=x[self.cols] * self.vals, minlength=self.n)
+        h = x.shape[1]
+        slots = self._slots.get(h)
+        if slots is None:
+            slots = self._slots[h] = (self.rows[:, None] * h + np.arange(h)).ravel()
+        terms = x[self.cols] * self.vals[:, None]
+        return np.bincount(slots, weights=terms.ravel(), minlength=self.n * h).reshape(self.n, h)
 
 
 def renormalize_adjacency(a: EdgeOperator) -> EdgeOperator:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteLoss
+from ..errors import MalformedArtefact, NonFiniteLoss
 from .graph_ops import (
     EdgeOperator,
     chebyshev_basis,
@@ -109,25 +109,28 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> list[np.ndarray]:
-    """One input per weight block: [A^ x], or [T_0(L~) x, ..., T_k(L~) x]."""
+def propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> list[np.ndarray]:
+    """One input per weight block: [A^ x], or [T_0(L~) x, ..., T_k(L~) x].
+
+    Applied to the features, this is the first layer's input basis; it
+    does not depend on the weights, so `train` computes it once.
+    """
     if model.variant == VARIANT_RENORMALIZED:
         return [operator @ x]
     return chebyshev_basis(operator, x, model.k)
 
 
-def _forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
-    """Per-node class scores (n x 2), and the intermediates backward needs."""
-    basis = _propagate(model, operator, features)
+def _forward(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarray]):
+    """Per-node class scores (n x 2) from the input basis, and what backward needs."""
     z1 = sum(b @ w for b, w in zip(basis, model.w0))
-    h_basis = _propagate(model, operator, np.maximum(z1, 0.0))
+    h_basis = propagate(model, operator, np.maximum(z1, 0.0))
     scores = sum(b @ w for b, w in zip(h_basis, model.w1))
-    return scores, (basis, z1, h_basis)
+    return scores, (z1, h_basis)
 
 
 def forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
     """Per-node class scores (n x 2) and softmax probabilities."""
-    scores, _ = _forward(model, operator, features)
+    scores, _ = _forward(model, operator, propagate(model, operator, features))
     return scores, _softmax(scores)
 
 
@@ -138,9 +141,11 @@ def inverse_frequency_weights(labels: np.ndarray) -> tuple[float, float]:
     return tuple(n / (N_CLASSES * max(int(c), 1)) for c in counts[:N_CLASSES])
 
 
-def loss_and_grads(model: GcnModel, operator: EdgeOperator, features: np.ndarray,
+def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarray],
                    labels: np.ndarray, class_weights: tuple[float, float]):
     """Class-weighted cross-entropy and analytic parameter gradients.
+
+    `basis` is `propagate(model, operator, features)`.
 
     loss = sum_i w_{y_i} * (-log p_{i, y_i}) / sum_i w_{y_i}
     """
@@ -149,7 +154,7 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, features: np.ndarray
     sample_w = np.asarray(class_weights, dtype=float)[labels]
     total_w = sample_w.sum()
 
-    scores, (basis, z1, h_basis) = _forward(model, operator, features)
+    scores, (z1, h_basis) = _forward(model, operator, basis)
     log_p = _log_softmax(scores)
     loss = float(-(sample_w * log_p[rows, labels]).sum() / total_w)
 
@@ -160,7 +165,7 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, features: np.ndarray
     gw1 = [b.T @ d_scores for b in h_basis]
     # A^ and each T_j(L~) are symmetric, so the adjoint of a propagation
     # is the same propagation of the upstream gradient
-    dh = sum(g @ w.T for g, w in zip(_propagate(model, operator, d_scores), model.w1))
+    dh = sum(g @ w.T for g, w in zip(propagate(model, operator, d_scores), model.w1))
     dz1 = dh * (z1 > 0.0)
     gw0 = [b.T @ dz1 for b in basis]
     return loss, gw0, gw1
@@ -176,10 +181,11 @@ def train(graphs, config: TrainConfig):
     operator = build_operator(a, config.variant)
     class_weights = inverse_frequency_weights(y)
     model = init_model(config)
+    basis = propagate(model, operator, x)
 
     losses: list[float] = []
     for epoch in range(config.epochs):
-        loss, gw0, gw1 = loss_and_grads(model, operator, x, y, class_weights)
+        loss, gw0, gw1 = loss_and_grads(model, operator, basis, y, class_weights)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
         losses.append(loss)
@@ -258,23 +264,39 @@ def save_model(path, model: GcnModel) -> None:
 
 
 def load_model(path) -> GcnModel:
+    """The model `save_model` wrote to `path`.
+
+    Raises ValueError when the first line is not the model header, and
+    MalformedArtefact naming `path` when the file is empty, cut short,
+    or otherwise not in the layout `save_model` writes.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if lines[0] != "gcn-model v1":
-        raise ValueError(f"not a model file: {lines[0]!r}")
-    header = dict(ln.split(" ", 1) for ln in lines[1:6])
-    n_blocks = int(header["blocks"])
-    at = 6
-    blocks: dict[str, list[np.ndarray]] = {"w0": [], "w1": []}
-    for _ in range(2 * n_blocks):
-        name, _, rows, cols = lines[at].split()
-        rows, cols = int(rows), int(cols)
-        data = [[float(v) for v in ln.split()] for ln in lines[at + 1:at + 1 + rows]]
-        blocks[name].append(np.array(data).reshape(rows, cols))
-        at += 1 + rows
-    return GcnModel(variant=header["variant"], k=int(header["k"]),
-                    hidden=int(header["hidden"]), seed=int(header["seed"]),
-                    w0=blocks["w0"], w1=blocks["w1"])
+        text = fh.read()
+    lines = text.split("\n")
+    if text and lines[0] != "gcn-model v1":
+        raise ValueError(f"{path}: not a model file: {lines[0]!r}")
+    try:
+        if not text.endswith("\n"):
+            raise ValueError("no newline at end of file" if text else "empty file")
+        lines.pop()
+        header = dict(ln.split(" ", 1) for ln in lines[1:6])
+        n_blocks = int(header["blocks"])
+        at = 6
+        blocks: dict[str, list[np.ndarray]] = {"w0": [], "w1": []}
+        for _ in range(2 * n_blocks):
+            name, _, rows, cols = lines[at].split()
+            rows, cols = int(rows), int(cols)
+            data = [ln.split() for ln in lines[at + 1:at + 1 + rows]]
+            blocks[name].append(np.array(data, dtype=np.float64).reshape(rows, cols))
+            at += 1 + rows
+        if at != len(lines):
+            raise ValueError(f"line {at + 1} follows the last weight block")
+        return GcnModel(variant=header["variant"], k=int(header["k"]),
+                        hidden=int(header["hidden"]), seed=int(header["seed"]),
+                        w0=blocks["w0"], w1=blocks["w1"])
+    except (ValueError, KeyError, IndexError) as exc:
+        raise MalformedArtefact(f"{path}: not the layout save_model writes "
+                                f"({type(exc).__name__}: {exc})") from None
 
 
 def write_loss_trace_csv(path, losses: list[float]) -> None:

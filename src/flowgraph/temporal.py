@@ -1,4 +1,4 @@
-"""Temporal dissection of a flow list into fixed-width snapshots.
+"""Temporal dissection of a flow table into fixed-width snapshots.
 
 Windows are half-open [k*width, (k+1)*width); a flow belongs to the
 window of its start time even if its duration crosses the boundary.
@@ -7,11 +7,12 @@ Empty windows are never materialized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositiveWidth
-from .flow_model import FlowRecord
+from .flow_model import FlowTable
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class SnapshotIndex:
         return cls(index=index, window_start=start, window_end=start + width)
 
 
-def dissect(flows: list[FlowRecord], width: float) -> dict[SnapshotIndex, list[FlowRecord]]:
+def dissect(flows: FlowTable, width: float) -> dict[SnapshotIndex, FlowTable]:
     """Assign each flow to its snapshot by floor(start_time / width).
 
     Returns a mapping ordered by snapshot index; within a snapshot the
@@ -37,12 +38,11 @@ def dissect(flows: list[FlowRecord], width: float) -> dict[SnapshotIndex, list[F
     if not width > 0:
         raise NonPositiveWidth(f"snapshot width must be > 0, got {width}")
 
-    buckets: dict[int, list[FlowRecord]] = {}
-    for flow in flows:
-        k = int(math.floor(flow.start_time / width))
-        buckets.setdefault(k, []).append(flow)
-
+    keys = np.floor(flows.start_time / width).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    indexes, firsts = np.unique(keys[order], return_index=True)
+    bounds = np.append(firsts, len(order))
     return {
-        SnapshotIndex.for_width(k, width): buckets[k]
-        for k in sorted(buckets)
+        SnapshotIndex.for_width(k, width): flows.take(order[lo:hi])
+        for k, lo, hi in zip(indexes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
     }

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
-from flowgraph.flow_model import EntityId, FlowRecord
-from flowgraph.spectral_gcn import build_operator, loss_and_grads, union_matrices
+from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
+from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
 from flowgraph.temporal import SnapshotIndex
 
 NOISE = -1
@@ -164,6 +164,16 @@ def chebyshev_eig_oracle(l_tilde: np.ndarray, x: np.ndarray, j: int) -> np.ndarr
     return (u * t) @ (u.T @ x)
 
 
+def table_records(table: FlowTable) -> list[FlowRecord]:
+    """The rows of a flow table as validated records, in order."""
+    return [FlowRecord(table.entities[s], table.entities[d], t, dur, fwd, bwd, packets, label)
+            for s, d, t, dur, fwd, bwd, packets, label in zip(
+                table.src.tolist(), table.dst.tolist(), table.start_time.tolist(),
+                table.duration.tolist(), table.bytes_src_to_dst.tolist(),
+                table.bytes_dst_to_src.tolist(), table.packets_total.tolist(),
+                table.label.tolist())]
+
+
 def extract_features(entity: EntityId, flows: list[FlowRecord]) -> np.ndarray:
     """Behaviour vector of one entity from its incident flows.
 
@@ -212,10 +222,11 @@ def gradient_check(model, graph, *, weighted: bool = False,
     """Max relative error between analytic and central finite differences."""
     a, x, y = union_matrices([graph], weighted=weighted)
     operator = build_operator(a, model.variant)
-    _, gw0, gw1 = loss_and_grads(model, operator, x, y, class_weights)
+    basis = propagate(model, operator, x)
+    _, gw0, gw1 = loss_and_grads(model, operator, basis, y, class_weights)
 
     def loss_at() -> float:
-        loss, _, _ = loss_and_grads(model, operator, x, y, class_weights)
+        loss, _, _ = loss_and_grads(model, operator, basis, y, class_weights)
         return loss
 
     max_err = 0.0

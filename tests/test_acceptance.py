@@ -31,7 +31,7 @@ from flowgraph.density_cluster import (
     optics,
 )
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
-from flowgraph.flow_model import EntityId, FlowRecord, parse_flows
+from flowgraph.flow_model import EntityId, FlowRecord, FlowTable, parse_flows
 from flowgraph.report import clustering_effects_table, population_series
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
@@ -124,7 +124,7 @@ def test_criterion_1_labeling_rule():
             flow(s0, d, 0), flow(s1, d, 1), flow(s1, d, 1),
             flow(s1, c, 1), flow(s0, c, 0),
         ]
-        graph = build_graph(flows)
+        graph = build_graph(FlowTable.from_records(flows))
         labels = {node.id: node.label for node in graph.nodes}
         assert labels == {s0: 0, s1: 1, b: 0, c: 0, d: 1}
 
@@ -188,7 +188,7 @@ def test_criterion_5_population_accounting():
                                        n_attack_entities=2,
                                        flows_per_entity_rate=0.02))
         graphs = [build_graph(flows, snapshot=s)
-                  for s, flows in dissect(records, 600.0).items()]
+                  for s, flows in dissect(FlowTable.from_records(records), 600.0).items()]
         runs = []
         for params in (ClusterParams(algorithm="dbscan", eps=0.5),
                        ClusterParams(algorithm="hdbscan")):
@@ -250,7 +250,7 @@ def test_criterion_8_end_to_end_classification():
     with criterion("8", 300.0):
         records = generate(SynthConfig())
         assert 45_000 <= len(records) <= 65_000
-        buckets = dissect(records, 600.0)
+        buckets = dissect(FlowTable.from_records(records), 600.0)
         assert len(buckets) == 144
         graphs = [build_graph(flows, snapshot=s) for s, flows in buckets.items()]
         params = ClusterParams(algorithm="dbscan", eps=0.2)

@@ -157,6 +157,9 @@ def test_clustered_text_round_trip(tmp_path):
     text = path.read_text()
     bad_values = [with_node_field(text, 1, "noise"), with_node_field(text, 2, "2"),
                   with_node_field(text, 2, "-1")]
+    # behaviour_fraction outside [0, 1]; f1 and f8 not finite
+    bad_values += [with_node_field(text, field, value) for field, value in (
+        (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"))]
     for bad in corrupted_snapshot_texts(text, len(clustered.nodes)) + bad_values:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):

@@ -222,12 +222,14 @@ def test_truncated_artefacts_fail_with_diagnostic(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"flowgraph {command}: error:" in err and clustered.name in err
 
-    # a graph file cut inside its node table, then one whose first node has label 2
+    # a graph file cut inside its node table, then one whose first node has
+    # label 2, then one whose first node has a nan f1
     graph = out / "graphs" / "snapshot_00001.txt"
     text = graph.read_text()
     lines = text.splitlines(keepends=True)
     for bad, where in (("".join(lines[:4]) + lines[4][:10], graph.name),
-                       (with_node_field(text, 3, "2"), f"{graph.name}: line 4:")):
+                       (with_node_field(text, 3, "2"), f"{graph.name}: line 4:"),
+                       (with_node_field(text, 4, "nan"), f"{graph.name}: line 4: feature f1")):
         graph.write_text(bad)
         capsys.readouterr()
         assert run("cluster", "--config", cfg) == 1

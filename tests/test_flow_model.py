@@ -6,9 +6,11 @@ from flowgraph.errors import MalformedRow, MissingColumn
 from flowgraph.flow_model import (
     EntityId,
     FlowRecord,
+    entity,
     parse_flows,
     write_flows,
 )
+from oracles import table_records
 
 SYNTH_HEADER = ("src_ip,src_port,dst_ip,dst_port,start_time,duration,"
                 "bytes_fwd,bytes_bwd,packets,label\n")
@@ -35,6 +37,14 @@ def test_entity_validation():
         EntityId("10.0.0.1", -1)
     with pytest.raises(ValueError):
         EntityId("not-an-ip", 80)
+    # readers and the parser share one validated EntityId per text;
+    # a refused text is refused again, not cached
+    assert entity("10.0.0.1", "80") is entity("10.0.0.1", "80") == EntityId("10.0.0.1", 80)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            entity("not-an-ip", "80")
+        with pytest.raises(ValueError):
+            entity("10.0.0.1", "0x50")
 
 
 def test_flow_record_validation():
@@ -54,7 +64,7 @@ def test_parse_empty_file_with_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(SYNTH_HEADER)
     result = parse_flows(path)
-    assert result.records == []
+    assert table_records(result.records) == []
     assert result.skipped_rows == 0
 
 
@@ -63,7 +73,7 @@ def test_parse_single_synthetic_row(tmp_path):
     path.write_text(SYNTH_HEADER + "10.0.0.1,5000,10.0.0.2,80,12.5,1.0,100,200,10,0\n")
     result = parse_flows(path)
     assert len(result.records) == 1
-    r = result.records[0]
+    r = table_records(result.records)[0]
     assert r.src == EntityId("10.0.0.1", 5000)
     assert r.dst == EntityId("10.0.0.2", 80)
     assert r.start_time == 0.0  # rebased: the only row defines t0
@@ -84,7 +94,7 @@ def test_skip_policy_counts_bad_rows(tmp_path):
     result = parse_flows(path, on_malformed="skip")
     assert len(result.records) == 2
     assert result.skipped_rows == 1
-    assert [r.label for r in result.records] == [0, 1]
+    assert [r.label for r in table_records(result.records)] == [0, 1]
 
 
 def test_abort_policy_reports_row_index(tmp_path):
@@ -124,7 +134,7 @@ def test_rebasing_min_is_zero(tmp_path):
     rows = [f"10.0.0.1,5000,10.0.0.2,80,{t},1.0,100,200,10,0\n"
             for t in (5000.5, 5600.0, 9999.25)]
     path.write_text(SYNTH_HEADER + "".join(rows))
-    records = parse_flows(path).records
+    records = table_records(parse_flows(path).records)
     assert min(r.start_time for r in records) == 0.0
     assert [r.start_time for r in records] == [0.0, 599.5, 4998.75]
 
@@ -134,7 +144,7 @@ def test_round_trip(tmp_path):
                flow(src_port=1, dst_port=65535, start=600.0)]
     path = tmp_path / "rt.csv"
     write_flows(path, records)
-    reparsed = parse_flows(path).records
+    reparsed = table_records(parse_flows(path).records)
     assert reparsed == records
 
 
@@ -145,7 +155,7 @@ def test_unsw_schema(tmp_path):
         "srcip,sport,dstip,dsport,proto,stime,dur,sbytes,dbytes,spkts,dpkts,label\n"
         "59.166.0.0,1390,149.171.126.6,53,udp,1421927414.0,0.001,132,164,2,3,0\n"
     )
-    records = parse_flows(path, schema="unsw15").records
+    records = table_records(parse_flows(path, schema="unsw15").records)
     assert len(records) == 1
     assert records[0].packets_total == 5
     assert records[0].src == EntityId("59.166.0.0", 1390)

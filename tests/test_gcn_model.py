@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowgraph.behavior_graph import SnapshotGraph
-from flowgraph.errors import NonFiniteLoss
+from flowgraph.errors import MalformedArtefact, NonFiniteLoss
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
     VARIANT_RENORMALIZED,
@@ -18,6 +18,7 @@ from flowgraph.spectral_gcn import (
     inverse_frequency_weights,
     load_model,
     loss_and_grads,
+    propagate,
     save_model,
     train,
     union_matrices,
@@ -122,7 +123,7 @@ def test_unit_class_weights_equal_plain_mean_cross_entropy():
     model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED, seed=2))
     a, x, y = union_matrices([g])
     operator = build_operator(a, VARIANT_RENORMALIZED)
-    loss, _, _ = loss_and_grads(model, operator, x, y, (1.0, 1.0))
+    loss, _, _ = loss_and_grads(model, operator, propagate(model, operator, x), y, (1.0, 1.0))
     _, probs = forward(model, operator, x)
     manual = float(-np.log(probs[np.arange(len(y)), y]).mean())
     assert loss == pytest.approx(manual, rel=1e-12)
@@ -147,6 +148,12 @@ def test_zero_learning_rate_keeps_weights():
     assert len(losses) == 1
     for w, original in zip(after.w0 + after.w1, before.w0 + before.w1):
         assert np.array_equal(w, original)
+    # the loss train reports is the weighted cross-entropy of the forward pass
+    a, x, y = union_matrices([g])
+    _, probs = forward(before, build_operator(a, config.variant), x)
+    sample_w = np.asarray(inverse_frequency_weights(y))[y]
+    expected = -(sample_w * np.log(probs[np.arange(len(y)), y])).sum() / sample_w.sum()
+    assert losses[0] == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_gradient_check_renormalized():
@@ -169,7 +176,8 @@ def test_zero_features_zero_first_layer_gradient():
         model = init_model(TrainConfig(variant=variant, k=k, seed=3))
         a, x, y = union_matrices([g])
         operator = build_operator(a, variant)
-        _, gw0, _ = loss_and_grads(model, operator, x, y, (1.0, 1.0))
+        _, gw0, _ = loss_and_grads(model, operator, propagate(model, operator, x), y,
+                                   (1.0, 1.0))
         for g0 in gw0:
             assert np.array_equal(g0, np.zeros_like(g0))
 
@@ -212,6 +220,22 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_load_refuses_empty_and_truncated_files(tmp_path):
+    model, _ = train([separable_graph(seed=5)],
+                     TrainConfig(variant=VARIANT_CHEBYSHEV, k=2, hidden=2, epochs=1))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    text = path.read_text()
+    first_line = len("gcn-model v1\n")
+    # empty, every cut after the header line, and a line after the weights
+    for bad in [""] + [text[:cut] for cut in range(first_line, len(text))] + [text + "0.5\n"]:
+        path.write_text(bad)
+        with pytest.raises(MalformedArtefact, match="model.txt") as err:
+            load_model(path)
+        if not bad.endswith("\n"):
+            assert ("empty file" if not bad else "no newline at end of file") in str(err.value)
 
 
 def permuted_graph(g, perm):

@@ -5,7 +5,7 @@ import pytest
 
 from flowgraph.behavior_graph import build_graph
 from flowgraph.flow_model import write_flows
-from flowgraph.flow_model import EntityId
+from flowgraph.flow_model import EntityId, FlowTable
 from flowgraph.synth import (MAX_ATTACK_ENTITIES, MAX_NORMAL_ENTITIES, SynthConfig,
                              _attack_entity, _normal_entity, _victim_entity, generate)
 from flowgraph.temporal import dissect
@@ -35,7 +35,7 @@ def test_no_attack_entities_means_all_normal():
 
 def test_default_run_fills_all_windows():
     flows = generate(SynthConfig(seed=0))
-    buckets = dissect(flows, 600.0)
+    buckets = dissect(FlowTable.from_records(flows), 600.0)
     assert len(buckets) == 144  # 86400 / 600
     assert all(fl for fl in buckets.values())
 
@@ -90,7 +90,7 @@ def test_high_separation_recovers_attack_entities():
     """
     flows = generate(SynthConfig(seed=0, duration=14400.0, n_normal_entities=40))
     agreements = []
-    for _, window in dissect(flows, 600.0).items():
+    for _, window in dissect(FlowTable.from_records(flows), 600.0).items():
         graph = build_graph(window)
         for node in graph.nodes:
             designated_attack = node.id.ip.startswith(("172.16.", "192.168."))

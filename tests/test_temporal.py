@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from flowgraph.errors import NonPositiveWidth
-from flowgraph.flow_model import EntityId, FlowRecord
+from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
 from flowgraph.temporal import SnapshotIndex, dissect
+from oracles import table_records
 
 
 def flow(start: float, label: int = 0) -> FlowRecord:
@@ -18,22 +19,22 @@ def flow(start: float, label: int = 0) -> FlowRecord:
 
 def test_half_open_boundaries():
     flows = [flow(0.0), flow(599.9), flow(600.0)]
-    buckets = dissect(flows, 600.0)
-    by_index = {s.index: fl for s, fl in buckets.items()}
+    buckets = dissect(FlowTable.from_records(flows), 600.0)
+    by_index = {s.index: table_records(fl) for s, fl in buckets.items()}
     assert sorted(by_index) == [0, 1]
     assert [f.start_time for f in by_index[0]] == [0.0, 599.9]
     assert [f.start_time for f in by_index[1]] == [600.0]
 
 
 def test_empty_input():
-    assert dissect([], 600.0) == {}
+    assert dissect(FlowTable.from_records([]), 600.0) == {}
 
 
 def test_width_validation():
     with pytest.raises(NonPositiveWidth):
-        dissect([flow(0.0)], 0.0)
+        dissect(FlowTable.from_records([flow(0.0)]), 0.0)
     with pytest.raises(NonPositiveWidth):
-        dissect([flow(0.0)], -600.0)
+        dissect(FlowTable.from_records([flow(0.0)]), -600.0)
 
 
 def test_snapshot_index_window():
@@ -45,7 +46,7 @@ def test_snapshot_index_window():
 
 
 def test_empty_windows_omitted():
-    buckets = dissect([flow(0.0), flow(1250.0)], 100.0)
+    buckets = dissect(FlowTable.from_records([flow(0.0), flow(1250.0)]), 100.0)
     assert [s.index for s in buckets] == [0, 12]
 
 
@@ -56,7 +57,8 @@ def test_partition_property():
                  for t, lab in zip(rng.uniform(0, 5000, size=200),
                                    rng.integers(0, 2, size=200))]
         width = float(rng.uniform(50, 900))
-        buckets = dissect(flows, width)
+        buckets = {s: table_records(fl)
+                   for s, fl in dissect(FlowTable.from_records(flows), width).items()}
         scattered = [f for fl in buckets.values() for f in fl]
         # multiset equality: same records, each exactly once
         assert sorted(scattered, key=lambda f: (f.start_time, f.label)) \
@@ -71,5 +73,5 @@ def test_partition_property():
 
 def test_keys_sorted_by_index():
     flows = [flow(2500.0), flow(100.0), flow(1200.0)]
-    indexes = [s.index for s in dissect(flows, 600.0)]
+    indexes = [s.index for s in dissect(FlowTable.from_records(flows), 600.0)]
     assert indexes == sorted(indexes)
