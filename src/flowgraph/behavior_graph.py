@@ -39,24 +39,18 @@ _EDGE_COLUMNS = "src_index dst_index weight"
 
 
 @dataclass
-class BehaviorNode:
-    id: EntityId
-    label: int
-    features: np.ndarray
-
-
-@dataclass
 class SnapshotGraph:
+    """Node i is `entities[i]`, with label `labels[i]` and behaviour vector `features[i]`."""
+
     snapshot: SnapshotIndex
-    nodes: list[BehaviorNode]
+    entities: list[EntityId]
+    labels: np.ndarray  # int64, one per node
+    features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
     edges: list[tuple[int, int, int]]  # (src index, dst index, flow count)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node_labels(self) -> np.ndarray:
-        return np.array([n.label for n in self.nodes], dtype=np.int64)
+        return len(self.labels)
 
 
 def majority_label(attack_flows: int, total_flows: int) -> int:
@@ -82,7 +76,8 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     if snapshot is None:
         snapshot = SnapshotIndex(index=0, window_start=0.0, window_end=0.0)
     if not len(flows):
-        return SnapshotGraph(snapshot=snapshot, nodes=[], edges=[])
+        return SnapshotGraph(snapshot=snapshot, entities=[], labels=np.zeros(0, dtype=np.int64),
+                             features=np.zeros((0, N_FEATURES)), edges=[])
 
     # endpoint roles interleaved as src0, dst0, src1, dst1, ...: a flow
     # counts once per role, and bincount adds each node's terms in flow order
@@ -112,18 +107,12 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
         per_node(flows.duration, flows.duration) / n_flows,
         np.bincount(port_pairs // 65536, minlength=n),
     ], axis=1)
-    labels = (2 * n_attack > n_flows).astype(np.int64).tolist()
-    nodes = [BehaviorNode(id=flows.entities[c], label=label, features=row)
-             for c, label, row in zip(codes.tolist(), labels, features)]
     edges = list(zip(edge_src.tolist(), edge_dst.tolist(),
                      np.bincount(edge_of_flow).tolist()))
-    return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
-
-
-def feature_matrix(graph: SnapshotGraph) -> np.ndarray:
-    if not graph.nodes:
-        return np.zeros((0, N_FEATURES))
-    return np.stack([node.features for node in graph.nodes])
+    return SnapshotGraph(snapshot=snapshot,
+                         entities=[flows.entities[c] for c in codes.tolist()],
+                         labels=(2 * n_attack > n_flows).astype(np.int64),
+                         features=features, edges=edges)
 
 
 def minmax_scale(features: np.ndarray) -> np.ndarray:
@@ -140,9 +129,7 @@ def minmax_scale(features: np.ndarray) -> np.ndarray:
 
 def normalize_features(graph: SnapshotGraph) -> SnapshotGraph:
     """Copy of the graph with features min-max scaled per dimension."""
-    scaled = minmax_scale(feature_matrix(graph))
-    nodes = [replace(node, features=scaled[i]) for i, node in enumerate(graph.nodes)]
-    return SnapshotGraph(snapshot=graph.snapshot, nodes=nodes, edges=list(graph.edges))
+    return replace(graph, features=minmax_scale(graph.features))
 
 
 def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
@@ -159,16 +146,19 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
 
 
 def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
-    """(snapshot, nodes, edges) from the layout `write_snapshot_text` writes.
+    """(snapshot, nodes, labels, features, edges) from the layout `write_snapshot_text` writes.
 
-    `make_node` builds a node from a row's fields (ValueError on a value
-    it refuses), `weight` an edge weight. Raises MalformedArtefact naming
+    `make_node` gives a row's (node, label) from its fields (ValueError
+    on a value it refuses), `weight` an edge weight; columns f1..f8 are
+    read here, and the labels and features come back as an int64 vector
+    and an (n, N_FEATURES) matrix. Raises MalformedArtefact naming
     `path` and the line on a refused value, and unless the counts
     match the rows, the last line ends with a newline, each node row
     has one field per column and its position as index, and each edge
     endpoint is a node index: any truncation of a written file fails.
     """
     names = columns.split()
+    first = names.index("f1")
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         lineno, line = 0, ""
@@ -187,12 +177,15 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
             snapshot = SnapshotIndex(int(index), float(start), float(end))
             n_nodes = int(take(3, "#", noun)[2])
             take(1 + len(names), "#", *names)
-            nodes = []
+            nodes, labels, features = [], [], []
             for i, (lineno, line) in zip(range(n_nodes), lines):
                 row = line.split()
                 if len(row) != len(names) or row[0] != str(i):
                     raise ValueError(f"expected node row {i}, got {line.rstrip()!r}")
-                nodes.append(make_node(row))
+                node, label = make_node(row)
+                nodes.append(node)
+                labels.append(label)
+                features.append(_read_features(row[first:first + N_FEATURES]))
             n_edges = int(take(3, "#", "edges")[2])
             take(4, "#", *_EDGE_COLUMNS.split())
             edges = []
@@ -211,35 +204,33 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
                 raise ValueError("unexpected line after the edge list")
         except ValueError as exc:
             raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
-    return snapshot, nodes, edges
+    return (snapshot, nodes, np.array(labels, dtype=np.int64),
+            np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES), edges)
 
 
-def write_graph_text(path, graph: SnapshotGraph) -> None:
-    """Write a graph file: one row per node with its entity, label and features."""
-    rows = [f"{node.id.ip} {node.id.port} {node.label} "
-            + " ".join(repr(float(v)) for v in node.features)
-            for node in graph.nodes]
-    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges)
-
-
-def read_features(fields: list[str]) -> np.ndarray:
+def _read_features(fields: list[str]) -> list[float]:
     """f1..f8 from their texts; ValueError unless every one is finite."""
     values = list(map(float, fields))
     if not all(map(math.isfinite, values)):
         bad = next(j for j, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"feature f{bad + 1} must be finite, got {fields[bad]}")
-    return np.array(values)
+    return values
 
 
-def _graph_node(row: list[str]) -> BehaviorNode:
+def write_graph_text(path, graph: SnapshotGraph) -> None:
+    """Write a graph file: one row per node with its entity, label and features."""
+    rows = [f"{e.ip} {e.port} {label} " + " ".join(map(repr, row))
+            for e, label, row in zip(graph.entities, graph.labels.tolist(),
+                                     graph.features.tolist())]
+    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges)
+
+
+def _graph_node(row: list[str]) -> tuple[EntityId, int]:
     label = int(row[3])
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    return BehaviorNode(id=entity(row[1], row[2]), label=label,
-                        features=read_features(row[4:4 + N_FEATURES]))
+    return entity(row[1], row[2]), label
 
 
 def read_graph_text(path) -> SnapshotGraph:
-    snapshot, nodes, edges = read_snapshot_text(path, "nodes", _NODE_COLUMNS,
-                                                _graph_node, int)
-    return SnapshotGraph(snapshot=snapshot, nodes=nodes, edges=edges)
+    return SnapshotGraph(*read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, int))

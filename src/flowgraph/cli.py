@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import behavior_graph, report, spectral_gcn, synth
-from .density_cluster import ClusterParams, cluster_snapshot, write_assignment_csv, write_clustered_text, read_clustered_text
+from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
+                              write_assignment_csv, write_clustered_text)
 from .errors import FlowgraphError, NonPositiveParameter, NonPositiveWidth
 from .flow_model import parse_flows, write_flows
 from .temporal import dissect
@@ -80,6 +81,9 @@ class PipelineConfig:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_BY_FLAG)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        # refuse a bad value before any stage writes, not when its stage runs
+        self.cluster_params()
+        self.train_config()
 
     @property
     def dataset_name(self) -> str:
@@ -156,6 +160,12 @@ def _out(config: PipelineConfig, *parts: str) -> Path:
     return path
 
 
+def _remove_snapshot_files(config: PipelineConfig, subdir: str, suffix: str) -> None:
+    """Delete what an earlier run wrote under `subdir`, so no stale snapshot outlives it."""
+    for stale in Path(config.out_dir).glob(f"{subdir}/snapshot_*{suffix}"):
+        stale.unlink()
+
+
 def _require_input(config: PipelineConfig) -> str:
     if not config.input:
         raise ValueError("no input file; pass --input or set it in the config")
@@ -183,6 +193,7 @@ def cmd_graph(config: PipelineConfig) -> list[Path]:
     if result.skipped_rows:
         log.warning("graph: skipped %d malformed rows", result.skipped_rows)
     buckets = dissect(result.records, config.width)
+    _remove_snapshot_files(config, "graphs", ".txt")
     tasks = [(snapshot, flows, _out(config, "graphs", f"snapshot_{snapshot.index:05d}.txt"))
              for snapshot, flows in buckets.items()]
     paths = _run_tasks(_build_graph_task, tasks, config.jobs)
@@ -217,6 +228,8 @@ def cmd_cluster(config: PipelineConfig) -> list[Path]:
         tasks.append((graph_path, params,
                       _out(config, "clusters", tag, f"{stem}.txt"),
                       _out(config, "assignments", tag, f"{stem}.csv")))
+    _remove_snapshot_files(config, f"clusters/{tag}", ".txt")
+    _remove_snapshot_files(config, f"assignments/{tag}", ".csv")
     paths = _run_tasks(_cluster_task, tasks, config.jobs)
     log.info("cluster: %d snapshots -> %s", len(paths),
              Path(config.out_dir) / "clusters" / tag)
@@ -263,13 +276,6 @@ def cmd_train(config: PipelineConfig) -> Path:
     return model_path
 
 
-def _tag_to_method_eps(tag: str) -> tuple[str, float | None]:
-    if "_eps" in tag:
-        method, eps_text = tag.split("_eps", 1)
-        return method, float(eps_text)
-    return tag, None
-
-
 def cmd_report(config: PipelineConfig) -> list[Path]:
     tag = config.cluster_params().tag()
     graphs = [behavior_graph.read_graph_text(p)
@@ -278,13 +284,12 @@ def cmd_report(config: PipelineConfig) -> list[Path]:
     runs = {tag_dir.name: [read_clustered_text(p) for p in sorted(tag_dir.glob("snapshot_*.txt"))]
             for tag_dir in sorted(Path(config.out_dir).glob("clusters/*"))}
     rows = report.population_series(graphs, runs[tag])
-    eps = None if config.algorithm == "hdbscan" else config.eps
     series_path = _out(config, "reports",
-                       report.run_filename(config.dataset_name, config.algorithm, eps))
+                       report.run_filename(config.dataset_name, *parse_tag(tag)))
     report.write_population_csv(series_path, rows)
 
     table = report.clustering_effects_table(
-        [(*_tag_to_method_eps(name), run_graphs) for name, run_graphs in runs.items()])
+        [(*parse_tag(name), run_graphs) for name, run_graphs in runs.items()])
     effects_path = _out(config, "reports", f"{config.dataset_name}_effects.csv")
     report.write_effects_csv(effects_path, table)
     log.info("report: %s, %s", series_path, effects_path)

@@ -67,10 +67,16 @@ class ClusterParams:
                 f"min_cluster_size must be >= 2, got {self.min_cluster_size}")
 
     def tag(self) -> str:
-        """Directory/file tag for this parameterization."""
+        """Directory/file tag for this parameterization; `parse_tag` reads it back."""
         if self.algorithm == "hdbscan":
             return "hdbscan"
         return f"{self.algorithm}_eps{self.eps:g}"
+
+
+def parse_tag(tag: str) -> tuple[str, float | None]:
+    """(algorithm, eps) of a `ClusterParams.tag()`; eps is None for hdbscan, which takes none."""
+    algorithm, sep, eps = tag.partition("_eps")
+    return algorithm, float(eps) if sep else None
 
 
 @dataclass
@@ -124,6 +130,7 @@ __all__ = [
     "dbscan",
     "hdbscan",
     "optics",
+    "parse_tag",
     "read_clustered_text",
     "write_assignment_csv",
     "write_clustered_text",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..behavior_graph import (N_FEATURES, SnapshotGraph, minmax_scale, normalize_features,
-                              read_features, read_snapshot_text, write_snapshot_text)
+from ..behavior_graph import (SnapshotGraph, minmax_scale, normalize_features,
+                              read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
 from ..flow_model import EntityId, entity
 from ..temporal import SnapshotIndex
@@ -33,23 +33,22 @@ _NODE_COLUMNS = "node_index kind hard_label behaviour_fraction f1 f2 f3 f4 f5 f6
 class SuperNode:
     kind: str  # KIND_CLUSTER or KIND_ATTACK
     members: list[EntityId]
-    features: np.ndarray
     behaviour_fraction: float  # mean of member labels
-    hard_label: int  # 1 iff behaviour_fraction > 0.5 (draws are normal)
 
 
 @dataclass
 class ClusteredGraph:
+    """Super-node i is `nodes[i]`, with hard label `labels[i]` and features `features[i]`."""
+
     snapshot: SnapshotIndex
     nodes: list[SuperNode]
+    labels: np.ndarray  # int64 hard labels: 1 iff behaviour_fraction > 0.5
+    features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
     edges: list[tuple[int, int, float]]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node_labels(self) -> np.ndarray:
-        return np.array([node.hard_label for node in self.nodes], dtype=np.int64)
+        return len(self.labels)
 
 
 def _hard_label(fraction: float) -> int:
@@ -64,55 +63,39 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     feature vectors as given (pass the raw graph for raw averaging) and
     the stacked super-node matrix is then min-max re-normalized.
     """
-    normal_positions = [i for i, node in enumerate(graph.nodes) if node.label == 0]
-    if len(result.assignment) != len(normal_positions):
+    normal = np.flatnonzero(graph.labels == 0)
+    attack = np.flatnonzero(graph.labels == 1)
+    if len(result.assignment) != len(normal):
         raise AssignmentMismatch(
             f"assignment covers {len(result.assignment)} points but the "
-            f"graph has {len(normal_positions)} normal nodes")
+            f"graph has {len(normal)} normal nodes")
 
-    member_positions: list[list[int]] = [[] for _ in range(result.cluster_count)]
-    super_of: dict[int, int] = {}
-    for pos, cid in zip(normal_positions, result.assignment):
-        if cid != NOISE:
-            super_of[pos] = int(cid)
-            member_positions[int(cid)].append(pos)
+    # super-node of each graph node: its cluster, the attack singletons
+    # after the clusters, NOISE for discarded normal nodes
+    super_of = np.full(graph.n_nodes, NOISE, dtype=np.int64)
+    super_of[normal] = result.assignment
+    super_of[attack] = result.cluster_count + np.arange(len(attack))
+    member_positions = [np.flatnonzero(super_of == cid) for cid in range(result.cluster_count)]
 
-    nodes: list[SuperNode] = []
-    for positions in member_positions:
-        feats = np.stack([graph.nodes[i].features for i in positions]).mean(axis=0)
-        fraction = float(np.mean([graph.nodes[i].label for i in positions]))
-        nodes.append(SuperNode(
-            kind=KIND_CLUSTER,
-            members=[graph.nodes[i].id for i in positions],
-            features=feats,
-            behaviour_fraction=fraction,
-            hard_label=_hard_label(fraction),
-        ))
-    for pos, node in enumerate(graph.nodes):
-        if node.label == 1:
-            super_of[pos] = len(nodes)
-            nodes.append(SuperNode(
-                kind=KIND_ATTACK,
-                members=[node.id],
-                features=node.features.copy(),
-                behaviour_fraction=1.0,
-                hard_label=1,
-            ))
+    nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.entities[i] for i in p.tolist()],
+                       behaviour_fraction=float(graph.labels[p].mean()))
+             for p in member_positions]
+    nodes += [SuperNode(kind=KIND_ATTACK, members=[graph.entities[i]], behaviour_fraction=1.0)
+              for i in attack.tolist()]
+    labels = np.array([_hard_label(s.behaviour_fraction) for s in nodes], dtype=np.int64)
+    features = minmax_scale(np.vstack(
+        [graph.features[p].mean(axis=0) for p in member_positions] + [graph.features[attack]]))
 
-    if nodes:
-        scaled = minmax_scale(np.stack([s.features for s in nodes]))
-        for supernode, row in zip(nodes, scaled):
-            supernode.features = row
-
+    super_of = super_of.tolist()
     weight: dict[tuple[int, int], float] = {}
     for src, dst, w in graph.edges:
-        s = super_of.get(src)
-        d = super_of.get(dst)
-        if s is None or d is None:
+        s, d = super_of[src], super_of[dst]
+        if s == NOISE or d == NOISE:
             continue  # at least one endpoint was noise
         weight[(s, d)] = weight.get((s, d), 0.0) + w
     edges = [(s, d, w) for (s, d), w in weight.items()]
-    return ClusteredGraph(snapshot=graph.snapshot, nodes=nodes, edges=edges)
+    return ClusteredGraph(snapshot=graph.snapshot, nodes=nodes, labels=labels,
+                          features=features, edges=edges)
 
 
 def cluster_snapshot(graph: SnapshotGraph,
@@ -123,9 +106,7 @@ def cluster_snapshot(graph: SnapshotGraph,
     aggregation averages the raw features and re-normalizes the
     super-node matrix (see `aggregate`).
     """
-    normalized = normalize_features(graph)
-    normal = [node.features for node in normalized.nodes if node.label == 0]
-    points = np.stack(normal) if normal else np.zeros((0, N_FEATURES))
+    points = normalize_features(graph).features[graph.labels == 0]
     result = cluster_points(points, params)
     return result, aggregate(graph, result)
 
@@ -140,14 +121,14 @@ def write_assignment_csv(path, result: ClusterResult) -> None:
 
 def write_clustered_text(path, graph: ClusteredGraph) -> None:
     """Text export mirroring the snapshot-graph format plus members."""
-    rows = [f"{node.kind} {node.hard_label} {node.behaviour_fraction!r} "
-            + " ".join(repr(float(v)) for v in node.features) + " "
-            + ";".join(f"{m.ip}|{m.port}" for m in node.members)
-            for node in graph.nodes]
+    rows = [f"{node.kind} {label} {node.behaviour_fraction!r} " + " ".join(map(repr, row))
+            + " " + ";".join(f"{m.ip}|{m.port}" for m in node.members)
+            for node, label, row in zip(graph.nodes, graph.labels.tolist(),
+                                        graph.features.tolist())]
     write_snapshot_text(path, graph.snapshot, "supernodes", _NODE_COLUMNS, rows, graph.edges)
 
 
-def _super_node(row: list[str]) -> SuperNode:
+def _super_node(row: list[str]) -> tuple[SuperNode, int]:
     kind, hard_label, fraction = row[1], int(row[2]), float(row[3])
     if kind not in (KIND_CLUSTER, KIND_ATTACK):
         raise ValueError(f"unknown super-node kind {kind!r}")
@@ -156,13 +137,10 @@ def _super_node(row: list[str]) -> SuperNode:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"behaviour_fraction must be in [0, 1], got {row[3]}")
     members = [entity(ip, port) for ip, port in
-               (chunk.rsplit("|", 1) for chunk in row[4 + N_FEATURES].split(";"))]
-    return SuperNode(kind=kind, members=members,
-                     features=read_features(row[4:4 + N_FEATURES]),
-                     behaviour_fraction=fraction, hard_label=hard_label)
+               (chunk.rsplit("|", 1) for chunk in row[-1].split(";"))]
+    return SuperNode(kind=kind, members=members, behaviour_fraction=fraction), hard_label
 
 
 def read_clustered_text(path) -> ClusteredGraph:
-    snapshot, nodes, edges = read_snapshot_text(path, "supernodes", _NODE_COLUMNS,
-                                                _super_node, float)
-    return ClusteredGraph(snapshot=snapshot, nodes=nodes, edges=edges)
+    return ClusteredGraph(*read_snapshot_text(path, "supernodes", _NODE_COLUMNS,
+                                              _super_node, float))

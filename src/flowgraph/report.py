@@ -47,11 +47,10 @@ def population_series(graphs, clustered_graphs) -> list[PopulationRow]:
             raise LengthMismatch(
                 f"snapshot {g.snapshot.index} paired with clustered snapshot "
                 f"{cg.snapshot.index}")
-        labels = g.node_labels()
         rows.append(PopulationRow(
             snapshot_index=g.snapshot.index,
-            normal_count=int((labels == 0).sum()),
-            attack_count=int((labels == 1).sum()),
+            normal_count=int((g.labels == 0).sum()),
+            attack_count=int((g.labels == 1).sum()),
             clustered_normal_count=sum(1 for s in cg.nodes if s.kind == KIND_CLUSTER),
         ))
     return rows

@@ -153,8 +153,6 @@ def union_matrices(graphs, *, weighted: bool = False):
         vals = (vals > 0.0).astype(np.float64)
     a = EdgeOperator(n, keys // n, keys % n, vals)
 
-    features = [np.stack([node.features for node in g.nodes]) for g in graphs]
-    labels = [g.node_labels() for g in graphs]
-    x = np.vstack(features) if features else np.zeros((0, 0))
-    y = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+    x = np.vstack([g.features for g in graphs]) if graphs else np.zeros((0, 0))
+    y = np.concatenate([g.labels for g in graphs]) if graphs else np.zeros(0, dtype=np.int64)
     return a, x, y

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowgraph.behavior_graph import BehaviorNode, SnapshotGraph
+from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph
 from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
 from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
 from flowgraph.temporal import SnapshotIndex
@@ -19,11 +19,13 @@ NOISE = -1
 
 def graph_from(features, labels, edges=(), index=0) -> SnapshotGraph:
     """Snapshot `index` (600 s wide) whose node i has labels[i] and features[i]."""
-    nodes = [BehaviorNode(id=EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i),
-                          label=int(lab), features=np.asarray(f, dtype=np.float64))
-             for i, (f, lab) in enumerate(zip(features, labels))]
+    labels = np.asarray(labels, dtype=np.int64)
     return SnapshotGraph(snapshot=SnapshotIndex.for_width(index, 600.0),
-                         nodes=nodes, edges=list(edges))
+                         entities=[EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i)
+                                   for i in range(len(labels))],
+                         labels=labels,
+                         features=np.asarray(features, dtype=np.float64).reshape(len(labels), N_FEATURES),
+                         edges=list(edges))
 
 
 def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:

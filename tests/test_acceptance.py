@@ -125,7 +125,7 @@ def test_criterion_1_labeling_rule():
             flow(s1, c, 1), flow(s0, c, 0),
         ]
         graph = build_graph(FlowTable.from_records(flows))
-        labels = {node.id: node.label for node in graph.nodes}
+        labels = dict(zip(graph.entities, graph.labels.tolist()))
         assert labels == {s0: 0, s1: 1, b: 0, c: 0, d: 1}
 
 
@@ -307,7 +307,7 @@ def test_criterion_9_snapshot_populations():
     with criterion("9 (populations)", None):
         graphs = unsw_graphs()
         assert len(graphs) == UNSW_SNAPSHOTS
-        labels = [g.node_labels() for g in graphs]
+        labels = [g.labels for g in graphs]
         assert sum(int((y == 0).sum()) for y in labels) == UNSW_NORMAL_TOTAL
         assert sum(int((y == 1).sum()) for y in labels) == UNSW_ATTACK_TOTAL
 

@@ -32,7 +32,7 @@ def test_cluster_of_normals_has_zero_fraction():
     super_node = clustered.nodes[0]
     assert super_node.kind == KIND_CLUSTER
     assert super_node.behaviour_fraction == 0.0
-    assert super_node.hard_label == 0
+    assert clustered.labels.tolist() == [0]
     # intra-cluster edge becomes a self-loop with the summed weight
     assert clustered.edges == [(0, 0, 4.0)]
 
@@ -50,7 +50,7 @@ def test_three_normals_one_attack():
     assert kinds == [KIND_CLUSTER, KIND_ATTACK]
     assert clustered.edges == [(0, 1, 3.0)]
     assert clustered.nodes[1].behaviour_fraction == 1.0
-    assert clustered.nodes[1].hard_label == 1
+    assert clustered.labels[1] == 1
 
 
 def test_raw_average_then_renormalized():
@@ -58,16 +58,15 @@ def test_raw_average_then_renormalized():
     result = ClusterResult(assignment=np.array([0, 0]), cluster_count=1)
     # cluster feature = mean of raw member vectors, attacks keep their own;
     # with three super-nodes the scaled cluster row (0.25) shows the mean
-    raw = np.array([(graph.nodes[0].features + graph.nodes[1].features) / 2,
-                    graph.nodes[2].features, graph.nodes[3].features])
+    raw = np.array([(graph.features[0] + graph.features[1]) / 2,
+                    graph.features[2], graph.features[3]])
     assert np.array_equal(raw, [feats(2.0), feats(8.0), feats(0.0)])
 
     scaled = aggregate(graph, result)
     expected = minmax_scale(raw)
     assert np.array_equal(expected[0], feats(0.25))
     assert len(scaled.nodes) == 3
-    for node, row in zip(scaled.nodes, expected):
-        assert np.array_equal(node.features, row)
+    assert np.array_equal(scaled.features, expected)
 
 
 def test_all_noise_leaves_only_attack_singletons():
@@ -79,7 +78,7 @@ def test_all_noise_leaves_only_attack_singletons():
     result = ClusterResult(assignment=np.array([NOISE, NOISE]), cluster_count=0)
     clustered = aggregate(graph, result)
     assert [s.kind for s in clustered.nodes] == [KIND_ATTACK]
-    assert clustered.nodes[0].members == [graph.nodes[1].id]
+    assert clustered.nodes[0].members == [graph.entities[1]]
     assert clustered.edges == []
 
 
@@ -149,10 +148,10 @@ def test_clustered_text_round_trip(tmp_path):
     assert back.edges == clustered.edges
     assert [s.kind for s in back.nodes] == [s.kind for s in clustered.nodes]
     assert [s.members for s in back.nodes] == [s.members for s in clustered.nodes]
-    assert [s.hard_label for s in back.nodes] == [s.hard_label for s in clustered.nodes]
-    for s1, s2 in zip(back.nodes, clustered.nodes):
-        assert s1.behaviour_fraction == s2.behaviour_fraction
-        assert np.array_equal(s1.features, s2.features)
+    assert np.array_equal(back.labels, clustered.labels) and back.labels.dtype == np.int64
+    assert [s.behaviour_fraction for s in back.nodes] \
+        == [s.behaviour_fraction for s in clustered.nodes]
+    assert np.array_equal(back.features, clustered.features)
 
     text = path.read_text()
     bad_values = [with_node_field(text, 1, "noise"), with_node_field(text, 2, "2"),
@@ -160,7 +159,7 @@ def test_clustered_text_round_trip(tmp_path):
     # behaviour_fraction outside [0, 1]; f1 and f8 not finite
     bad_values += [with_node_field(text, field, value) for field, value in (
         (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"))]
-    for bad in corrupted_snapshot_texts(text, len(clustered.nodes)) + bad_values:
+    for bad in corrupted_snapshot_texts(text, clustered.n_nodes) + bad_values:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):
             read_clustered_text(path)

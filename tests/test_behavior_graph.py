@@ -6,7 +6,6 @@ import pytest
 from flowgraph.behavior_graph import (
     N_FEATURES,
     build_graph,
-    feature_matrix,
     majority_label,
     minmax_scale,
     normalize_features,
@@ -55,7 +54,7 @@ def test_node_labels_from_incident_flows():
     flows = [flow(A, D, label=1), flow(B, D, label=1), flow(D, C, label=0),
              flow(C, A, label=1)]
     g = build_graph(FlowTable.from_records(flows))
-    labels = {node.id: node.label for node in g.nodes}
+    labels = dict(zip(g.entities, g.labels.tolist()))
     assert labels[D] == 1
     assert labels[C] == 0
     # A sees {1,1}: strict attack majority
@@ -65,7 +64,7 @@ def test_node_labels_from_incident_flows():
 
 def test_all_normal_flows_stay_normal():
     g = build_graph(FlowTable.from_records([flow(A, B), flow(B, C), flow(A, C)]))
-    assert all(node.label == 0 for node in g.nodes)
+    assert g.labels.tolist() == [0, 0, 0]
 
 
 def test_features_single_outgoing_flow():
@@ -91,12 +90,11 @@ def test_self_loop_counts_twice():
     g = build_graph(FlowTable.from_records(flows))
     assert g.n_nodes == 1
     assert g.edges == [(0, 0, 3)]
-    node = g.nodes[0]
     # each self-loop flow is seen from both endpoint roles
     tallies = flow_tallies(A, flows)
     assert tallies == (2, 6)
-    assert node.label == majority_label(*tallies) == 0
-    assert node.features[2] == 6
+    assert g.labels[0] == majority_label(*tallies) == 0
+    assert g.features[0, 2] == 6
 
 
 def test_build_graph_matches_extract_features():
@@ -115,9 +113,9 @@ def test_build_graph_matches_extract_features():
         g = build_graph(FlowTable.from_records(flows))
         assert sum(w for _, _, w in g.edges) == len(flows)
         assert g.n_nodes <= 2 * len(flows)
-        for node in g.nodes:
-            assert np.allclose(node.features, extract_features(node.id, flows))
-            assert node.label == majority_label(*flow_tallies(node.id, flows))
+        for e, label, row in zip(g.entities, g.labels, g.features):
+            assert np.allclose(row, extract_features(e, flows))
+            assert label == majority_label(*flow_tallies(e, flows))
 
 
 def test_features_are_label_free():
@@ -134,14 +132,15 @@ def test_features_are_label_free():
                for f in flows]
     g1 = build_graph(FlowTable.from_records(flows))
     g2 = build_graph(FlowTable.from_records(flipped))
-    for n1, n2 in zip(g1.nodes, g2.nodes):
-        assert np.array_equal(n1.features, n2.features)
+    assert g1.entities == g2.entities
+    assert np.array_equal(g1.features, g2.features)
 
 
 def test_empty_input_yields_empty_graph():
     g = build_graph(FlowTable.from_records([]))
-    assert g.n_nodes == 0 and g.edges == []
-    assert feature_matrix(g).shape == (0, N_FEATURES)
+    assert g.n_nodes == 0 and g.edges == [] and g.entities == []
+    assert g.labels.shape == (0,) and g.labels.dtype == np.int64
+    assert g.features.shape == (0, N_FEATURES)
 
 
 def test_minmax_scaling():
@@ -156,10 +155,10 @@ def test_minmax_scaling():
 def test_normalize_features_graph():
     g = build_graph(FlowTable.from_records([flow(A, B), flow(A, C), flow(A, B)]))
     scaled = normalize_features(g)
-    m = feature_matrix(scaled)
+    m = scaled.features
     assert m.min() >= 0.0 and m.max() <= 1.0
     # original graph untouched
-    assert feature_matrix(g).max() > 1.0
+    assert g.features.max() > 1.0
 
 
 def test_graph_text_round_trip(tmp_path):
@@ -170,17 +169,16 @@ def test_graph_text_round_trip(tmp_path):
     back = read_graph_text(path)
     assert back.snapshot == g.snapshot
     assert back.edges == g.edges
-    assert [n.id for n in back.nodes] == [n.id for n in g.nodes]
-    assert [n.label for n in back.nodes] == [n.label for n in g.nodes]
-    for n1, n2 in zip(back.nodes, g.nodes):
-        assert np.array_equal(n1.features, n2.features)
+    assert back.entities == g.entities
+    assert np.array_equal(back.labels, g.labels) and back.labels.dtype == np.int64
+    assert np.array_equal(back.features, g.features) and back.features.dtype == np.float64
 
     text = path.read_text()
     bad_labels = [with_node_field(text, 3, label) for label in ("2", "-1")]
     # f1, f2 and f7 of node 0 not finite
     bad_features = [with_node_field(text, field, value)
                     for field, value in ((4, "nan"), (5, "-inf"), (10, "inf"))]
-    for bad in corrupted_snapshot_texts(text, len(g.nodes)) + bad_labels + bad_features:
+    for bad in corrupted_snapshot_texts(text, g.n_nodes) + bad_labels + bad_features:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="snap.txt"):
             read_graph_text(path)

@@ -115,6 +115,33 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert tree_bytes(out_serial / "clusters") == tree_bytes(out_par / "clusters")
 
 
+def test_rerun_leaves_no_stale_snapshot_files(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 7200.0})
+    assert run("synth", "--config", cfg) == 0
+    assert run("run-all", "--config", cfg, "--width", "600") == 0
+    assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 12
+    assert run("run-all", "--config", cfg, "--width", "3600") == 0
+    for subdir, suffix in (("graphs", ".txt"), ("clusters/dbscan_eps0.5", ".txt"),
+                           ("assignments/dbscan_eps0.5", ".csv")):
+        assert sorted(p.name for p in (out / subdir).iterdir()) \
+            == [f"snapshot_00000{suffix}", f"snapshot_00001{suffix}"], subdir
+    series = (out / "reports" / "flows_dbscan_0.5.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in series[1:]] == ["0", "1", "total", "mean"]
+
+
+def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
+    assert run("synth", "--config", cfg) == 0
+    for i, bad in enumerate((("--eps", "0"), ("--min-pts", "0"),
+                             ("--variant", "gcn", "--k", "3"))):
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert run("run-all", "--config", cfg, "--out-dir", out, *bad) == 1, bad
+        assert "flowgraph run-all: error:" in capsys.readouterr().err, bad
+        assert not (out / "graphs").exists(), bad
+
+
 def test_flag_overrides_config(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", out)  # eps defaults to 0.5

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, distance_rows
+from flowgraph.density_cluster import (NOISE, ClusterParams, cluster_points, dbscan,
+                                      distance_rows, parse_tag)
 from oracles import dbscan_oracle, distance_matrix, exact_eps_cases
 
 
@@ -93,3 +94,12 @@ def test_cluster_params_reject_non_integer_counts():
         with pytest.raises(ValueError, match="min_cluster_size must be an integer"):
             ClusterParams("hdbscan", min_cluster_size=bad)
     assert ClusterParams("dbscan", 0.2, np.int64(3)).min_pts == 3
+
+
+def test_tag_round_trips_the_paper_settings():
+    settings = [(a, eps) for a in ("dbscan", "optics") for eps in (0.2, 0.5, 0.8)]
+    settings.append(("hdbscan", None))  # takes no radius
+    tags = [ClusterParams(a, 0.5 if eps is None else eps).tag() for a, eps in settings]
+    assert tags == ["dbscan_eps0.2", "dbscan_eps0.5", "dbscan_eps0.8", "optics_eps0.2",
+                    "optics_eps0.5", "optics_eps0.8", "hdbscan"]
+    assert [parse_tag(tag) for tag in tags] == settings

@@ -76,10 +76,10 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
         assert (graph.snapshot.window_start, graph.snapshot.window_end) == (k * WIDTH,
                                                                             k * WIDTH + WIDTH)
         ids = first_appearance(e for f in window for e in (f.src, f.dst))
-        assert [node.id for node in graph.nodes] == ids
-        for node in graph.nodes:
-            assert np.array_equal(node.features, extract_features(node.id, window))
-            assert node.label == majority_label(*flow_tallies(node.id, window))
+        assert graph.entities == ids
+        for e, label, row in zip(graph.entities, graph.labels, graph.features):
+            assert np.array_equal(row, extract_features(e, window))
+            assert label == majority_label(*flow_tallies(e, window))
         pairs = [(ids.index(f.src), ids.index(f.dst)) for f in window]
         assert graph.edges == [(s, d, pairs.count((s, d))) for s, d in first_appearance(pairs)]
 
@@ -87,15 +87,15 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
 def test_empty_and_one_flow_tables():
     empty = FlowTable.from_records([])
     assert len(empty) == 0 and dissect(empty, WIDTH) == {}
-    assert build_graph(empty).nodes == [] and build_graph(empty).edges == []
+    assert build_graph(empty).entities == [] and build_graph(empty).edges == []
 
     one = FlowRecord(ENTITIES[0], ENTITIES[0], WIDTH, 2.5, 10, 20, 3, 1)
     (snapshot, table), = dissect(FlowTable.from_records([one]), WIDTH).items()
     assert snapshot.index == 1 and table_records(table) == [one]
     graph = build_graph(table, snapshot=snapshot)
     assert graph.edges == [(0, 0, 1)]
-    assert graph.nodes[0].features.tolist() == [1, 1, 2, 30, 30, 6, 2.5, 1]
-    assert graph.nodes[0].label == 1
+    assert graph.features.tolist() == [[1, 1, 2, 30, 30, 6, 2.5, 1]]
+    assert graph.labels.tolist() == [1]
 
 
 @PROPERTY

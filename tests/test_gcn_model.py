@@ -164,7 +164,7 @@ def test_gradient_check_renormalized():
 
 def test_gradient_check_chebyshev():
     g = separable_graph(seed=9, n_per_class=3)  # 6 nodes
-    g.nodes = g.nodes[:5]
+    g.entities, g.labels, g.features = g.entities[:5], g.labels[:5], g.features[:5]
     g.edges = [(s, d, w) for s, d, w in g.edges if s < 5 and d < 5]
     model = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, hidden=3, seed=7))
     assert gradient_check(model, g) < 1e-5
@@ -241,7 +241,8 @@ def test_load_refuses_empty_and_truncated_files(tmp_path):
 def permuted_graph(g, perm):
     """The graph whose node i is node perm[i] of g."""
     new_index = np.argsort(perm)
-    return SnapshotGraph(snapshot=g.snapshot, nodes=[g.nodes[i] for i in perm],
+    return SnapshotGraph(snapshot=g.snapshot, entities=[g.entities[i] for i in perm],
+                         labels=g.labels[perm], features=g.features[perm],
                          edges=[(int(new_index[s]), int(new_index[d]), w)
                                 for s, d, w in g.edges])
 

@@ -92,9 +92,9 @@ def test_high_separation_recovers_attack_entities():
     agreements = []
     for _, window in dissect(FlowTable.from_records(flows), 600.0).items():
         graph = build_graph(window)
-        for node in graph.nodes:
-            designated_attack = node.id.ip.startswith(("172.16.", "192.168."))
-            agreements.append(node.label == int(designated_attack))
+        for e, label in zip(graph.entities, graph.labels):
+            designated_attack = e.ip.startswith(("172.16.", "192.168."))
+            agreements.append(label == int(designated_attack))
     assert np.mean(agreements) >= 0.95
 
 
