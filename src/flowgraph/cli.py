@@ -193,7 +193,9 @@ def cmd_graph(config: PipelineConfig) -> list[Path]:
     if result.skipped_rows:
         log.warning("graph: skipped %d malformed rows", result.skipped_rows)
     buckets = dissect(result.records, config.width)
-    _remove_snapshot_files(config, "graphs", ".txt")
+    # every clustered and assignment file was derived from the graphs replaced here
+    for subdir, suffix in (("graphs", ".txt"), ("clusters/*", ".txt"), ("assignments/*", ".csv")):
+        _remove_snapshot_files(config, subdir, suffix)
     tasks = [(snapshot, flows, _out(config, "graphs", f"snapshot_{snapshot.index:05d}.txt"))
              for snapshot, flows in buckets.items()]
     paths = _run_tasks(_build_graph_task, tasks, config.jobs)
@@ -281,8 +283,11 @@ def cmd_report(config: PipelineConfig) -> list[Path]:
     graphs = [behavior_graph.read_graph_text(p)
               for p in _snapshot_files(config, "graphs", "graph")]
     _snapshot_files(config, f"clusters/{tag}", "cluster")  # the configured run must exist
-    runs = {tag_dir.name: [read_clustered_text(p) for p in sorted(tag_dir.glob("snapshot_*.txt"))]
-            for tag_dir in sorted(Path(config.out_dir).glob("clusters/*"))}
+    runs = {}
+    for tag_dir in sorted(Path(config.out_dir).glob("clusters/*")):
+        files = sorted(tag_dir.glob("snapshot_*.txt"))
+        if files:  # a tag a graph re-run emptied gets no row in the effects table
+            runs[tag_dir.name] = [read_clustered_text(p) for p in files]
     rows = report.population_series(graphs, runs[tag])
     series_path = _out(config, "reports",
                        report.run_filename(config.dataset_name, *parse_tag(tag)))

@@ -3,10 +3,14 @@
 DBSCAN, OPTICS (with flat epsilon extraction) and HDBSCAN are
 implemented here directly on dense numpy arrays. All three take their
 distances from one exact kernel, `distance_rows`, in the difference
-form; DBSCAN fills a boolean eps-ball mask from it in a single
-blockwise pass. Clustering is applied only to the normal-labeled nodes
-of a snapshot; noise points are discarded and the surviving clusters
-are aggregated into super-nodes with averaged behaviour.
+form, which works one feature column at a time and sums in numpy's own
+order, so every distance equals the plain `sqrt(((p - q) ** 2).sum())`
+bit for bit. DBSCAN fills a boolean eps-ball mask from it in a single
+blockwise pass; OPTICS and HDBSCAN read rows of one n x n
+`distance_matrix` per snapshot. Clustering is applied only to the
+normal-labeled nodes of a snapshot; noise points are discarded and the
+surviving clusters are aggregated into super-nodes with averaged
+behaviour.
 """
 
 from __future__ import annotations
@@ -17,18 +21,90 @@ import numpy as np
 
 NOISE = -1
 _BLOCK = 256
+_KERNEL_ROWS = 64  # rows per kernel block: its five live n-wide buffers stay in cache
 
 
 def distance_rows(points: np.ndarray, idx) -> np.ndarray:
     """Euclidean distances from points[idx] to all points, one row each.
 
     `idx` is an index array, or a single index for a one-row result.
+    Each entry is the bits of `sqrt(((points[i] - points[j]) ** 2).sum())`:
+    the squared differences are made one feature column at a time from
+    a contiguous copy of `points.T` and added in the order numpy's
+    add-reduce uses on a short contiguous axis (see `_sum_squares`).
     d(p, q) and d(q, p) are the same bits: the squared differences are
     equal and are summed in the same order.
     """
-    diff = points[idx, None, :] - points[None, :, :]
-    diff *= diff  # in place: one block-sized temporary, not two
-    return np.sqrt(diff.sum(axis=2))
+    points = np.asarray(points, dtype=np.float64)
+    n, n_features = points.shape
+    idx = np.atleast_1d(idx)
+    cols = np.ascontiguousarray(points.T)
+    out = np.empty((len(idx), n))
+    spare = np.empty((4, min(len(idx), _KERNEL_ROWS), n))
+    for lo in range(0, len(idx), _KERNEL_ROWS):
+        block = cols[:, idx[lo:lo + _KERNEL_ROWS]]
+        rows = block.shape[1]
+        _sum_squares(cols, block, 0, n_features, out[lo:lo + rows], spare[:, :rows])
+    return np.sqrt(out, out=out)
+
+
+def distance_matrix(points: np.ndarray) -> np.ndarray:
+    """All pairwise distances as one n x n float64 matrix (n * n * 8 bytes)."""
+    return distance_rows(points, np.arange(len(points)))
+
+
+def _square(cols, block, j: int, out: np.ndarray) -> np.ndarray:
+    """out = (block[j] - cols[j]) ** 2, the block's rows against every point."""
+    np.subtract(block[j, :, None], cols[j], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _sum_squares(cols, block, lo: int, hi: int, out, spare) -> np.ndarray:
+    """out = squared differences of columns lo..hi-1 summed as numpy's pairwise add.
+
+    Fewer than 8 terms are added left to right. Up to 128 terms go to
+    eight interleaved lanes, joined as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)),
+    then the rest are added in order. More than 128 split into two halves
+    at a multiple of 8. Each lane is summed whole before the next, so at
+    most five blocks are live. `spare` holds four buffers shaped like out.
+    """
+    count = hi - lo
+    term = spare[0]
+    if count < 8:
+        out.fill(0.0)
+        for j in range(lo, hi):
+            out += _square(cols, block, j, term)
+        return out
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        second = _sum_squares(cols, block, lo + half, hi, np.empty_like(out), spare)
+        _sum_squares(cols, block, lo, lo + half, out, spare)
+        return np.add(out, second, out=out)
+
+    body = hi - count % 8
+
+    def lane(k: int, acc: np.ndarray) -> np.ndarray:
+        _square(cols, block, lo + k, acc)
+        for j in range(lo + k + 8, body, 8):
+            acc += _square(cols, block, j, term)
+        return acc
+
+    a, (b, c, d) = out, spare[1:]
+    lane(0, a)
+    a += lane(1, b)
+    lane(2, b)
+    b += lane(3, c)
+    a += b
+    lane(4, b)
+    b += lane(5, c)
+    lane(6, c)
+    c += lane(7, d)
+    b += c
+    a += b
+    for j in range(body, hi):
+        a += _square(cols, block, j, term)
+    return a
 
 
 def row_blocks(n: int):

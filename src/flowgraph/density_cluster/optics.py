@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NOISE, ClusterResult, distance_rows
+from . import NOISE, ClusterResult, distance_matrix
 
 
 @dataclass
@@ -53,12 +53,13 @@ def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
     core_dist = np.full(n, np.inf)
     processed = np.zeros(n, dtype=bool)
     in_seeds = np.zeros(n, dtype=bool)
+    dist = distance_matrix(points)
 
     def process(p: int, position: int) -> None:
         processed[p] = True
         in_seeds[p] = False
         order[position] = p
-        row = distance_rows(points, p)[0]
+        row = dist[p]
         within = row <= eps
         if within.sum() >= min_pts:
             # min_pts-th nearest neighbor, the ball including p itself

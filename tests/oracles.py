@@ -77,6 +77,17 @@ def exact_eps_cases() -> list[tuple[np.ndarray, float]]:
     return cases
 
 
+def block_edge_case() -> tuple[np.ndarray, float]:
+    """(points, eps): 300 points in 8 dimensions, more than one row block of every kernel.
+
+    An integer grid with coincident twins, as in `exact_eps_cases`, so
+    many pairs sit at exactly eps = 2 (squared distance 4) on both sides
+    of the 64- and 256-row block edges.
+    """
+    grid = np.random.default_rng(300).integers(0, 5, size=(200, 8)).astype(np.float64)
+    return np.vstack([grid, grid[:100]]), 2.0
+
+
 def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int):
     """Reachability-closure DBSCAN over the full distance matrix.
 

@@ -27,6 +27,7 @@ from flowgraph.density_cluster import (
     ClusterParams,
     cluster_snapshot,
     dbscan,
+    distance_matrix,
     hdbscan,
     optics,
 )
@@ -177,7 +178,8 @@ def test_criterion_4_hdbscan_blobs_and_mst():
             n = int(rng.integers(5, 51))
             points = rng.random((n, 4))
             min_pts = int(rng.integers(2, 5))
-            edges = mutual_reachability_mst(points, core_distances(points, min_pts))
+            dist = distance_matrix(points)
+            edges = mutual_reachability_mst(dist, core_distances(dist, min_pts))
             total = sum(w for _, _, w in edges)
             assert abs(total - mst_weight_oracle(points, min_pts)) <= 1e-9
 

@@ -130,6 +130,22 @@ def test_rerun_leaves_no_stale_snapshot_files(tmp_path):
     assert [row.split(",")[0] for row in series[1:]] == ["0", "1", "total", "mean"]
 
 
+def test_graph_rerun_drops_every_tag_of_the_earlier_width(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 7200.0})
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg, "--width", "600") == 0
+    assert run("cluster", "--config", cfg, "--algorithm", "optics", "--eps", "0.5") == 0
+    assert len(list((out / "clusters" / "optics_eps0.5").glob("snapshot_*.txt"))) == 12
+    assert run("run-all", "--config", cfg, "--width", "3600",
+               "--algorithm", "dbscan", "--eps", "0.5") == 0
+    assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 2
+    for subdir in ("clusters/optics_eps0.5", "assignments/optics_eps0.5"):
+        assert list((out / subdir).glob("snapshot_*")) == [], subdir
+    effects = (out / "reports" / "flows_effects.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in effects[1:]] == [["dbscan", "0.5"]]
+
+
 def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
     assert run("synth", "--config", cfg) == 0

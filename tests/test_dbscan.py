@@ -5,7 +5,7 @@ import pytest
 
 from flowgraph.density_cluster import (NOISE, ClusterParams, cluster_points, dbscan,
                                       distance_rows, parse_tag)
-from oracles import dbscan_oracle, distance_matrix, exact_eps_cases
+from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases
 
 
 def test_chain_within_eps():
@@ -48,6 +48,8 @@ def test_oracle_equivalence_100_seeds():
         cases.append((f"seed {seed}", points, eps, min_pts))
     for i, (points, eps) in enumerate(exact_eps_cases()):
         cases.extend((f"exact eps case {i}", points, eps, m) for m in (2, 3, 5))
+    points, eps = block_edge_case()
+    cases.extend(("block edge case", points, eps, m) for m in (2, 3, 5))
     for name, points, eps, min_pts in cases:
         # the shared kernel is the oracle's distance matrix, bit for bit
         assert np.array_equal(distance_rows(points, np.arange(len(points))),

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, hdbscan
+from flowgraph.density_cluster import distance_matrix as kernel_distance_matrix
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
-from oracles import distance_matrix, exact_eps_cases, mst_weight_oracle
+from oracles import block_edge_case, distance_matrix, exact_eps_cases, mst_weight_oracle
 
 
 def three_blobs(seed: int, spread: float = 0.02, separation: float = 1.0):
@@ -74,12 +75,15 @@ def test_mst_weight_against_exhaustive_oracle():
         cases.append((f"seed {seed}", points, min_pts))
     for i, (points, _) in enumerate(exact_eps_cases()[::3]):
         cases.extend((f"exact eps case {i}", points, m) for m in (2, 4))
+    points, _ = block_edge_case()
+    cases.extend(("block edge case", points, m) for m in (2, 4))
     for name, points, min_pts in cases:
         if len(points) < min_pts:
             continue
-        core = core_distances(points, min_pts)
+        dist = kernel_distance_matrix(points)
+        core = core_distances(dist, min_pts)
         assert np.array_equal(core, np.sort(distance_matrix(points), axis=1)[:, min_pts - 1]), name
-        edges = mutual_reachability_mst(points, core)
+        edges = mutual_reachability_mst(dist, core)
         total = sum(w for _, _, w in edges)
         assert len(edges) == len(points) - 1
         assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, name

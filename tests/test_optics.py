@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, optics
-from oracles import distance_matrix, exact_eps_cases
+from oracles import block_edge_case, distance_matrix, exact_eps_cases
 
 
 def test_two_close_points():
@@ -50,6 +50,8 @@ def test_agreement_with_dbscan_on_core_points():
         cases.append((f"seed {seed}", points, eps, min_pts))
     for i, (points, eps) in enumerate(exact_eps_cases()):
         cases.extend((f"exact eps case {i}", points, eps, m) for m in (2, 3, 5))
+    points, eps = block_edge_case()
+    cases.extend(("block edge case", points, eps, m) for m in (2, 3, 5))
     for name, points, eps, min_pts in cases:
         o = optics(points, eps, min_pts)
         extracted = o.extract_at_eps(eps)
