@@ -10,7 +10,7 @@ from . import behavior_graph, density_cluster, report, spectral_gcn, synth, temp
 from .behavior_graph import SnapshotGraph, build_graph, normalize_features
 from .density_cluster import ClusterParams, ClusterResult, ClusteredGraph, cluster_snapshot
 from .errors import FlowgraphError
-from .flow_model import EntityId, FlowRecord, FlowTable, parse_flows, write_flows
+from .flow_model import EntityId, FlowTable, parse_flows, write_flows
 from .spectral_gcn import GcnModel, TrainConfig, evaluate, train
 from .synth import SynthConfig, generate
 from .temporal import SnapshotIndex, dissect
@@ -22,7 +22,6 @@ __all__ = [
     "ClusterResult",
     "ClusteredGraph",
     "EntityId",
-    "FlowRecord",
     "FlowTable",
     "FlowgraphError",
     "GcnModel",

@@ -173,10 +173,10 @@ def _require_input(config: PipelineConfig) -> str:
 
 
 def cmd_synth(config: PipelineConfig) -> Path:
-    records = synth.generate(config.synth_config())
+    flows = synth.generate(config.synth_config())
     path = _out(config, "flows.csv")
-    write_flows(path, records)
-    log.info("synth: %d flows -> %s", len(records), path)
+    write_flows(path, flows)
+    log.info("synth: %d flows -> %s", len(flows), path)
     return path
 
 

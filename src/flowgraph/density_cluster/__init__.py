@@ -146,7 +146,16 @@ class ClusterParams:
         """Directory/file tag for this parameterization; `parse_tag` reads it back."""
         if self.algorithm == "hdbscan":
             return "hdbscan"
-        return f"{self.algorithm}_eps{self.eps:g}"
+        return f"{self.algorithm}_eps{eps_text(self.eps)}"
+
+
+def eps_text(eps: float) -> str:
+    """eps as tags and reports print it: `:g` when that reads back as eps, else repr.
+
+    `:g` keeps six digits, so 0.1234567 and 0.1234568 would share a tag.
+    """
+    text = f"{eps:g}"
+    return text if float(text) == eps else repr(float(eps))
 
 
 def parse_tag(tag: str) -> tuple[str, float | None]:
@@ -204,6 +213,7 @@ __all__ = [
     "cluster_points",
     "cluster_snapshot",
     "dbscan",
+    "eps_text",
     "hdbscan",
     "optics",
     "parse_tag",

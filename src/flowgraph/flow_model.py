@@ -1,4 +1,4 @@
-"""Flow-record data model and CSV parsing.
+"""Flow table data model and CSV parsing.
 
 Two CSV schemas are understood:
 
@@ -10,7 +10,7 @@ Two CSV schemas are understood:
   src_port, dst_ip, dst_port, start_time, duration, bytes_fwd,
   bytes_bwd, packets, label.
 
-Timestamps are rebased on parse so that the earliest accepted record
+Timestamps are rebased on parse so that the earliest accepted flow
 starts at 0; downstream snapshot indexing is capture-relative.
 """
 
@@ -59,35 +59,6 @@ class EntityId:
             raise ValueError(f"not a valid IP address literal: {self.ip!r}") from None
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One labeled communication between two entities.
-
-    ``start_time`` is in seconds relative to the capture start,
-    ``label`` is 0 for normal and 1 for attack traffic.
-    """
-
-    src: EntityId
-    dst: EntityId
-    start_time: float
-    duration: float
-    bytes_src_to_dst: int
-    bytes_dst_to_src: int
-    packets_total: int
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if not self.start_time >= 0:
-            raise ValueError(f"start_time must be >= 0, got {self.start_time}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        for name in ("bytes_src_to_dst", "bytes_dst_to_src", "packets_total"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def entity(ip: str, port: str) -> EntityId:
     """The `EntityId` of an address and a port text, validated once per process.
@@ -132,24 +103,12 @@ class FlowTable:
         return FlowTable(self.entities, **{name: getattr(self, name)[idx] for name in _COLUMNS},
                          ports=self.ports)
 
-    @classmethod
-    def from_records(cls, records: list[FlowRecord]) -> FlowTable:
-        """The table of `records` in order; entities coded by first appearance."""
-        codes: dict[EntityId, int] = {}
-        src, dst = [], []
-        for r in records:
-            src.append(codes.setdefault(r.src, len(codes)))
-            dst.append(codes.setdefault(r.dst, len(codes)))
-        values = {"src": src, "dst": dst,
-                  **{name: [getattr(r, name) for r in records] for name in list(_COLUMNS)[2:]}}
-        return cls(list(codes), **{name: np.array(values[name], dtype=dtype)
-                                   for name, dtype in _COLUMNS.items()})
-
 
 # the per-flow columns of a FlowTable and their types
 _COLUMNS = {"src": np.int64, "dst": np.int64, "start_time": np.float64,
             "duration": np.float64, "bytes_src_to_dst": np.int64,
             "bytes_dst_to_src": np.int64, "packets_total": np.int64, "label": np.int64}
+_WRITE_ROWS = 1 << 14  # rows per block in write_flows
 
 
 @dataclass
@@ -266,15 +225,16 @@ def _parse_label(text: str) -> int:
     return label
 
 
-def write_flows(path: str | Path, records: list[FlowRecord]) -> None:
-    """Write records as synthetic-schema CSV (round-trips with parse_flows)."""
+def write_flows(path: str | Path, flows: FlowTable) -> None:
+    """Write a flow table as synthetic-schema CSV (round-trips with parse_flows)."""
+    ips = [e.ip for e in flows.entities]
+    ports = [e.port for e in flows.entities]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SYNTHETIC_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.src.ip, r.src.port, r.dst.ip, r.dst.port,
-                repr(float(r.start_time)), repr(float(r.duration)),
-                r.bytes_src_to_dst, r.bytes_dst_to_src,
-                r.packets_total, r.label,
-            ])
+        # a block of rows at a time, so that few Python objects are alive at once
+        for lo in range(0, len(flows), _WRITE_ROWS):
+            rows = zip(*(getattr(flows, name)[lo:lo + _WRITE_ROWS].tolist() for name in _COLUMNS))
+            writer.writerows((ips[s], ports[s], ips[d], ports[d], repr(t), repr(dur),
+                              fwd, bwd, packets, label)
+                             for s, d, t, dur, fwd, bwd, packets, label in rows)

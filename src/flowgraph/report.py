@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density_cluster import KIND_CLUSTER
+from .density_cluster import KIND_CLUSTER, eps_text
 from .errors import LengthMismatch
 
 
@@ -122,12 +122,12 @@ def write_effects_csv(path, rows: list[EffectsRow]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,eps,clustered_normal_total,attack_total,share_percent\n")
         for r in rows:
-            eps = "" if r.eps is None else f"{r.eps:g}"
+            eps = "" if r.eps is None else eps_text(r.eps)
             fh.write(f"{r.method},{eps},{r.clustered_normal_total},"
                      f"{r.attack_total},{r.share_percent:.2f}\n")
 
 
 def run_filename(dataset: str, algorithm: str, eps: float | None) -> str:
     """`<dataset>_<algorithm>_<eps>.csv`; eps prints as `na` when absent."""
-    eps_part = "na" if eps is None else f"{eps:g}"
+    eps_part = "na" if eps is None else eps_text(eps)
     return f"{dataset}_{algorithm}_{eps_part}.csv"

@@ -25,20 +25,30 @@ A flow's label is 1 exactly when an attack-designated entity initiated
 it. Victims of scans consequently inherit attack-majority labels
 downstream, which mirrors how compromised-endpoint populations surface
 in labeled captures.
+
+`generate` returns the trace as one `FlowTable`, the form `parse_flows`
+gives: each entity is validated once, the ring and probe schedules are
+columns, and the normal volumes come from one batch of standard normal
+draws, each value with the bits of one scalar `rng.lognormal` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_model import EntityId, FlowRecord
+from .flow_model import _COLUMNS, EntityId, FlowTable
 
 _NORMAL_PEERS = 3  # ring partners contacted per cycle
 # 256 * 200 hosts fill 10.0.0.0/16; 40000 + k must stay a valid port
 MAX_NORMAL_ENTITIES = 51_200
 MAX_ATTACK_ENTITIES = 25_536
+# a trace is built in memory, a few hundred bytes per flow at its peak;
+# both populations at their caps ask for 34.3 million flows over a day
+MAX_FLOWS = 50_000_000
+_CHUNK = 1 << 16  # values per list of Python floats in `_exp`
 
 
 @dataclass
@@ -67,6 +77,18 @@ class SynthConfig:
         if self.behaviour_separation not in ("low", "high"):
             raise ValueError(
                 f"behaviour_separation must be low or high, got {self.behaviour_separation!r}")
+        if not (self.flows_per_entity_rate * self.duration <= MAX_FLOWS  # and not NaN
+                and sum(self.flow_counts()[1:]) <= MAX_FLOWS):
+            raise ValueError(f"the configuration asks for more than {MAX_FLOWS} flows")
+
+    def flow_counts(self) -> tuple[int, int, int, int]:
+        """(flows per sender, normal flows, scans, attacker probes) of the trace."""
+        f = self.attack_fraction_of_flows
+        flows_each = round(self.flows_per_entity_rate * self.duration)
+        n_normal_flows = self.n_normal_entities * flows_each if f < 1.0 else 0
+        n_probes = self.n_attack_entities * flows_each if f > 0.0 else 0
+        n_scans = round(n_normal_flows * f / (1.0 - f)) if f < 1.0 else n_probes
+        return flows_each, n_normal_flows, n_scans if n_probes else 0, n_probes
 
 
 def _normal_entity(i: int) -> EntityId:
@@ -85,84 +107,90 @@ def _victim_entity(v: int) -> EntityId:
                     1 + v % 1024 + 1024 * (v // 51_200))
 
 
-def _normal_volume(rng: np.random.Generator):
-    sent = int(rng.lognormal(np.log(3000.0), 0.1))
-    received = int(rng.lognormal(np.log(8000.0), 0.1))
-    packets = max(2, (sent + received) // 800)
-    duration = float(rng.lognormal(0.0, 0.2))
-    return sent, received, packets, duration
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp of each value by the C library's scalar exp, as `rng.lognormal` computes it.
+
+    np.exp's vector path can differ from it in the last bit.
+    """
+    out = np.empty_like(x)
+    for lo in range(0, len(x), _CHUNK):
+        out[lo:lo + _CHUNK] = list(map(math.exp, x[lo:lo + _CHUNK].tolist()))
+    return out
 
 
-def _attack_volume(rng: np.random.Generator):
-    sent = int(rng.integers(40, 201))
-    received = int(rng.integers(0, 61))
-    packets = int(rng.integers(1, 4))
-    duration = float(rng.uniform(0.01, 0.1))
-    return sent, received, packets, duration
+def _normal_volumes(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """(duration, sent, received, packets) columns of `count` normal flow volumes.
+
+    Each volume is three lognormal draws: sent bytes (median 3000),
+    received bytes (median 8000) and duration (median 1 s).
+    `rng.lognormal(mean, sigma)` is `exp(mean + sigma * z)` over the same
+    standard normal stream, so one batch of 3 * count draws gives the
+    bits of 3 * count scalar `rng.lognormal` calls in turn.
+    """
+    z = rng.standard_normal(3 * count).reshape(count, 3)
+    sent = _exp(np.log(3000.0) + 0.1 * z[:, 0]).astype(np.int64)
+    received = _exp(np.log(8000.0) + 0.1 * z[:, 1]).astype(np.int64)
+    return [_exp(0.2 * z[:, 2]), sent, received, np.maximum(2, (sent + received) // 800)]
 
 
-def generate(config: SynthConfig) -> list[FlowRecord]:
-    """Deterministic labeled trace, sorted by start time."""
+def _attack_volumes(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """(duration, sent, received, packets) columns of `count` scan-like flow volumes.
+
+    Drawn one flow at a time, sent, received, packets, then duration:
+    batched bounded integers would consume the stream differently.
+    """
+    rows = np.array([(rng.integers(40, 201), rng.integers(0, 61), rng.integers(1, 4),
+                      rng.uniform(0.01, 0.1)) for _ in range(count)]).reshape(count, 4)
+    return [rows[:, 3], *rows[:, :3].T.astype(np.int64)]
+
+
+def _schedule(rng: np.random.Generator, senders: int, flows_each: int, spacing: float):
+    """(sender, start time) of `flows_each` evenly spaced flows per sender at a random phase."""
+    phases = rng.uniform(0.0, spacing, size=senders)
+    return (np.repeat(np.arange(senders), flows_each),
+            (phases[:, None] + np.arange(flows_each) * spacing).ravel())
+
+
+def generate(config: SynthConfig) -> FlowTable:
+    """Deterministic labeled trace, sorted by start time.
+
+    Entities are listed once each, and only those that some flow has as
+    an endpoint: the normal ones, the attackers, then one victim per scan.
+    """
     rng = np.random.default_rng(config.seed)
-    records: list[FlowRecord] = []
-
-    n = config.n_normal_entities
-    flows_each = int(round(config.flows_per_entity_rate * config.duration))
-    n_normal_flows = n * flows_each if config.attack_fraction_of_flows < 1.0 else 0
+    n, m = config.n_normal_entities, config.n_attack_entities
+    flows_each, n_normal_flows, n_scans, n_probes = config.flow_counts()
+    spacing = config.duration / flows_each if flows_each else 0.0
+    entities: list[EntityId] = []
+    # the FlowTable columns of the ring, the scans and the probes, in the
+    # order they are drawn
+    parts = []
 
     if n_normal_flows:  # a lone entity rings to itself (self-loop flows)
-        spacing = config.duration / flows_each
-        phases = rng.uniform(0.0, spacing, size=n)
-        for i in range(n):
-            src = _normal_entity(i)
-            for j in range(flows_each):
-                peer = (i + 1 + j % _NORMAL_PEERS) % n
-                sent, received, packets, flow_duration = _normal_volume(rng)
-                records.append(FlowRecord(
-                    src=src, dst=_normal_entity(peer),
-                    start_time=float(phases[i] + j * spacing),
-                    duration=flow_duration,
-                    bytes_src_to_dst=sent, bytes_dst_to_src=received,
-                    packets_total=packets, label=0,
-                ))
+        entities += map(_normal_entity, range(n))
+        src, start = _schedule(rng, n, flows_each, spacing)
+        peer = (src + 1 + np.tile(np.arange(flows_each) % _NORMAL_PEERS, n)) % n
+        parts.append([src, peer, start, *_normal_volumes(rng, n_normal_flows), 0])
 
-    if config.n_attack_entities > 0 and config.attack_fraction_of_flows > 0.0:
-        volume = _attack_volume if config.behaviour_separation == "high" else _normal_volume
-        f = config.attack_fraction_of_flows
-        if f < 1.0:
-            n_attack_flows = int(round(len(records) * f / (1.0 - f)))
-        else:
-            n_attack_flows = config.n_attack_entities * flows_each
-        times = np.sort(rng.uniform(0.0, config.duration, size=n_attack_flows))
-        for j in range(n_attack_flows):
-            src = _attack_entity(j % config.n_attack_entities)
-            dst = _victim_entity(j)
-            sent, received, packets, flow_duration = volume(rng)
-            records.append(FlowRecord(
-                src=src, dst=dst, start_time=float(times[j]),
-                duration=flow_duration,
-                bytes_src_to_dst=sent, bytes_dst_to_src=received,
-                packets_total=packets, label=1,
-            ))
+    if n_probes:
+        volumes = _attack_volumes if config.behaviour_separation == "high" else _normal_volumes
+        a = len(entities)  # code of the first attacker
+        entities += map(_attack_entity, range(m))
+        times = np.sort(rng.uniform(0.0, config.duration, size=n_scans))
+        scan = np.arange(n_scans)
+        entities += map(_victim_entity, scan.tolist())
+        parts.append([a + scan % m, a + m + scan, times, *volumes(rng, n_scans), 1])
 
         # Attackers also probe each other on the same even schedule as the
         # ring, so every attacker keeps receiving flows in every window.
-        m = config.n_attack_entities
-        if flows_each:
-            spacing = config.duration / flows_each
-            probe_phases = rng.uniform(0.0, spacing, size=m)
-            for k in range(m):
-                src = _attack_entity(k)
-                dst = _attack_entity((k + 1) % m)
-                for j in range(flows_each):
-                    sent, received, packets, flow_duration = volume(rng)
-                    records.append(FlowRecord(
-                        src=src, dst=dst,
-                        start_time=float(probe_phases[k] + j * spacing),
-                        duration=flow_duration,
-                        bytes_src_to_dst=sent, bytes_dst_to_src=received,
-                        packets_total=packets, label=1,
-                    ))
+        k, start = _schedule(rng, m, flows_each, spacing)
+        parts.append([a + k, a + (k + 1) % m, start, *volumes(rng, n_probes), 1])
 
-    records.sort(key=lambda r: r.start_time)
-    return records
+    def column(c: int, dtype) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype)] + [np.broadcast_to(part[c], len(part[0]))
+                                                      for part in parts])
+
+    # one column at a time, so that only one unsorted copy is alive at once
+    order = np.argsort(column(2, np.float64), kind="stable")
+    return FlowTable(entities, **{name: column(c, dtype)[order]
+                                  for c, (name, dtype) in enumerate(_COLUMNS.items())})

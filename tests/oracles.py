@@ -7,10 +7,12 @@ must agree with these on small inputs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
+from flowgraph.flow_model import EntityId, FlowTable
 from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
 from flowgraph.temporal import SnapshotIndex
 
@@ -177,14 +179,110 @@ def chebyshev_eig_oracle(l_tilde: np.ndarray, x: np.ndarray, j: int) -> np.ndarr
     return (u * t) @ (u.T @ x)
 
 
+@dataclass(frozen=True)
+class FlowRecord:
+    """One labeled flow between two entities: the per-flow form the oracles read.
+
+    ``start_time`` is in seconds relative to the capture start,
+    ``label`` is 0 for normal and 1 for attack traffic.
+    """
+
+    src: EntityId
+    dst: EntityId
+    start_time: float
+    duration: float
+    bytes_src_to_dst: int
+    bytes_dst_to_src: int
+    packets_total: int
+    label: int
+
+
+def from_records(records: list[FlowRecord]) -> FlowTable:
+    """The table of `records` in order; entities coded by first appearance."""
+    codes: dict[EntityId, int] = {}
+    src, dst = [], []
+    for r in records:
+        src.append(codes.setdefault(r.src, len(codes)))
+        dst.append(codes.setdefault(r.dst, len(codes)))
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    return FlowTable(list(codes), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                     column("start_time", np.float64), column("duration", np.float64),
+                     column("bytes_src_to_dst", np.int64), column("bytes_dst_to_src", np.int64),
+                     column("packets_total", np.int64), column("label", np.int64))
+
+
 def table_records(table: FlowTable) -> list[FlowRecord]:
-    """The rows of a flow table as validated records, in order."""
+    """The rows of a flow table as records, in order."""
     return [FlowRecord(table.entities[s], table.entities[d], t, dur, fwd, bwd, packets, label)
             for s, d, t, dur, fwd, bwd, packets, label in zip(
                 table.src.tolist(), table.dst.tolist(), table.start_time.tolist(),
                 table.duration.tolist(), table.bytes_src_to_dst.tolist(),
                 table.bytes_dst_to_src.tolist(), table.packets_total.tolist(),
                 table.label.tolist())]
+
+
+def _attack_volume(rng: np.random.Generator):
+    sent = int(rng.integers(40, 201))
+    received = int(rng.integers(0, 61))
+    packets = int(rng.integers(1, 4))
+    duration = float(rng.uniform(0.01, 0.1))
+    return sent, received, packets, duration
+
+
+def _normal_volume(rng: np.random.Generator):
+    sent = int(rng.lognormal(np.log(3000.0), 0.1))
+    received = int(rng.lognormal(np.log(8000.0), 0.1))
+    packets = max(2, (sent + received) // 800)
+    duration = float(rng.lognormal(0.0, 0.2))
+    return sent, received, packets, duration
+
+
+def synth_records(config) -> list[FlowRecord]:
+    """The trace of `synth.generate(config)`, one record and one scalar draw at a time.
+
+    The normal volumes are scalar `rng.lognormal` calls here, where
+    `generate` draws them as one batch, and the attack volumes are
+    scalar calls written out separately.
+    """
+    from flowgraph.synth import _NORMAL_PEERS, _attack_entity, _normal_entity, _victim_entity
+
+    rng = np.random.default_rng(config.seed)
+    records: list[FlowRecord] = []
+    n, m = config.n_normal_entities, config.n_attack_entities
+    flows_each = int(round(config.flows_per_entity_rate * config.duration))
+    n_normal_flows = n * flows_each if config.attack_fraction_of_flows < 1.0 else 0
+    if n_normal_flows:
+        spacing = config.duration / flows_each
+        phases = rng.uniform(0.0, spacing, size=n)
+        for i in range(n):
+            for j in range(flows_each):
+                sent, received, packets, duration = _normal_volume(rng)
+                records.append(FlowRecord(
+                    _normal_entity(i), _normal_entity((i + 1 + j % _NORMAL_PEERS) % n),
+                    float(phases[i] + j * spacing), duration, sent, received, packets, 0))
+    if m > 0 and config.attack_fraction_of_flows > 0.0:
+        volume = _attack_volume if config.behaviour_separation == "high" else _normal_volume
+        f = config.attack_fraction_of_flows
+        n_scans = int(round(len(records) * f / (1.0 - f))) if f < 1.0 else m * flows_each
+        times = np.sort(rng.uniform(0.0, config.duration, size=n_scans))
+        for j in range(n_scans):
+            sent, received, packets, duration = volume(rng)
+            records.append(FlowRecord(_attack_entity(j % m), _victim_entity(j), float(times[j]),
+                                      duration, sent, received, packets, 1))
+        if flows_each:
+            spacing = config.duration / flows_each
+            phases = rng.uniform(0.0, spacing, size=m)
+            for k in range(m):
+                for j in range(flows_each):
+                    sent, received, packets, duration = volume(rng)
+                    records.append(FlowRecord(
+                        _attack_entity(k), _attack_entity((k + 1) % m),
+                        float(phases[k] + j * spacing), duration, sent, received, packets, 1))
+    records.sort(key=lambda r: r.start_time)
+    return records
 
 
 def extract_features(entity: EntityId, flows: list[FlowRecord]) -> np.ndarray:

@@ -32,7 +32,7 @@ from flowgraph.density_cluster import (
     optics,
 )
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable, parse_flows
+from flowgraph.flow_model import EntityId, parse_flows
 from flowgraph.report import clustering_effects_table, population_series
 from flowgraph.spectral_gcn import (
     VARIANT_CHEBYSHEV,
@@ -49,9 +49,11 @@ from flowgraph.spectral_gcn import (
 from flowgraph.synth import SynthConfig, generate
 from flowgraph.temporal import dissect
 from oracles import (
+    FlowRecord,
     chebyshev_eig_oracle,
     dbscan_oracle,
     edges_of,
+    from_records,
     gradient_check,
     graph_from,
     mst_weight_oracle,
@@ -125,7 +127,7 @@ def test_criterion_1_labeling_rule():
             flow(s0, d, 0), flow(s1, d, 1), flow(s1, d, 1),
             flow(s1, c, 1), flow(s0, c, 0),
         ]
-        graph = build_graph(FlowTable.from_records(flows))
+        graph = build_graph(from_records(flows))
         labels = dict(zip(graph.entities, graph.labels.tolist()))
         assert labels == {s0: 0, s1: 1, b: 0, c: 0, d: 1}
 
@@ -186,11 +188,11 @@ def test_criterion_4_hdbscan_blobs_and_mst():
 
 def test_criterion_5_population_accounting():
     with criterion("5", 10.0):
-        records = generate(SynthConfig(duration=3000.0, n_normal_entities=20,
-                                       n_attack_entities=2,
-                                       flows_per_entity_rate=0.02))
+        table = generate(SynthConfig(duration=3000.0, n_normal_entities=20,
+                                     n_attack_entities=2,
+                                     flows_per_entity_rate=0.02))
         graphs = [build_graph(flows, snapshot=s)
-                  for s, flows in dissect(FlowTable.from_records(records), 600.0).items()]
+                  for s, flows in dissect(table, 600.0).items()]
         runs = []
         for params in (ClusterParams(algorithm="dbscan", eps=0.5),
                        ClusterParams(algorithm="hdbscan")):
@@ -250,9 +252,9 @@ def test_criterion_7_spectral_identities():
 
 def test_criterion_8_end_to_end_classification():
     with criterion("8", 300.0):
-        records = generate(SynthConfig())
-        assert 45_000 <= len(records) <= 65_000
-        buckets = dissect(FlowTable.from_records(records), 600.0)
+        table = generate(SynthConfig())
+        assert 45_000 <= len(table) <= 65_000
+        buckets = dissect(table, 600.0)
         assert len(buckets) == 144
         graphs = [build_graph(flows, snapshot=s) for s, flows in buckets.items()]
         params = ClusterParams(algorithm="dbscan", eps=0.2)

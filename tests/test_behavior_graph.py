@@ -13,9 +13,10 @@ from flowgraph.behavior_graph import (
     write_graph_text,
 )
 from flowgraph.errors import MalformedArtefact
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
+from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
-from oracles import corrupted_snapshot_texts, extract_features, flow_tallies, with_node_field
+from oracles import (FlowRecord, corrupted_snapshot_texts, extract_features, flow_tallies,
+                     from_records, with_node_field)
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)
@@ -38,13 +39,13 @@ def test_majority_label_rule():
 
 
 def test_parallel_flows_collapse_to_one_edge():
-    g = build_graph(FlowTable.from_records([flow(A, B), flow(A, B)]))
+    g = build_graph(from_records([flow(A, B), flow(A, B)]))
     assert g.n_nodes == 2
     assert g.edges == [(0, 1, 2)]
 
 
 def test_directed_cycle():
-    g = build_graph(FlowTable.from_records([flow(A, B), flow(B, C), flow(C, A)]))
+    g = build_graph(from_records([flow(A, B), flow(B, C), flow(C, A)]))
     assert g.n_nodes == 3
     assert g.edges == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
 
@@ -53,7 +54,7 @@ def test_node_labels_from_incident_flows():
     # D sees labels {1,1,0} -> attack; C sees {1,0} -> draw -> normal
     flows = [flow(A, D, label=1), flow(B, D, label=1), flow(D, C, label=0),
              flow(C, A, label=1)]
-    g = build_graph(FlowTable.from_records(flows))
+    g = build_graph(from_records(flows))
     labels = dict(zip(g.entities, g.labels.tolist()))
     assert labels[D] == 1
     assert labels[C] == 0
@@ -63,7 +64,7 @@ def test_node_labels_from_incident_flows():
 
 
 def test_all_normal_flows_stay_normal():
-    g = build_graph(FlowTable.from_records([flow(A, B), flow(B, C), flow(A, C)]))
+    g = build_graph(from_records([flow(A, B), flow(B, C), flow(A, C)]))
     assert g.labels.tolist() == [0, 0, 0]
 
 
@@ -87,7 +88,7 @@ def test_features_incoming_only():
 
 def test_self_loop_counts_twice():
     flows = [flow(A, A, label=1), flow(A, A, label=0), flow(A, A, label=0)]
-    g = build_graph(FlowTable.from_records(flows))
+    g = build_graph(from_records(flows))
     assert g.n_nodes == 1
     assert g.edges == [(0, 0, 3)]
     # each self-loop flow is seen from both endpoint roles
@@ -110,7 +111,7 @@ def test_build_graph_matches_extract_features():
                               bwd=int(rng.integers(0, 5000)),
                               packets=int(rng.integers(1, 50)),
                               duration=float(rng.uniform(0, 10))))
-        g = build_graph(FlowTable.from_records(flows))
+        g = build_graph(from_records(flows))
         assert sum(w for _, _, w in g.edges) == len(flows)
         assert g.n_nodes <= 2 * len(flows)
         for e, label, row in zip(g.entities, g.labels, g.features):
@@ -130,14 +131,14 @@ def test_features_are_label_free():
                           bytes_dst_to_src=f.bytes_dst_to_src,
                           packets_total=f.packets_total, label=1 - f.label)
                for f in flows]
-    g1 = build_graph(FlowTable.from_records(flows))
-    g2 = build_graph(FlowTable.from_records(flipped))
+    g1 = build_graph(from_records(flows))
+    g2 = build_graph(from_records(flipped))
     assert g1.entities == g2.entities
     assert np.array_equal(g1.features, g2.features)
 
 
 def test_empty_input_yields_empty_graph():
-    g = build_graph(FlowTable.from_records([]))
+    g = build_graph(from_records([]))
     assert g.n_nodes == 0 and g.edges == [] and g.entities == []
     assert g.labels.shape == (0,) and g.labels.dtype == np.int64
     assert g.features.shape == (0, N_FEATURES)
@@ -153,7 +154,7 @@ def test_minmax_scaling():
 
 
 def test_normalize_features_graph():
-    g = build_graph(FlowTable.from_records([flow(A, B), flow(A, C), flow(A, B)]))
+    g = build_graph(from_records([flow(A, B), flow(A, C), flow(A, B)]))
     scaled = normalize_features(g)
     m = scaled.features
     assert m.min() >= 0.0 and m.max() <= 1.0
@@ -163,7 +164,7 @@ def test_normalize_features_graph():
 
 def test_graph_text_round_trip(tmp_path):
     flows = [flow(A, B, label=1), flow(B, C), flow(C, A), flow(A, B)]
-    g = build_graph(FlowTable.from_records(flows), snapshot=SnapshotIndex.for_width(3, 600.0))
+    g = build_graph(from_records(flows), snapshot=SnapshotIndex.for_width(3, 600.0))
     path = tmp_path / "snap.txt"
     write_graph_text(path, g)
     back = read_graph_text(path)

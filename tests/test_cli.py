@@ -146,6 +146,23 @@ def test_graph_rerun_drops_every_tag_of_the_earlier_width(tmp_path):
     assert [row.split(",")[:2] for row in effects[1:]] == [["dbscan", "0.5"]]
 
 
+def test_eps_values_that_print_alike_keep_separate_runs(tmp_path):
+    # both print 0.123457 under :g; each run keeps its own tag and its own eps
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg) == 0
+    for eps in ("0.1234567", "0.1234568"):
+        assert run("cluster", "--config", cfg, "--eps", eps) == 0
+    for eps in ("0.1234567", "0.1234568"):
+        assert len(list((out / "clusters" / f"dbscan_eps{eps}").glob("snapshot_*.txt"))) == 5
+    assert run("report", "--config", cfg, "--eps", "0.1234568") == 0
+    assert (out / "reports" / "flows_dbscan_0.1234568.csv").exists()
+    effects = (out / "reports" / "flows_effects.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in effects[1:]] == [["dbscan", "0.1234567"],
+                                                          ["dbscan", "0.1234568"]]
+
+
 def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
     assert run("synth", "--config", cfg) == 0
@@ -208,6 +225,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
                      ({"eps": None}, "'eps'"),
                      ({"weighted_adjacency": 1}, "'weighted_adjacency'"),
                      ({"synth": {"duration": "600"}}, "'synth.duration'"),
+                     ({"synth": {"duration": 1e300}}, "flows"),
                      ({"synth": {"n_normal_entities": 20.0}}, "'synth.n_normal_entities'")):
         cfg.write_text(json.dumps({"out_dir": out, **bad}))
         assert run("synth", "--config", cfg) == 1, bad

@@ -18,8 +18,9 @@ from flowgraph.behavior_graph import build_graph, minmax_scale, read_graph_text,
 from flowgraph.density_cluster import (KIND_ATTACK, KIND_CLUSTER, NOISE, ClusterParams,
                                       cluster_snapshot, read_clustered_text,
                                       write_clustered_text)
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
+from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
+from oracles import FlowRecord, from_records
 
 # bounded so that tier-1 stays fast and runs the same examples every time
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -44,7 +45,7 @@ flow_records = st.builds(
     label=st.sampled_from([0, 0, 0, 1]),
 )
 graphs = st.lists(flow_records, max_size=60).map(
-    lambda flows: build_graph(FlowTable.from_records(flows),
+    lambda flows: build_graph(from_records(flows),
                               snapshot=SnapshotIndex.for_width(2, 600.0)))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowgraph.density_cluster import (NOISE, ClusterParams, cluster_points, dbscan,
-                                      distance_rows, parse_tag)
+                                      distance_rows, eps_text, parse_tag)
 from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases
 
 
@@ -105,3 +105,12 @@ def test_tag_round_trips_the_paper_settings():
     assert tags == ["dbscan_eps0.2", "dbscan_eps0.5", "dbscan_eps0.8", "optics_eps0.2",
                     "optics_eps0.5", "optics_eps0.8", "hdbscan"]
     assert [parse_tag(tag) for tag in tags] == settings
+
+
+def test_tag_keeps_every_digit_that_tells_eps_apart():
+    for eps, tag in ((0.1234567, "dbscan_eps0.1234567"), (0.1234568, "dbscan_eps0.1234568"),
+                     (1e-7, "dbscan_eps1e-07"), (0.1 + 0.2, "dbscan_eps0.30000000000000004"),
+                     (2, "dbscan_eps2"), (np.float64(0.2), "dbscan_eps0.2")):
+        assert ClusterParams("dbscan", eps).tag() == tag
+        assert parse_tag(tag) == ("dbscan", eps)
+        assert eps_text(eps) == tag.partition("_eps")[2]

@@ -2,7 +2,7 @@
 
 Random flow sets over a small entity pool (so pairs repeat and
 self-loops occur), with start times placed exactly on window
-boundaries, go through `FlowTable.from_records`, `dissect` and
+boundaries, go through `oracles.from_records`, `dissect` and
 `build_graph`. Every graph must equal what the brute-force
 `extract_features` and `flow_tallies` oracles give for the same
 window, exactly and in first-appearance node and edge order. CSV text
@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from flowgraph.behavior_graph import build_graph, majority_label
 from flowgraph.errors import MalformedRow
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable, parse_flows, write_flows
+from flowgraph.flow_model import EntityId, parse_flows, write_flows
 from flowgraph.temporal import dissect
-from oracles import extract_features, flow_tallies, table_records
+from oracles import FlowRecord, extract_features, flow_tallies, from_records, table_records
 
 # bounded so that tier-1 stays fast and runs the same examples every time
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -68,7 +68,7 @@ def oracle_windows(flows: list[FlowRecord], width: float) -> dict[int, list[Flow
 @given(flow_lists)
 def test_dissect_and_build_graph_match_the_oracles(flows):
     graphs = {s.index: build_graph(table, snapshot=s)
-              for s, table in dissect(FlowTable.from_records(flows), WIDTH).items()}
+              for s, table in dissect(from_records(flows), WIDTH).items()}
     windows = oracle_windows(flows, WIDTH)
     assert list(graphs) == list(windows)
     for k, window in windows.items():
@@ -85,12 +85,12 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
 
 
 def test_empty_and_one_flow_tables():
-    empty = FlowTable.from_records([])
+    empty = from_records([])
     assert len(empty) == 0 and dissect(empty, WIDTH) == {}
     assert build_graph(empty).entities == [] and build_graph(empty).edges == []
 
     one = FlowRecord(ENTITIES[0], ENTITIES[0], WIDTH, 2.5, 10, 20, 3, 1)
-    (snapshot, table), = dissect(FlowTable.from_records([one]), WIDTH).items()
+    (snapshot, table), = dissect(from_records([one]), WIDTH).items()
     assert snapshot.index == 1 and table_records(table) == [one]
     graph = build_graph(table, snapshot=snapshot)
     assert graph.edges == [(0, 0, 1)]
@@ -101,7 +101,7 @@ def test_empty_and_one_flow_tables():
 @PROPERTY
 @given(flow_lists, st.lists(st.integers(0, 39), max_size=10))
 def test_take_selects_rows_over_the_same_entities(flows, positions):
-    table = FlowTable.from_records(flows)
+    table = from_records(flows)
     idx = np.array([p for p in positions if p < len(flows)], dtype=np.int64)
     taken = table.take(idx)
     assert taken.entities is table.entities and taken.ports is table.ports
@@ -112,13 +112,13 @@ def test_take_selects_rows_over_the_same_entities(flows, positions):
 @given(flow_lists)
 def test_from_records_round_trips_parse_flows(tmp_path_factory, flows):
     path = tmp_path_factory.mktemp("csv") / "flows.csv"
-    write_flows(path, flows)
+    write_flows(path, from_records(flows))
     parsed = parse_flows(path).records
     t0 = min((f.start_time for f in flows), default=0.0)
     rebased = [FlowRecord(f.src, f.dst, f.start_time - t0, f.duration, f.bytes_src_to_dst,
                           f.bytes_dst_to_src, f.packets_total, f.label) for f in flows]
     assert table_records(parsed) == rebased
-    expected = FlowTable.from_records(rebased)
+    expected = from_records(rebased)
     assert parsed.entities == expected.entities
     for name in ("src", "dst", "start_time", "duration", "bytes_src_to_dst",
                  "bytes_dst_to_src", "packets_total", "label", "ports"):
@@ -131,6 +131,7 @@ BAD_FIELDS = [
     ({1: "0x50"}, "hex port"),
     ({0: "10.0.0.256"}, "not an IP address"),
     ({4: "nan"}, "start time not a number"),
+    ({4: "-1.0"}, "negative start time"),
     ({5: "-1.0"}, "negative duration"),
     ({5: "inf"}, "infinite duration"),
     ({6: "-5"}, "negative count"),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from flowgraph.errors import NonPositiveWidth
-from flowgraph.flow_model import EntityId, FlowRecord, FlowTable
+from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex, dissect
-from oracles import table_records
+from oracles import FlowRecord, from_records, table_records
 
 
 def flow(start: float, label: int = 0) -> FlowRecord:
@@ -19,7 +19,7 @@ def flow(start: float, label: int = 0) -> FlowRecord:
 
 def test_half_open_boundaries():
     flows = [flow(0.0), flow(599.9), flow(600.0)]
-    buckets = dissect(FlowTable.from_records(flows), 600.0)
+    buckets = dissect(from_records(flows), 600.0)
     by_index = {s.index: table_records(fl) for s, fl in buckets.items()}
     assert sorted(by_index) == [0, 1]
     assert [f.start_time for f in by_index[0]] == [0.0, 599.9]
@@ -27,14 +27,14 @@ def test_half_open_boundaries():
 
 
 def test_empty_input():
-    assert dissect(FlowTable.from_records([]), 600.0) == {}
+    assert dissect(from_records([]), 600.0) == {}
 
 
 def test_width_validation():
     with pytest.raises(NonPositiveWidth):
-        dissect(FlowTable.from_records([flow(0.0)]), 0.0)
+        dissect(from_records([flow(0.0)]), 0.0)
     with pytest.raises(NonPositiveWidth):
-        dissect(FlowTable.from_records([flow(0.0)]), -600.0)
+        dissect(from_records([flow(0.0)]), -600.0)
 
 
 def test_snapshot_index_window():
@@ -46,7 +46,7 @@ def test_snapshot_index_window():
 
 
 def test_empty_windows_omitted():
-    buckets = dissect(FlowTable.from_records([flow(0.0), flow(1250.0)]), 100.0)
+    buckets = dissect(from_records([flow(0.0), flow(1250.0)]), 100.0)
     assert [s.index for s in buckets] == [0, 12]
 
 
@@ -58,7 +58,7 @@ def test_partition_property():
                                    rng.integers(0, 2, size=200))]
         width = float(rng.uniform(50, 900))
         buckets = {s: table_records(fl)
-                   for s, fl in dissect(FlowTable.from_records(flows), width).items()}
+                   for s, fl in dissect(from_records(flows), width).items()}
         scattered = [f for fl in buckets.values() for f in fl]
         # multiset equality: same records, each exactly once
         assert sorted(scattered, key=lambda f: (f.start_time, f.label)) \
@@ -73,5 +73,5 @@ def test_partition_property():
 
 def test_keys_sorted_by_index():
     flows = [flow(2500.0), flow(100.0), flow(1200.0)]
-    indexes = [s.index for s in dissect(FlowTable.from_records(flows), 600.0)]
+    indexes = [s.index for s in dissect(from_records(flows), 600.0)]
     assert indexes == sorted(indexes)
