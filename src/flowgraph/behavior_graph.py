@@ -53,11 +53,6 @@ class SnapshotGraph:
         return len(self.labels)
 
 
-def majority_label(attack_flows: int, total_flows: int) -> int:
-    """1 iff attack flows form a strict majority; draws are normal."""
-    return 1 if 2 * attack_flows > total_flows else 0
-
-
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct keys in order of first appearance, each key's rank in that order)."""
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -38,7 +38,7 @@ from pathlib import Path
 from . import behavior_graph, report, spectral_gcn, synth
 from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
                               write_assignment_csv, write_clustered_text)
-from .errors import FlowgraphError, NonPositiveParameter, NonPositiveWidth
+from .errors import FlowgraphError, NonPositiveParameter, NonPositiveWidth, OutOfMemory
 from .flow_model import parse_flows, write_flows
 from .temporal import dissect
 
@@ -370,7 +370,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        _COMMANDS[args.command](config)
+        try:
+            _COMMANDS[args.command](config)
+        except MemoryError as exc:  # also a pool worker's, which the pool re-raises here
+            raise OutOfMemory(f"out of memory: {exc or type(exc).__name__}") from exc
     except (FlowgraphError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"flowgraph {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -2,15 +2,16 @@
 
 DBSCAN, OPTICS (with flat epsilon extraction) and HDBSCAN are
 implemented here directly on dense numpy arrays. All three take their
-distances from one exact kernel, `distance_rows`, in the difference
-form, which works one feature column at a time and sums in numpy's own
-order, so every distance equals the plain `sqrt(((p - q) ** 2).sum())`
-bit for bit. DBSCAN fills a boolean eps-ball mask from it in a single
-blockwise pass; OPTICS and HDBSCAN read rows of one n x n
-`distance_matrix` per snapshot. Clustering is applied only to the
-normal-labeled nodes of a snapshot; noise points are discarded and the
-surviving clusters are aggregated into super-nodes with averaged
-behaviour.
+distances from one exact kernel, `DistanceRows`, in the difference
+form, which sums the squared differences in numpy's own order, so every
+distance equals the plain `sqrt(((p - q) ** 2).sum())` bit for bit.
+DBSCAN fills a boolean eps-ball mask from it in a single blockwise
+pass; OPTICS computes each point's row when it processes the point, and
+HDBSCAN its core distances in one blockwise pass and each Prim row when
+a point joins the tree, so neither holds an n x n float matrix.
+Clustering is applied only to the normal-labeled nodes of a snapshot;
+noise points are discarded and the surviving clusters are aggregated
+into super-nodes with averaged behaviour.
 """
 
 from __future__ import annotations
@@ -20,97 +21,91 @@ from dataclasses import dataclass
 import numpy as np
 
 NOISE = -1
-_BLOCK = 256
-_KERNEL_ROWS = 64  # rows per kernel block: its five live n-wide buffers stay in cache
+_BLOCK_BYTES = 256 << 10  # squared differences per kernel block: stays in cache
+_LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # lane on each of 8 planes: halving adds pair them as numpy does
 
 
-def distance_rows(points: np.ndarray, idx) -> np.ndarray:
-    """Euclidean distances from points[idx] to all points, one row each.
+class DistanceRows:
+    """Exact euclidean distances from chosen points of a set to all of them.
 
-    `idx` is an index array, or a single index for a one-row result.
-    Each entry is the bits of `sqrt(((points[i] - points[j]) ** 2).sum())`:
-    the squared differences are made one feature column at a time from
-    a contiguous copy of `points.T` and added in the order numpy's
-    add-reduce uses on a short contiguous axis (see `_sum_squares`).
-    d(p, q) and d(q, p) are the same bits: the squared differences are
-    equal and are summed in the same order.
+    `rows(p)` is point p's row and `rows(idx)` one row per index of a
+    slice or index array of at most `rows.block` points; `blocks()`
+    walks all rows in order. Each entry is the bits of
+    `sqrt(((points[i] - points[j]) ** 2).sum())`: the squared
+    differences of all features are made in one pass from a contiguous
+    copy of `points.T` and added in the order numpy's add-reduce uses on
+    a short contiguous axis (see `_pairwise_sum`). d(p, q) and d(q, p)
+    are the same bits: the squared differences are equal and are summed
+    in the same order. A returned row is a view of one scratch buffer
+    allocated per point set, so it holds only until the next call.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n, n_features = points.shape
-    idx = np.atleast_1d(idx)
-    cols = np.ascontiguousarray(points.T)
-    out = np.empty((len(idx), n))
-    spare = np.empty((4, min(len(idx), _KERNEL_ROWS), n))
-    for lo in range(0, len(idx), _KERNEL_ROWS):
-        block = cols[:, idx[lo:lo + _KERNEL_ROWS]]
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=np.float64)
+        self.n, n_features = points.shape
+        order = np.array(_plane_order(n_features), dtype=np.intp)
+        self._cols = np.ascontiguousarray(points.T[order])
+        self._planes = max(n_features, 1)  # no features: one plane that stays zero
+        self.block = max(1, _BLOCK_BYTES // (8 * self._planes * max(self.n, 1)))
+        self._squares = np.zeros(self._planes * min(self.block, self.n) * self.n)
+
+    def __call__(self, idx) -> np.ndarray:
+        single = isinstance(idx, (int, np.integer))
+        if single:
+            idx = slice(idx, idx + 1)
+        block = self._cols[:, idx, None]
         rows = block.shape[1]
-        _sum_squares(cols, block, 0, n_features, out[lo:lo + rows], spare[:, :rows])
-    return np.sqrt(out, out=out)
+        squares = self._squares[:self._planes * rows * self.n].reshape(self._planes, rows, self.n)
+        terms = squares[:len(block)]
+        np.subtract(block, self._cols[:, None], out=terms)
+        np.multiply(terms, terms, out=terms)
+        out = _pairwise_sum(squares)
+        np.sqrt(out, out=out)
+        return out[0] if single else out
+
+    def blocks(self):
+        """(first row, rows) of consecutive blocks covering rows 0..n-1."""
+        for lo in range(0, self.n, self.block):
+            yield lo, self(slice(lo, min(lo + self.block, self.n)))
 
 
-def distance_matrix(points: np.ndarray) -> np.ndarray:
-    """All pairwise distances as one n x n float64 matrix (n * n * 8 bytes)."""
-    return distance_rows(points, np.arange(len(points)))
+def _plane_order(count: int) -> list[int]:
+    """The feature on each plane, so that `_pairwise_sum` adds in numpy's order."""
+    if count > 128:
+        half = count // 2 // 8 * 8
+        return _plane_order(half) + [half + j for j in _plane_order(count - half)]
+    body = count - count % 8
+    return [lo + lane for lo in range(0, body, 8) for lane in _LANES] + list(range(body, count))
 
 
-def _square(cols, block, j: int, out: np.ndarray) -> np.ndarray:
-    """out = (block[j] - cols[j]) ** 2, the block's rows against every point."""
-    np.subtract(block[j, :, None], cols[j], out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _sum_squares(cols, block, lo: int, hi: int, out, spare) -> np.ndarray:
-    """out = squared differences of columns lo..hi-1 summed as numpy's pairwise add.
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] = the sum over axis 0 as numpy's pairwise add-reduce makes it.
 
     Fewer than 8 terms are added left to right. Up to 128 terms go to
     eight interleaved lanes, joined as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)),
     then the rest are added in order. More than 128 split into two halves
-    at a multiple of 8. Each lane is summed whole before the next, so at
-    most five blocks are live. `spare` holds four buffers shaped like out.
+    at a multiple of 8. The planes hold the terms in `_plane_order`, so
+    every add is in place on contiguous, disjoint planes; `terms` is
+    overwritten.
     """
-    count = hi - lo
-    term = spare[0]
+    count = len(terms)
     if count < 8:
-        out.fill(0.0)
-        for j in range(lo, hi):
-            out += _square(cols, block, j, term)
-        return out
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        second = _sum_squares(cols, block, lo + half, hi, np.empty_like(out), spare)
-        _sum_squares(cols, block, lo, lo + half, out, spare)
-        return np.add(out, second, out=out)
-
-    body = hi - count % 8
-
-    def lane(k: int, acc: np.ndarray) -> np.ndarray:
-        _square(cols, block, lo + k, acc)
-        for j in range(lo + k + 8, body, 8):
-            acc += _square(cols, block, j, term)
-        return acc
-
-    a, (b, c, d) = out, spare[1:]
-    lane(0, a)
-    a += lane(1, b)
-    lane(2, b)
-    b += lane(3, c)
-    a += b
-    lane(4, b)
-    b += lane(5, c)
-    lane(6, c)
-    c += lane(7, d)
-    b += c
-    a += b
-    for j in range(body, hi):
-        a += _square(cols, block, j, term)
-    return a
-
-
-def row_blocks(n: int):
-    """Index ranges of at most _BLOCK rows covering 0..n-1."""
-    for lo in range(0, n, _BLOCK):
-        yield np.arange(lo, min(lo + _BLOCK, n))
+        for j in range(1, count):
+            terms[0] += terms[j]
+    elif count > 128:
+        half = count // 2 // 8 * 8
+        _pairwise_sum(terms[:half])
+        terms[0] += _pairwise_sum(terms[half:])
+    else:
+        body = count - count % 8
+        for lo in range(8, body, 8):
+            terms[:8] += terms[lo:lo + 8]
+        terms[:4] += terms[4:8]
+        terms[:2] += terms[2:4]
+        terms[0] += terms[1]
+        for j in range(body, count):
+            terms[0] += terms[j]
+    return terms[0]
 
 
 @dataclass

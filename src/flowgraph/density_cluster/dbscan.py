@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import NOISE, ClusterResult, distance_rows, row_blocks
+from . import NOISE, ClusterResult, DistanceRows
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
@@ -25,8 +25,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
     # One blockwise pass computes every distance row once; within is the
     # symmetric closed eps-ball mask and its row sums are the ball sizes.
     within = np.empty((n, n), dtype=bool)
-    for idx in row_blocks(n):
-        within[idx] = distance_rows(points, idx) <= eps
+    for lo, rows in DistanceRows(points).blocks():
+        within[lo:lo + len(rows)] = rows <= eps
     core = within.sum(axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=np.int64)
 

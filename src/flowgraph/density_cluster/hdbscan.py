@@ -3,10 +3,10 @@
 Pipeline: (1) core distance per point = distance to its min_pts-th
 nearest neighbor, the neighborhood including the point itself; (2)
 mutual reachability distance d_mr(p, q) = max(core(p), core(q),
-d(p, q)); (3) minimum spanning tree over d_mr (dense Prim over the
-rows of one distance matrix); (4) single-linkage dendrogram; (5)
-condensation with min_cluster_size; (6) excess-of-mass selection of
-the flat clustering.
+d(p, q)); (3) minimum spanning tree over d_mr (dense Prim, computing
+each point's distance row when it joins the tree); (4) single-linkage
+dendrogram; (5) condensation with min_cluster_size; (6) excess-of-mass
+selection of the flat clustering.
 Points under no selected cluster are noise.
 
 Fewer points than min_pts is a documented degenerate case: everything
@@ -17,29 +17,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import NOISE, ClusterResult, distance_matrix, row_blocks
+from . import NOISE, ClusterResult, DistanceRows
 
 
-def core_distances(dist: np.ndarray, min_pts: int) -> np.ndarray:
-    """Distance to the min_pts-th nearest neighbor, self included, from a distance matrix."""
-    core = np.empty(len(dist))
-    for idx in row_blocks(len(dist)):
-        core[idx] = np.partition(dist[idx], min_pts - 1, axis=1)[:, min_pts - 1]
+def core_distances(rows: DistanceRows, min_pts: int) -> np.ndarray:
+    """Distance to the min_pts-th nearest neighbor, self included, in one blockwise pass."""
+    core = np.empty(rows.n)
+    for lo, block in rows.blocks():
+        core[lo:lo + len(block)] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
     return core
 
 
-def mutual_reachability_mst(dist: np.ndarray, core: np.ndarray) -> list[tuple[int, int, float]]:
+def mutual_reachability_mst(rows: DistanceRows, core: np.ndarray) -> list[tuple[int, int, float]]:
     """MST edges (parent, child, weight) under mutual reachability.
 
-    Dense Prim from point 0 over the distance matrix `dist`; ties on the
-    cheapest frontier edge go to the lowest point index.
+    Dense Prim from point 0, reading each point's distance row once,
+    when it joins the tree; ties on the cheapest frontier edge go to the
+    lowest point index.
     """
-    n = len(dist)
+    n = rows.n
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
 
     def mr_row(j: int) -> np.ndarray:
-        return np.maximum(np.maximum(core[j], core), dist[j])
+        return np.maximum(np.maximum(core[j], core), rows(j))
 
     best = mr_row(0)
     best_parent = np.zeros(n, dtype=np.int64)
@@ -186,9 +187,8 @@ def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterR
         return ClusterResult(assignment=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
 
-    distances = distance_matrix(points)
-    core = core_distances(distances, min_pts)
-    edges = mutual_reachability_mst(distances, core)
+    distances = DistanceRows(points)
+    edges = mutual_reachability_mst(distances, core_distances(distances, min_pts))
     children, dist, size = _single_linkage(edges, n)
     rows = _condense(children, dist, size, n, min_cluster_size)
     stability = _stability(rows, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NOISE, ClusterResult, distance_matrix
+from . import NOISE, ClusterResult, DistanceRows
 
 
 @dataclass
@@ -52,22 +52,21 @@ def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
     reach = np.full(n, np.inf)
     core_dist = np.full(n, np.inf)
     processed = np.zeros(n, dtype=bool)
-    in_seeds = np.zeros(n, dtype=bool)
-    dist = distance_matrix(points)
+    seed_reach = np.full(n, np.inf)  # reach on the seed set, infinity off it
+    rows = DistanceRows(points)
 
     def process(p: int, position: int) -> None:
         processed[p] = True
-        in_seeds[p] = False
+        seed_reach[p] = np.inf
         order[position] = p
-        row = dist[p]
+        row = rows(p)  # computed once: each point is processed once
         within = row <= eps
         if within.sum() >= min_pts:
             # min_pts-th nearest neighbor, the ball including p itself
             core_dist[p] = np.partition(row, min_pts - 1)[min_pts - 1]
             candidate = np.maximum(core_dist[p], row)
             update = within & ~processed & (candidate < reach)
-            reach[update] = candidate[update]
-            in_seeds[update] = True
+            reach[update] = seed_reach[update] = candidate[update]
 
     position = 0
     for start in range(n):
@@ -75,9 +74,9 @@ def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
             continue
         process(start, position)
         position += 1
-        while in_seeds.any():
-            # smallest reachability wins, np.argmin takes the lowest index on ties
-            q = int(np.where(in_seeds, reach, np.inf).argmin())
+        # smallest reachability wins, np.argmin takes the lowest index on ties;
+        # a seed's reach is at most eps, so an infinite minimum means no seeds
+        while seed_reach[q := int(seed_reach.argmin())] < np.inf:
             process(q, position)
             position += 1
 

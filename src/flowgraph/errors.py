@@ -48,6 +48,9 @@ class LengthMismatch(FlowgraphError):
     """Two per-snapshot sequences that must correspond 1:1 differ in length."""
 
 
+class OutOfMemory(FlowgraphError):
+    """A stage raised `MemoryError`: an allocation larger than the process may hold."""
+
 
 class MalformedArtefact(FlowgraphError):
     """A file one stage wrote for another does not have the writer's layout."""

@@ -84,7 +84,7 @@ def block_edge_case() -> tuple[np.ndarray, float]:
 
     An integer grid with coincident twins, as in `exact_eps_cases`, so
     many pairs sit at exactly eps = 2 (squared distance 4) on both sides
-    of the 64- and 256-row block edges.
+    of the kernel's row-block edges.
     """
     grid = np.random.default_rng(300).integers(0, 5, size=(200, 8)).astype(np.float64)
     return np.vstack([grid, grid[:100]]), 2.0
@@ -325,6 +325,11 @@ def flow_tallies(entity: EntityId, flows: list[FlowRecord]) -> tuple[int, int]:
     """(attack flows, all flows) incident to `entity`, once per endpoint role."""
     incident = [f.label for f in flows for e in (f.src, f.dst) if e == entity]
     return sum(incident), len(incident)
+
+
+def majority_label(attack_flows: int, total_flows: int) -> int:
+    """1 iff attack flows form a strict majority; draws are normal."""
+    return 1 if 2 * attack_flows > total_flows else 0
 
 
 def gradient_check(model, graph, *, weighted: bool = False,

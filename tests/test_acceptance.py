@@ -20,14 +20,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import build_graph, majority_label
+from flowgraph.behavior_graph import build_graph
 from flowgraph.density_cluster import (
     KIND_ATTACK,
     KIND_CLUSTER,
     ClusterParams,
+    DistanceRows,
     cluster_snapshot,
     dbscan,
-    distance_matrix,
     hdbscan,
     optics,
 )
@@ -56,6 +56,7 @@ from oracles import (
     from_records,
     gradient_check,
     graph_from,
+    majority_label,
     mst_weight_oracle,
 )
 
@@ -180,8 +181,8 @@ def test_criterion_4_hdbscan_blobs_and_mst():
             n = int(rng.integers(5, 51))
             points = rng.random((n, 4))
             min_pts = int(rng.integers(2, 5))
-            dist = distance_matrix(points)
-            edges = mutual_reachability_mst(dist, core_distances(dist, min_pts))
+            rows = DistanceRows(points)
+            edges = mutual_reachability_mst(rows, core_distances(rows, min_pts))
             total = sum(w for _, _, w in edges)
             assert abs(total - mst_weight_oracle(points, min_pts)) <= 1e-9
 

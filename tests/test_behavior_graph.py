@@ -6,7 +6,6 @@ import pytest
 from flowgraph.behavior_graph import (
     N_FEATURES,
     build_graph,
-    majority_label,
     minmax_scale,
     normalize_features,
     read_graph_text,
@@ -16,7 +15,7 @@ from flowgraph.errors import MalformedArtefact
 from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
 from oracles import (FlowRecord, corrupted_snapshot_texts, extract_features, flow_tallies,
-                     from_records, with_node_field)
+                     from_records, majority_label, with_node_field)
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)

@@ -7,9 +7,13 @@ Each test drives `flowgraph.cli.main` with a small synthetic capture
 from __future__ import annotations
 
 import json
+import multiprocessing
 from pathlib import Path
 
+import pytest
+
 from flowgraph.cli import main
+from flowgraph.density_cluster import DistanceRows
 from oracles import with_node_field
 
 SMALL_SYNTH = {
@@ -263,6 +267,29 @@ def test_cluster_before_graph_fails(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", out)
     assert run("cluster", "--config", cfg) == 1
     assert "graph stage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [
+    "1",
+    pytest.param("2", marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patch reaches pool workers only through fork")),
+])
+def test_allocation_failure_exits_with_typed_error(tmp_path, capsys, monkeypatch, jobs):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg) == 0
+
+    def fail(self, points):
+        raise MemoryError("Unable to allocate 4.29 GiB for an array with shape (24000, 24000)")
+
+    monkeypatch.setattr(DistanceRows, "__init__", fail)
+    capsys.readouterr()
+    assert run("cluster", "--config", cfg, "--jobs", jobs) == 1
+    assert capsys.readouterr().err == (
+        "flowgraph cluster: error: out of memory: Unable to allocate 4.29 GiB "
+        "for an array with shape (24000, 24000)\n")
 
 
 def test_truncated_artefacts_fail_with_diagnostic(tmp_path, capsys):

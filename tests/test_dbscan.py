@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.density_cluster import (NOISE, ClusterParams, cluster_points, dbscan,
-                                      distance_rows, eps_text, parse_tag)
+from flowgraph.density_cluster import (NOISE, ClusterParams, DistanceRows, cluster_points,
+                                      dbscan, eps_text, parse_tag)
 from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases
 
 
@@ -52,7 +52,8 @@ def test_oracle_equivalence_100_seeds():
     cases.extend(("block edge case", points, eps, m) for m in (2, 3, 5))
     for name, points, eps, min_pts in cases:
         # the shared kernel is the oracle's distance matrix, bit for bit
-        assert np.array_equal(distance_rows(points, np.arange(len(points))),
+        rows = DistanceRows(points)
+        assert np.array_equal(np.vstack([block.copy() for _, block in rows.blocks()]),
                               distance_matrix(points)), name
         result = dbscan(points, eps, min_pts)
         expected, count = dbscan_oracle(points, eps, min_pts)

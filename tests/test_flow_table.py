@@ -19,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowgraph.behavior_graph import build_graph, majority_label
+from flowgraph.behavior_graph import build_graph
 from flowgraph.errors import MalformedRow
 from flowgraph.flow_model import EntityId, parse_flows, write_flows
 from flowgraph.temporal import dissect
-from oracles import FlowRecord, extract_features, flow_tallies, from_records, table_records
+from oracles import (FlowRecord, extract_features, flow_tallies, from_records, majority_label,
+                     table_records)
 
 # bounded so that tier-1 stays fast and runs the same examples every time
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,

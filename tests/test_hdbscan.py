@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, hdbscan
-from flowgraph.density_cluster import distance_matrix as kernel_distance_matrix
+from flowgraph.density_cluster import NOISE, ClusterParams, DistanceRows, cluster_points, hdbscan
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
 from oracles import block_edge_case, distance_matrix, exact_eps_cases, mst_weight_oracle
 
@@ -80,10 +79,10 @@ def test_mst_weight_against_exhaustive_oracle():
     for name, points, min_pts in cases:
         if len(points) < min_pts:
             continue
-        dist = kernel_distance_matrix(points)
-        core = core_distances(dist, min_pts)
+        rows = DistanceRows(points)
+        core = core_distances(rows, min_pts)
         assert np.array_equal(core, np.sort(distance_matrix(points), axis=1)[:, min_pts - 1]), name
-        edges = mutual_reachability_mst(dist, core)
+        edges = mutual_reachability_mst(rows, core)
         total = sum(w for _, _, w in edges)
         assert len(edges) == len(points) - 1
         assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, name
