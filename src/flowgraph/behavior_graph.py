@@ -36,6 +36,7 @@ N_FEATURES = 8
 # column layouts of the node table and the edge list in the text export
 _NODE_COLUMNS = "node_index ip port label f1 f2 f3 f4 f5 f6 f7 f8"
 _EDGE_COLUMNS = "src_index dst_index weight"
+_MAX_WEIGHT = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -46,14 +47,14 @@ class SnapshotGraph:
     entities: list[EntityId]
     labels: np.ndarray  # int64, one per node
     features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
-    edges: list[tuple[int, int, int]]  # (src index, dst index, flow count)
+    edges: np.ndarray  # int64, shape (n_edges, 3): src index, dst index, flow count
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct keys in order of first appearance, each key's rank in that order)."""
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -70,13 +71,10 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     """
     if snapshot is None:
         snapshot = SnapshotIndex(index=0, window_start=0.0, window_end=0.0)
-    if not len(flows):
-        return SnapshotGraph(snapshot=snapshot, entities=[], labels=np.zeros(0, dtype=np.int64),
-                             features=np.zeros((0, N_FEATURES)), edges=[])
 
     # endpoint roles interleaved as src0, dst0, src1, dst1, ...: a flow
     # counts once per role, and bincount adds each node's terms in flow order
-    codes, role_node = _first_appearance(np.stack([flows.src, flows.dst], axis=1).ravel())
+    codes, role_node = first_appearance(np.stack([flows.src, flows.dst], axis=1).ravel())
     n = len(codes)
     src, dst = role_node[0::2], role_node[1::2]
 
@@ -87,7 +85,7 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     n_flows = np.bincount(role_node, minlength=n).astype(np.float64)
     n_attack = np.bincount(role_node, weights=np.repeat(flows.label, 2), minlength=n)
 
-    edge_keys, edge_of_flow = _first_appearance(src * n + dst)
+    edge_keys, edge_of_flow = first_appearance(src * n + dst)
     edge_src, edge_dst = edge_keys // n, edge_keys % n
     # distinct (sender, destination port) pairs give the ports each node contacted
     port_pairs = np.unique(src * 65536 + flows.ports[flows.dst])
@@ -102,8 +100,7 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
         per_node(flows.duration, flows.duration) / n_flows,
         np.bincount(port_pairs // 65536, minlength=n),
     ], axis=1)
-    edges = list(zip(edge_src.tolist(), edge_dst.tolist(),
-                     np.bincount(edge_of_flow).tolist()))
+    edges = np.stack([edge_src, edge_dst, np.bincount(edge_of_flow)], axis=1)
     return SnapshotGraph(snapshot=snapshot,
                          entities=[flows.entities[c] for c in codes.tolist()],
                          labels=(2 * n_attack > n_flows).astype(np.int64),
@@ -128,29 +125,34 @@ def normalize_features(graph: SnapshotGraph) -> SnapshotGraph:
 
 
 def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
-                        rows: list[str], edges) -> None:
-    """Write the layout of graph and clustered files; `rows[i]` follows index i."""
+                        rows: list[str], edges: np.ndarray, weight) -> None:
+    """Write the layout of graph and clustered files; `rows[i]` follows index i.
+
+    Edge weight w is written as `weight(w)`: `int` or `float`, as the reader takes it.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# snapshot {snapshot.index} {snapshot.window_start!r} "
                  f"{snapshot.window_end!r}\n# {noun} {len(rows)}\n# {columns}\n")
         for i, row in enumerate(rows):
             fh.write(f"{i} {row}\n")
         fh.write(f"# edges {len(edges)}\n# {_EDGE_COLUMNS}\n")
-        for s, d, w in edges:
-            fh.write(f"{s} {d} {w}\n")
+        for s, d, w in edges.tolist():
+            fh.write(f"{s} {d} {weight(w)}\n")
 
 
 def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
     """(snapshot, nodes, labels, features, edges) from the layout `write_snapshot_text` writes.
 
     `make_node` gives a row's (node, label) from its fields (ValueError
-    on a value it refuses), `weight` an edge weight; columns f1..f8 are
-    read here, and the labels and features come back as an int64 vector
-    and an (n, N_FEATURES) matrix. Raises MalformedArtefact naming
+    on a value it refuses), `weight` (`int` or `float`) an edge weight's
+    value from its text; columns f1..f8 are read here, and the labels,
+    features and edges come back as an int64 vector, an (n, N_FEATURES)
+    matrix and an int64 (m, 3) array. Raises MalformedArtefact naming
     `path` and the line on a refused value, and unless the counts
     match the rows, the last line ends with a newline, each node row
-    has one field per column and its position as index, and each edge
-    endpoint is a node index: any truncation of a written file fails.
+    has one field per column and its position as index, each edge
+    endpoint is a node index, each weight is a whole count in [1, 2**63)
+    and no (src, dst) pair repeats: any truncation of a written file fails.
     """
     names = columns.split()
     first = names.index("f1")
@@ -183,13 +185,18 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
                 features.append(_read_features(row[first:first + N_FEATURES]))
             n_edges = int(take(3, "#", "edges")[2])
             take(4, "#", *_EDGE_COLUMNS.split())
-            edges = []
+            edges, pairs = [], set()
             for _, (lineno, line) in zip(range(n_edges), lines):
-                s, d, w = line.split()
-                s, d = int(s), int(d)
+                s, d, text = line.split()
+                s, d, w = int(s), int(d), weight(text)
                 if not (0 <= s < n_nodes and 0 <= d < n_nodes):
                     raise ValueError(f"edge endpoint out of range [0, {n_nodes})")
-                edges.append((s, d, weight(w)))
+                if not (1 <= w <= _MAX_WEIGHT and w == int(w)):
+                    raise ValueError(f"edge weight must be a count in [1, 2**63), got {text}")
+                if (s, d) in pairs:
+                    raise ValueError(f"edge {s} -> {d} appears twice")
+                pairs.add((s, d))
+                edges.append((s, d, int(w)))
             if min(n_nodes, n_edges) < 0 or len(edges) != n_edges:
                 raise ValueError(f"counted {n_nodes} nodes and {n_edges} edges, "
                                  f"found {len(nodes)} and {len(edges)} rows")
@@ -200,7 +207,8 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
         except ValueError as exc:
             raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
     return (snapshot, nodes, np.array(labels, dtype=np.int64),
-            np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES), edges)
+            np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES),
+            np.array(edges, dtype=np.int64).reshape(len(edges), 3))
 
 
 def _read_features(fields: list[str]) -> list[float]:
@@ -217,7 +225,7 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
     rows = [f"{e.ip} {e.port} {label} " + " ".join(map(repr, row))
             for e, label, row in zip(graph.entities, graph.labels.tolist(),
                                      graph.features.tolist())]
-    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges)
+    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges, int)
 
 
 def _graph_node(row: list[str]) -> tuple[EntityId, int]:

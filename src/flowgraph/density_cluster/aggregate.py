@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..behavior_graph import (SnapshotGraph, minmax_scale, normalize_features,
-                              read_snapshot_text, write_snapshot_text)
+from ..behavior_graph import (SnapshotGraph, first_appearance, minmax_scale,
+                              normalize_features, read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
 from ..flow_model import EntityId, entity
 from ..temporal import SnapshotIndex
@@ -44,7 +44,7 @@ class ClusteredGraph:
     nodes: list[SuperNode]
     labels: np.ndarray  # int64 hard labels: 1 iff behaviour_fraction > 0.5
     features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
-    edges: list[tuple[int, int, float]]
+    edges: np.ndarray  # int64, shape (n_edges, 3): src index, dst index, summed flow count
 
     @property
     def n_nodes(self) -> int:
@@ -61,7 +61,9 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     `result.assignment` must cover exactly the normal nodes of `graph`
     in node order. Cluster features are averaged from the input graph's
     feature vectors as given (pass the raw graph for raw averaging) and
-    the stacked super-node matrix is then min-max re-normalized.
+    the stacked super-node matrix is then min-max re-normalized. Edges
+    with a noise endpoint are dropped; edges onto one super-node pair
+    merge, in the order of the pair's first edge, summing their weights.
     """
     normal = np.flatnonzero(graph.labels == 0)
     attack = np.flatnonzero(graph.labels == 1)
@@ -86,14 +88,12 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     features = minmax_scale(np.vstack(
         [graph.features[p].mean(axis=0) for p in member_positions] + [graph.features[attack]]))
 
-    super_of = super_of.tolist()
-    weight: dict[tuple[int, int], float] = {}
-    for src, dst, w in graph.edges:
-        s, d = super_of[src], super_of[dst]
-        if s == NOISE or d == NOISE:
-            continue  # at least one endpoint was noise
-        weight[(s, d)] = weight.get((s, d), 0.0) + w
-    edges = [(s, d, w) for (s, d), w in weight.items()]
+    src, dst = super_of[graph.edges[:, 0]], super_of[graph.edges[:, 1]]
+    kept = (src != NOISE) & (dst != NOISE)
+    n = len(nodes)
+    pairs, pair_of_edge = first_appearance(src[kept] * n + dst[kept])
+    weight = np.bincount(pair_of_edge, weights=graph.edges[kept, 2]).astype(np.int64)
+    edges = np.stack([pairs // n, pairs % n, weight], axis=1)
     return ClusteredGraph(snapshot=graph.snapshot, nodes=nodes, labels=labels,
                           features=features, edges=edges)
 
@@ -120,12 +120,13 @@ def write_assignment_csv(path, result: ClusterResult) -> None:
 
 
 def write_clustered_text(path, graph: ClusteredGraph) -> None:
-    """Text export mirroring the snapshot-graph format plus members."""
+    """Text export mirroring the snapshot-graph format plus members; weights print as `3.0`."""
     rows = [f"{node.kind} {label} {node.behaviour_fraction!r} " + " ".join(map(repr, row))
             + " " + ";".join(f"{m.ip}|{m.port}" for m in node.members)
             for node, label, row in zip(graph.nodes, graph.labels.tolist(),
                                         graph.features.tolist())]
-    write_snapshot_text(path, graph.snapshot, "supernodes", _NODE_COLUMNS, rows, graph.edges)
+    write_snapshot_text(path, graph.snapshot, "supernodes", _NODE_COLUMNS, rows, graph.edges,
+                        float)
 
 
 def _super_node(row: list[str]) -> tuple[SuperNode, int]:

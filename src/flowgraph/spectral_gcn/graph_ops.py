@@ -132,16 +132,16 @@ def union_matrices(graphs, *, weighted: bool = False):
     """Block-diagonal adjacency plus stacked features and labels.
 
     Disconnected union of the given graphs: node i of graph g lands at
-    offset(g) + i, no edges are added between blocks. Binary adjacency
-    has a 1 per connected pair; weighted adjacency sums the weights of
-    both directions and counts a self-loop's weight once.
+    offset(g) + i, so graph g's int64 (m, 3) edge rows shift by
+    [offset(g), offset(g), 0], and no edges are added between blocks.
+    Binary adjacency has a 1 per connected pair; weighted adjacency sums
+    the weights of both directions and counts a self-loop's weight once.
     """
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
     n = int(offsets[-1])
-    edges = np.array([(s + offset, d + offset, w)
-                      for g, offset in zip(graphs, offsets) for s, d, w in g.edges],
-                     dtype=np.float64).reshape(-1, 3)
-    src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    edges = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [
+        g.edges + [offset, offset, 0] for g, offset in zip(graphs, offsets.tolist())])
+    src, dst = edges[:, 0], edges[:, 1]
     weight = edges[:, 2] if weighted else np.ones(len(edges))
     mirror = src != dst
     nodes = np.arange(n)

@@ -82,9 +82,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
+def _n_blocks(config: TrainConfig) -> int:
+    """Weight blocks per layer: one, or one per polynomial order 0..k."""
+    return 1 if config.variant == VARIANT_RENORMALIZED else config.k + 1
+
+
 def init_model(config: TrainConfig) -> GcnModel:
     rng = np.random.default_rng(config.seed)
-    blocks = 1 if config.variant == VARIANT_RENORMALIZED else config.k + 1
+    blocks = _n_blocks(config)
     w0 = [_glorot(rng, N_INPUT, config.hidden) for _ in range(blocks)]
     w1 = [_glorot(rng, config.hidden, N_CLASSES) for _ in range(blocks)]
     return GcnModel(variant=config.variant, k=config.k, hidden=config.hidden,
@@ -268,7 +273,10 @@ def load_model(path) -> GcnModel:
 
     Raises ValueError when the first line is not the model header, and
     MalformedArtefact naming `path` when the file is empty, cut short,
-    or otherwise not in the layout `save_model` writes.
+    or otherwise not in the layout `save_model` writes, when `TrainConfig`
+    refuses its variant, k or hidden, and unless each layer has the
+    blocks `init_model` makes for them: 1 (renormalized) or k + 1
+    (chebyshev), of shape (8, hidden) in w0 and (hidden, 2) in w1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -280,7 +288,12 @@ def load_model(path) -> GcnModel:
             raise ValueError("no newline at end of file" if text else "empty file")
         lines.pop()
         header = dict(ln.split(" ", 1) for ln in lines[1:6])
+        config = TrainConfig(variant=header["variant"], k=int(header["k"]),
+                             hidden=int(header["hidden"]))
         n_blocks = int(header["blocks"])
+        if n_blocks != _n_blocks(config):
+            raise ValueError(f"a {config.variant} model with k {config.k} has "
+                             f"{_n_blocks(config)} blocks per layer, not {n_blocks}")
         at = 6
         blocks: dict[str, list[np.ndarray]] = {"w0": [], "w1": []}
         for _ in range(2 * n_blocks):
@@ -291,9 +304,11 @@ def load_model(path) -> GcnModel:
             at += 1 + rows
         if at != len(lines):
             raise ValueError(f"line {at + 1} follows the last weight block")
-        return GcnModel(variant=header["variant"], k=int(header["k"]),
-                        hidden=int(header["hidden"]), seed=int(header["seed"]),
-                        w0=blocks["w0"], w1=blocks["w1"])
+        for name, shape in (("w0", (N_INPUT, config.hidden)), ("w1", (config.hidden, N_CLASSES))):
+            if len(blocks[name]) != n_blocks or any(w.shape != shape for w in blocks[name]):
+                raise ValueError(f"expected {n_blocks} {name} blocks of shape {shape}")
+        return GcnModel(variant=config.variant, k=config.k, hidden=config.hidden,
+                        seed=int(header["seed"]), w0=blocks["w0"], w1=blocks["w1"])
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedArtefact(f"{path}: not the layout save_model writes "
                                 f"({type(exc).__name__}: {exc})") from None

@@ -27,23 +27,33 @@ def graph_from(features, labels, edges=(), index=0) -> SnapshotGraph:
                                    for i in range(len(labels))],
                          labels=labels,
                          features=np.asarray(features, dtype=np.float64).reshape(len(labels), N_FEATURES),
-                         edges=list(edges))
+                         edges=np.array(edges, dtype=np.int64).reshape(-1, 3))
+
+
+# edge weights no reader takes: not a whole count >= 1, or past int64
+BAD_WEIGHTS = ("0", "-5", "0.0", "-2.0", "2.5", "nan", "inf", "-inf",
+               "9223372036854775808", "1e30")
 
 
 def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
     """Variants of a written graph or clustered file that must be refused.
 
     Every truncation (at a line boundary or inside a line), the last
-    edge row replaced by one with an endpoint outside [0, n_nodes), the
-    other count noun, a node row out of place and a line after the
-    edge list.
+    edge row replaced by one with an endpoint outside [0, n_nodes), by
+    a copy of the first edge row (the file must hold two edges or
+    more), or by the same pair with each of `BAD_WEIGHTS`, the other
+    count noun, a node row out of place and a line after the edge list.
     """
-    head = text[:text.rstrip("\n").rindex("\n") + 1]  # all but the last edge row
+    head, last = text.rstrip("\n").rsplit("\n", 1)  # all but the last edge row, and that row
+    head += "\n"
+    first = text.split(" weight\n", 1)[1].split("\n", 1)[0]
+    src, dst, _ = last.split()
     swapped = (text.replace("# nodes ", "# supernodes ") if "# nodes " in text
                else text.replace("# supernodes ", "# nodes "))
     return [text[:cut] for cut in range(len(text))] + [
-        head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", swapped,
-        text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"]
+        head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", head + first + "\n", swapped,
+        text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"] + [
+        head + f"{src} {dst} {w}\n" for w in BAD_WEIGHTS]
 
 
 def with_node_field(text: str, field: int, value: str) -> str:
@@ -53,6 +63,27 @@ def with_node_field(text: str, field: int, value: str) -> str:
     row[field] = value
     lines[3] = " ".join(row)
     return "".join(lines)
+
+
+def aggregate_edges_oracle(graph: SnapshotGraph, assignment, cluster_count: int) -> list:
+    """The super-node edge rows `aggregate` makes, merged in a dict.
+
+    Normal node j (in node order) goes to cluster `assignment[j]` and
+    the attack nodes to super-nodes cluster_count, cluster_count + 1,
+    ...; an edge with a noise endpoint is dropped, and the weights of
+    edges between one super-node pair add up in the pair's entry,
+    which keeps the order of its first edge.
+    """
+    normal = iter(assignment)
+    attack = iter(range(cluster_count, cluster_count + graph.n_nodes))
+    super_of = [next(attack) if label else next(normal) for label in graph.labels.tolist()]
+    weight: dict[tuple[int, int], int] = {}
+    for src, dst, w in graph.edges.tolist():
+        s, d = super_of[src], super_of[dst]
+        if s == NOISE or d == NOISE:
+            continue  # at least one endpoint was noise
+        weight[(s, d)] = weight.get((s, d), 0) + w
+    return [[s, d, w] for (s, d), w in weight.items()]
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -396,6 +427,7 @@ def laplacian_oracle(a: np.ndarray) -> np.ndarray:
     return lap
 
 
-def edges_of(a: np.ndarray) -> list[tuple[int, int, int]]:
-    """Unit-weight edge list of a dense symmetric 0/1 adjacency (upper triangle)."""
-    return [(int(i), int(j), 1) for i, j in zip(*np.nonzero(np.triu(a)))]
+def edges_of(a: np.ndarray) -> np.ndarray:
+    """Unit-weight (m, 3) edges of a dense symmetric 0/1 adjacency (upper triangle)."""
+    i, j = np.nonzero(np.triu(a))
+    return np.column_stack([i, j, np.ones_like(i)]).astype(np.int64)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowgraph.behavior_graph import minmax_scale
 from flowgraph.density_cluster import (
@@ -17,7 +19,7 @@ from flowgraph.density_cluster import (
     write_clustered_text,
 )
 from flowgraph.errors import AssignmentMismatch, MalformedArtefact
-from oracles import corrupted_snapshot_texts, graph_from, with_node_field
+from oracles import aggregate_edges_oracle, corrupted_snapshot_texts, graph_from, with_node_field
 
 
 def feats(x: float):
@@ -34,7 +36,7 @@ def test_cluster_of_normals_has_zero_fraction():
     assert super_node.behaviour_fraction == 0.0
     assert clustered.labels.tolist() == [0]
     # intra-cluster edge becomes a self-loop with the summed weight
-    assert clustered.edges == [(0, 0, 4.0)]
+    assert clustered.edges.tolist() == [[0, 0, 4]]
 
 
 def test_three_normals_one_attack():
@@ -48,7 +50,7 @@ def test_three_normals_one_attack():
     assert clustered.n_nodes == 2
     kinds = [s.kind for s in clustered.nodes]
     assert kinds == [KIND_CLUSTER, KIND_ATTACK]
-    assert clustered.edges == [(0, 1, 3.0)]
+    assert clustered.edges.tolist() == [[0, 1, 3]]
     assert clustered.nodes[1].behaviour_fraction == 1.0
     assert clustered.labels[1] == 1
 
@@ -79,7 +81,7 @@ def test_all_noise_leaves_only_attack_singletons():
     clustered = aggregate(graph, result)
     assert [s.kind for s in clustered.nodes] == [KIND_ATTACK]
     assert clustered.nodes[0].members == [graph.entities[1]]
-    assert clustered.edges == []
+    assert clustered.edges.tolist() == []
 
 
 def test_assignment_mismatch():
@@ -145,7 +147,7 @@ def test_clustered_text_round_trip(tmp_path):
     write_clustered_text(path, clustered)
     back = read_clustered_text(path)
     assert back.snapshot == clustered.snapshot
-    assert back.edges == clustered.edges
+    assert back.edges.tolist() == clustered.edges.tolist()
     assert [s.kind for s in back.nodes] == [s.kind for s in clustered.nodes]
     assert [s.members for s in back.nodes] == [s.members for s in clustered.nodes]
     assert np.array_equal(back.labels, clustered.labels) and back.labels.dtype == np.int64
@@ -163,3 +165,44 @@ def test_clustered_text_round_trip(tmp_path):
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):
             read_clustered_text(path)
+
+
+def snapshot_case(labels, clusters, edges):
+    """(graph, cluster result) with node i labelled labels[i] and the normal nodes in `clusters`.
+
+    Cluster ids are renumbered 0, 1, ... in order of first appearance,
+    so every cluster has a member; NOISE stays noise.
+    """
+    ids: dict[int, int] = {}
+    for c in clusters:
+        if c != NOISE:
+            ids.setdefault(c, len(ids))
+    graph = graph_from(np.zeros((len(labels), 8)), labels, edges)
+    return graph, ClusterResult(assignment=np.array([ids.get(c, NOISE) for c in clusters],
+                                                    dtype=np.int64), cluster_count=len(ids))
+
+
+@st.composite
+def clustered_snapshots(draw):
+    labels = draw(st.lists(st.sampled_from([0, 0, 1]), max_size=12))
+    clusters = draw(st.lists(st.integers(NOISE, 3), min_size=labels.count(0),
+                             max_size=labels.count(0)))
+    nodes = st.integers(0, max(len(labels) - 1, 0))
+    pairs = draw(st.lists(st.tuples(nodes, nodes), unique=True, max_size=30)) if labels else []
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(pairs), max_size=len(pairs)))
+    return snapshot_case(labels, clusters, [(s, d, w) for (s, d), w in zip(pairs, weights)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(clustered_snapshots())
+@example(snapshot_case([], [], []))  # empty graph
+@example(snapshot_case([0, 0, 1], [NOISE, NOISE], [(0, 1, 2), (1, 2, 3), (2, 2, 4)]))  # all noise
+@example(snapshot_case([0, 0, 0, 1], [0, NOISE, 0],  # self-loops, reciprocal and noise edges
+                       [(0, 0, 1), (0, 2, 2), (2, 0, 3), (3, 0, 4), (0, 3, 5), (1, 3, 6),
+                        (3, 3, 7), (2, 1, 8)]))
+def test_aggregate_edges_match_the_dict_merge(case):
+    graph, result = case
+    edges = aggregate(graph, result).edges
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 3)
+    assert edges.tolist() == aggregate_edges_oracle(graph, result.assignment.tolist(),
+                                                    result.cluster_count)

@@ -40,13 +40,13 @@ def test_majority_label_rule():
 def test_parallel_flows_collapse_to_one_edge():
     g = build_graph(from_records([flow(A, B), flow(A, B)]))
     assert g.n_nodes == 2
-    assert g.edges == [(0, 1, 2)]
+    assert g.edges.tolist() == [[0, 1, 2]]
 
 
 def test_directed_cycle():
     g = build_graph(from_records([flow(A, B), flow(B, C), flow(C, A)]))
     assert g.n_nodes == 3
-    assert g.edges == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+    assert g.edges.tolist() == [[0, 1, 1], [1, 2, 1], [2, 0, 1]]
 
 
 def test_node_labels_from_incident_flows():
@@ -89,7 +89,7 @@ def test_self_loop_counts_twice():
     flows = [flow(A, A, label=1), flow(A, A, label=0), flow(A, A, label=0)]
     g = build_graph(from_records(flows))
     assert g.n_nodes == 1
-    assert g.edges == [(0, 0, 3)]
+    assert g.edges.tolist() == [[0, 0, 3]]
     # each self-loop flow is seen from both endpoint roles
     tallies = flow_tallies(A, flows)
     assert tallies == (2, 6)
@@ -138,7 +138,7 @@ def test_features_are_label_free():
 
 def test_empty_input_yields_empty_graph():
     g = build_graph(from_records([]))
-    assert g.n_nodes == 0 and g.edges == [] and g.entities == []
+    assert g.n_nodes == 0 and g.edges.tolist() == [] and g.entities == []
     assert g.labels.shape == (0,) and g.labels.dtype == np.int64
     assert g.features.shape == (0, N_FEATURES)
 
@@ -168,7 +168,7 @@ def test_graph_text_round_trip(tmp_path):
     write_graph_text(path, g)
     back = read_graph_text(path)
     assert back.snapshot == g.snapshot
-    assert back.edges == g.edges
+    assert back.edges.tolist() == g.edges.tolist()
     assert back.entities == g.entities
     assert np.array_equal(back.labels, g.labels) and back.labels.dtype == np.int64
     assert np.array_equal(back.features, g.features) and back.features.dtype == np.float64

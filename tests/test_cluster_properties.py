@@ -87,7 +87,7 @@ def test_graph_and_clustered_files_round_trip(tmp_path_factory, graph, params):
     for written, back in ((graph, read_graph_text(work / "graph.txt")),
                           (clustered, read_clustered_text(work / "clustered.txt"))):
         assert back.snapshot == written.snapshot
-        assert back.edges == written.edges
+        assert back.edges.tolist() == written.edges.tolist()
         assert back.labels.dtype == np.int64 and np.array_equal(back.labels, written.labels)
         assert back.features.dtype == np.float64
         assert back.features.shape == written.features.shape

@@ -82,19 +82,20 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
             assert np.array_equal(row, extract_features(e, window))
             assert label == majority_label(*flow_tallies(e, window))
         pairs = [(ids.index(f.src), ids.index(f.dst)) for f in window]
-        assert graph.edges == [(s, d, pairs.count((s, d))) for s, d in first_appearance(pairs)]
+        assert graph.edges.tolist() == [[s, d, pairs.count((s, d))]
+                                        for s, d in first_appearance(pairs)]
 
 
 def test_empty_and_one_flow_tables():
     empty = from_records([])
     assert len(empty) == 0 and dissect(empty, WIDTH) == {}
-    assert build_graph(empty).entities == [] and build_graph(empty).edges == []
+    assert build_graph(empty).entities == [] and build_graph(empty).edges.tolist() == []
 
     one = FlowRecord(ENTITIES[0], ENTITIES[0], WIDTH, 2.5, 10, 20, 3, 1)
     (snapshot, table), = dissect(from_records([one]), WIDTH).items()
     assert snapshot.index == 1 and table_records(table) == [one]
     graph = build_graph(table, snapshot=snapshot)
-    assert graph.edges == [(0, 0, 1)]
+    assert graph.edges.tolist() == [[0, 0, 1]]
     assert graph.features.tolist() == [[1, 1, 2, 30, 30, 6, 2.5, 1]]
     assert graph.labels.tolist() == [1]
 

@@ -165,7 +165,7 @@ def test_gradient_check_renormalized():
 def test_gradient_check_chebyshev():
     g = separable_graph(seed=9, n_per_class=3)  # 6 nodes
     g.entities, g.labels, g.features = g.entities[:5], g.labels[:5], g.features[:5]
-    g.edges = [(s, d, w) for s, d, w in g.edges if s < 5 and d < 5]
+    g.edges = g.edges[(g.edges[:, :2] < 5).all(axis=1)]
     model = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, hidden=3, seed=7))
     assert gradient_check(model, g) < 1e-5
 
@@ -238,13 +238,31 @@ def test_load_refuses_empty_and_truncated_files(tmp_path):
             assert ("empty file" if not bad else "no newline at end of file") in str(err.value)
 
 
+def test_load_refuses_a_header_the_weights_do_not_fit(tmp_path):
+    model, _ = train([separable_graph(seed=5)],
+                     TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, hidden=4, epochs=1))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    text = path.read_text()
+    assert "\nvariant chebyshev\nk 3\nhidden 4\n" in text and "\nblocks 4\n" in text
+    edits = [("variant chebyshev", "variant bogus"), ("\nk 3\n", "\nk 7\n"),
+             ("\nk 3\n", "\nk 2\n"), ("\nk 3\n", "\nk 0\n"),
+             ("hidden 4", "hidden 5"), ("hidden 4", "hidden 0"),
+             ("variant chebyshev", "variant renormalized"),
+             ("variant chebyshev\nk 3", "variant renormalized\nk 1"),
+             ("\nw1 0 4 2\n", "\nw0 4 4 2\n")]  # a w1 block read as a fifth w0 block
+    for old, new in edits:
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(MalformedArtefact, match="model.txt"):
+            load_model(path)
+
+
 def permuted_graph(g, perm):
     """The graph whose node i is node perm[i] of g."""
     new_index = np.argsort(perm)
     return SnapshotGraph(snapshot=g.snapshot, entities=[g.entities[i] for i in perm],
                          labels=g.labels[perm], features=g.features[perm],
-                         edges=[(int(new_index[s]), int(new_index[d]), w)
-                                for s, d, w in g.edges])
+                         edges=np.column_stack([new_index[g.edges[:, :2]], g.edges[:, 2]]))
 
 
 def permuted_operator(op, perm):
