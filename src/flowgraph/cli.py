@@ -38,9 +38,9 @@ from pathlib import Path
 from . import behavior_graph, report, spectral_gcn, synth
 from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
                               write_assignment_csv, write_clustered_text)
-from .errors import FlowgraphError, NonPositiveParameter, NonPositiveWidth, OutOfMemory
+from .errors import FlowgraphError, NonPositiveParameter, OutOfMemory
 from .flow_model import parse_flows, write_flows
-from .temporal import dissect
+from .temporal import check_width, dissect
 
 log = logging.getLogger("flowgraph")
 
@@ -73,8 +73,7 @@ class PipelineConfig:
     synth: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise NonPositiveWidth(f"snapshot width must be > 0, got {self.width}")
+        check_width(self.width)
         if self.jobs < 1:
             raise NonPositiveParameter(f"jobs must be >= 1, got {self.jobs}")
         if self.variant not in _VARIANT_BY_FLAG:
@@ -314,7 +313,7 @@ def _run_tasks(task, items, jobs: int):
     # imported here: the process pool module costs every command's start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(task, items))
 
 

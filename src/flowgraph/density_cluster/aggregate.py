@@ -31,9 +31,8 @@ _NODE_COLUMNS = "node_index kind hard_label behaviour_fraction f1 f2 f3 f4 f5 f6
 
 @dataclass
 class SuperNode:
-    kind: str  # KIND_CLUSTER or KIND_ATTACK
+    kind: str  # KIND_CLUSTER (hard label 0) or KIND_ATTACK (hard label 1)
     members: list[EntityId]
-    behaviour_fraction: float  # mean of member labels
 
 
 @dataclass
@@ -42,17 +41,13 @@ class ClusteredGraph:
 
     snapshot: SnapshotIndex
     nodes: list[SuperNode]
-    labels: np.ndarray  # int64 hard labels: 1 iff behaviour_fraction > 0.5
+    labels: np.ndarray  # int64 hard labels: 0 for a cluster, 1 for an attack singleton
     features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
     edges: np.ndarray  # int64, shape (n_edges, 3): src index, dst index, summed flow count
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
-
-
-def _hard_label(fraction: float) -> int:
-    return 1 if fraction > 0.5 else 0
 
 
 def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
@@ -79,12 +74,10 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     super_of[attack] = result.cluster_count + np.arange(len(attack))
     member_positions = [np.flatnonzero(super_of == cid) for cid in range(result.cluster_count)]
 
-    nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.entities[i] for i in p.tolist()],
-                       behaviour_fraction=float(graph.labels[p].mean()))
+    nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.entities[i] for i in p.tolist()])
              for p in member_positions]
-    nodes += [SuperNode(kind=KIND_ATTACK, members=[graph.entities[i]], behaviour_fraction=1.0)
-              for i in attack.tolist()]
-    labels = np.array([_hard_label(s.behaviour_fraction) for s in nodes], dtype=np.int64)
+    nodes += [SuperNode(kind=KIND_ATTACK, members=[graph.entities[i]]) for i in attack.tolist()]
+    labels = np.repeat([0, 1], [result.cluster_count, len(attack)])
     features = minmax_scale(np.vstack(
         [graph.features[p].mean(axis=0) for p in member_positions] + [graph.features[attack]]))
 
@@ -120,8 +113,11 @@ def write_assignment_csv(path, result: ClusterResult) -> None:
 
 
 def write_clustered_text(path, graph: ClusteredGraph) -> None:
-    """Text export mirroring the snapshot-graph format plus members; weights print as `3.0`."""
-    rows = [f"{node.kind} {label} {node.behaviour_fraction!r} " + " ".join(map(repr, row))
+    """Text export mirroring the snapshot-graph format plus members; weights print as `3.0`.
+
+    Only normal nodes are clustered, so behaviour_fraction is the hard label as a float.
+    """
+    rows = [f"{node.kind} {label} {float(label)!r} " + " ".join(map(repr, row))
             + " " + ";".join(f"{m.ip}|{m.port}" for m in node.members)
             for node, label, row in zip(graph.nodes, graph.labels.tolist(),
                                         graph.features.tolist())]
@@ -130,16 +126,14 @@ def write_clustered_text(path, graph: ClusteredGraph) -> None:
 
 
 def _super_node(row: list[str]) -> tuple[SuperNode, int]:
-    kind, hard_label, fraction = row[1], int(row[2]), float(row[3])
-    if kind not in (KIND_CLUSTER, KIND_ATTACK):
-        raise ValueError(f"unknown super-node kind {kind!r}")
-    if hard_label not in (0, 1):
-        raise ValueError(f"hard_label must be 0 or 1, got {hard_label}")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"behaviour_fraction must be in [0, 1], got {row[3]}")
+    kind, label = row[1], int(row[2])
+    if (kind, label, float(row[3])) not in ((KIND_CLUSTER, 0, 0.0), (KIND_ATTACK, 1, 1.0)):
+        raise ValueError(f"kind, hard_label and behaviour_fraction must read "
+                         f"'{KIND_CLUSTER} 0 0.0' or '{KIND_ATTACK} 1 1.0', "
+                         f"got {' '.join(row[1:4])!r}")
     members = [entity(ip, port) for ip, port in
                (chunk.rsplit("|", 1) for chunk in row[-1].split(";"))]
-    return SuperNode(kind=kind, members=members, behaviour_fraction=fraction), hard_label
+    return SuperNode(kind=kind, members=members), label
 
 
 def read_clustered_text(path) -> ClusteredGraph:

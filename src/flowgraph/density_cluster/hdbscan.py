@@ -5,9 +5,12 @@ nearest neighbor, the neighborhood including the point itself; (2)
 mutual reachability distance d_mr(p, q) = max(core(p), core(q),
 d(p, q)); (3) minimum spanning tree over d_mr (dense Prim, computing
 each point's distance row when it joins the tree); (4) single-linkage
-dendrogram; (5) condensation with min_cluster_size; (6) excess-of-mass
-selection of the flat clustering.
-Points under no selected cluster are noise.
+dendrogram; (5) one breadth-first walk condensing it with
+min_cluster_size, which gives each cluster's parent and stability and
+the cluster each point falls from; (6) excess-of-mass selection of the
+flat clustering (Campello, Moulavi & Sander, PAKDD 2013). Steps 4-6
+hold the tree in flat lists indexed by node or cluster. Points under no
+selected cluster are noise.
 
 Fewer points than min_pts is a documented degenerate case: everything
 is noise.
@@ -57,127 +60,106 @@ def mutual_reachability_mst(rows: DistanceRows, core: np.ndarray) -> list[tuple[
 
 
 def _single_linkage(edges: list[tuple[int, int, float]], n: int):
-    """Merge MST edges in ascending weight into a dendrogram.
+    """Merge MST edges in ascending weight into a dendrogram (children, dist, size).
 
-    Returns (children, dist, size) keyed by linkage node id; points are
-    ids 0..n-1, merges are ids n..2n-2, the root is 2n-2.
+    Points are nodes 0..n-1 and merge m is node n + m, joining the
+    nodes `children[m]` (the roots of the edge's endpoints, in edge
+    order) at distance `dist[m]`; `size[x]` counts the points under
+    node x. The root is node 2n - 2.
     """
     order = np.argsort([w for _, _, w in edges], kind="stable")
-    parent = list(range(2 * n - 1))
-    size = [1] * n + [0] * (n - 1)
-    children: dict[int, tuple[int, int]] = {}
-    dist: dict[int, float] = {}
+    up = list(range(2 * n - 1))
+    size = [1] * n
+    children, dist = [], []
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
         return x
 
-    next_id = n
-    for ei in order:
+    for m, ei in enumerate(order.tolist()):
         a, b, w = edges[ei]
         ra, rb = find(a), find(b)
-        parent[ra] = parent[rb] = next_id
-        children[next_id] = (ra, rb)
-        dist[next_id] = w
-        size[next_id] = size[ra] + size[rb]
-        next_id += 1
+        up[ra] = up[rb] = n + m
+        children.append((ra, rb))
+        dist.append(w)
+        size.append(size[ra] + size[rb])
     return children, dist, size
 
 
-def _leaves(node: int, children, n: int) -> list[int]:
-    out, stack = [], [node]
-    while stack:
-        x = stack.pop()
-        if x < n:
-            out.append(x)
-        else:
-            stack.extend(children[x])
-    return out
+def _condense(children, dist, size, min_cluster_size: int):
+    """Walk the dendrogram breadth-first into a condensed tree (parent, stability, fell_from).
 
-
-def _condense(children, dist, size, n: int, min_cluster_size: int):
-    """Condensed tree rows (parent_cluster, child, lambda, child_size).
-
-    Clusters are relabeled from n upward in BFS order; a child smaller
-    than min_cluster_size dissolves into point rows at the split's
-    lambda = 1/distance, while a single surviving child continues under
-    the parent's cluster id.
+    Cluster 0 is the root; clusters are numbered in BFS order, the left
+    child before the right. A split into two children of at least
+    min_cluster_size points makes two clusters, born at the split's
+    lambda = 1/distance; a smaller child dissolves, each of its points
+    leaving the cluster (`fell_from`), and a single surviving child
+    continues the parent cluster. `stability[c]` sums (lambda - birth)
+    over the points and child clusters leaving c, counting
+    inf - inf as 0 (coincident points split at distance 0).
     """
-    root = 2 * n - 2
-    relabel = {root: n}
-    next_label = n + 1
-    rows: list[tuple[int, int, float, int]] = []
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        cluster = relabel[node]
-        left, right = children[node]
-        lam = 1.0 / dist[node] if dist[node] > 0 else np.inf
-        left_size = 1 if left < n else size[left]
-        right_size = 1 if right < n else size[right]
-
-        if left_size >= min_cluster_size and right_size >= min_cluster_size:
-            for child, child_size in ((left, left_size), (right, right_size)):
-                relabel[child] = next_label
-                rows.append((cluster, next_label, lam, child_size))
-                next_label += 1
-                queue.append(child)
-        elif left_size < min_cluster_size and right_size < min_cluster_size:
-            for child in (left, right):
-                for leaf in _leaves(child, children, n):
-                    rows.append((cluster, leaf, lam, 1))
-        else:
-            small, big = (left, right) if right_size >= min_cluster_size else (right, left)
-            relabel[big] = cluster
-            queue.append(big)
-            for leaf in _leaves(small, children, n):
-                rows.append((cluster, leaf, lam, 1))
-    return rows
-
-
-def _stability(rows, n: int) -> dict[int, float]:
-    births = {n: 0.0}
-    for _, child, lam, _ in rows:
-        if child >= n:
-            births[child] = lam
-    stability = {c: 0.0 for c in births}
-    for cluster, _, lam, child_size in rows:
-        contrib = lam - births[cluster]
-        if np.isinf(lam) and np.isinf(births[cluster]):
-            contrib = 0.0  # all points coincident: zero-distance splits throughout
-        stability[cluster] += contrib * child_size
-    return stability
-
-
-def _select_excess_of_mass(rows, stability: dict[int, float], n: int) -> set[int]:
-    cluster_children: dict[int, list[int]] = {c: [] for c in stability}
-    for parent, child, _, _ in rows:
-        if child >= n:
-            cluster_children[parent].append(child)
-
-    selected = {c: True for c in stability}
-    selected[n] = False  # the root is never a flat cluster
-    for node in sorted(stability, reverse=True):
-        if node == n:
+    n = len(children) + 1
+    parent, birth, stability = [-1], [0.0], [0.0]
+    fell_from = np.empty(n, dtype=np.int64)
+    queue = [(2 * n - 2, 0)]  # (dendrogram node, its cluster), appended to while walked
+    for node, cluster in queue:
+        left, right = children[node - n]
+        lam = 1.0 / dist[node - n] if dist[node - n] > 0 else np.inf
+        step = 0.0 if np.isinf(lam) and np.isinf(birth[cluster]) else lam - birth[cluster]
+        big = [child for child in (left, right) if size[child] >= min_cluster_size]
+        if len(big) == 2:
+            for child in big:
+                stability[cluster] += step * size[child]
+                queue.append((child, len(parent)))
+                parent.append(cluster)
+                birth.append(lam)
+                stability.append(0.0)
             continue
-        subtree = sum(stability[ch] for ch in cluster_children[node])
-        if subtree > stability[node]:
-            selected[node] = False
-            stability[node] = subtree
-        else:
-            stack = list(cluster_children[node])
-            while stack:
-                d = stack.pop()
-                selected[d] = False
-                stack.extend(cluster_children[d])
-    return {c for c, keep in selected.items() if keep}
+        queue.extend((child, cluster) for child in big)
+        stack = [child for child in (right, left) if size[child] < min_cluster_size]
+        while stack:  # the dissolving points, left child first
+            x = stack.pop()
+            if x < n:
+                fell_from[x] = cluster
+                stability[cluster] += step
+            else:
+                stack.extend(children[x - n])
+    return parent, stability, fell_from
+
+
+def _excess_of_mass(parent: list[int], stability: list[float]) -> tuple[list[int], int]:
+    """Flat label of each cluster (NOISE if none) and the number of labels.
+
+    Children before parents, a cluster other than the root is kept
+    unless its child clusters' stabilities add up to more than its own,
+    in which case it takes their sum. Parents before children, a kept
+    cluster with no kept ancestor takes the next label, and every
+    cluster under it shares that label.
+    """
+    clusters = len(parent)
+    kept = [True] * clusters
+    below = [0.0] * clusters
+    for c in range(clusters - 1, 0, -1):
+        if below[c] > stability[c]:
+            kept[c] = False
+            stability[c] = below[c]
+        below[parent[c]] += stability[c]
+    label = [NOISE] * clusters
+    count = 0
+    for c in range(1, clusters):
+        if label[parent[c]] != NOISE:
+            label[c] = label[parent[c]]
+        elif kept[c]:
+            label[c] = count
+            count += 1
+    return label, count
 
 
 def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterResult:
+    if min_cluster_size < 2:  # a point would become a cluster, which the walk cannot split
+        raise ValueError(f"min_cluster_size must be >= 2, got {min_cluster_size}")
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if n == 0:
@@ -189,26 +171,7 @@ def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterR
 
     distances = DistanceRows(points)
     edges = mutual_reachability_mst(distances, core_distances(distances, min_pts))
-    children, dist, size = _single_linkage(edges, n)
-    rows = _condense(children, dist, size, n, min_cluster_size)
-    stability = _stability(rows, n)
-    chosen = _select_excess_of_mass(rows, stability, n)
-
-    label_of = {c: i for i, c in enumerate(sorted(chosen))}
-    cluster_parent = {}
-    point_parent = {}
-    for parent, child, _, _ in rows:
-        if child >= n:
-            cluster_parent[child] = parent
-        else:
-            point_parent[child] = parent
-
-    labels = np.full(n, NOISE, dtype=np.int64)
-    for p in range(n):
-        cur = point_parent[p]
-        while cur is not None:
-            if cur in label_of:
-                labels[p] = label_of[cur]
-                break
-            cur = cluster_parent.get(cur)
-    return ClusterResult(assignment=labels, cluster_count=len(chosen))
+    parent, stability, fell_from = _condense(*_single_linkage(edges, n), min_cluster_size)
+    label, count = _excess_of_mass(parent, stability)
+    return ClusterResult(assignment=np.array(label, dtype=np.int64)[fell_from],
+                         cluster_count=count)

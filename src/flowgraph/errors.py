@@ -22,7 +22,7 @@ class MalformedRow(FlowgraphError):
 
 
 class NonPositiveWidth(FlowgraphError):
-    """Snapshot width must be strictly positive."""
+    """Snapshot width must be finite and strictly positive."""
 
 
 class NonPositiveParameter(FlowgraphError):

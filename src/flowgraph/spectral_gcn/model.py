@@ -59,8 +59,11 @@ class TrainConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.hidden < 1:
             raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
-        if self.epochs < 0 or self.learning_rate < 0:
-            raise ValueError("epochs and learning_rate must be >= 0")
+        if self.epochs < 0 or not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"epochs must be >= 0 and learning_rate finite and >= 0, "
+                             f"got {self.epochs} and {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

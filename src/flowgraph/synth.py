@@ -62,6 +62,8 @@ class SynthConfig:
     behaviour_separation: str = "high"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_normal_entities < 0 or self.n_attack_entities < 0:
             raise ValueError("entity counts must be >= 0")
         if self.n_normal_entities > MAX_NORMAL_ENTITIES:

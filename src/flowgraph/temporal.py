@@ -29,15 +29,19 @@ class SnapshotIndex:
         return cls(index=index, window_start=start, window_end=start + width)
 
 
+def check_width(width: float) -> None:
+    """Raise NonPositiveWidth unless the snapshot width is finite and > 0."""
+    if not 0 < width < np.inf:
+        raise NonPositiveWidth(f"snapshot width must be finite and > 0, got {width}")
+
+
 def dissect(flows: FlowTable, width: float) -> dict[SnapshotIndex, FlowTable]:
     """Assign each flow to its snapshot by floor(start_time / width).
 
     Returns a mapping ordered by snapshot index; within a snapshot the
     input order is preserved. Snapshots with no flows are omitted.
     """
-    if not width > 0:
-        raise NonPositiveWidth(f"snapshot width must be > 0, got {width}")
-
+    check_width(width)
     keys = np.floor(flows.start_time / width).astype(np.int64)
     order = np.argsort(keys, kind="stable")
     indexes, firsts = np.unique(keys[order], return_index=True)

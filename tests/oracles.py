@@ -197,6 +197,130 @@ def mst_weight_oracle(points: np.ndarray, min_pts: int) -> float:
     return total
 
 
+
+def hdbscan_hierarchy_oracle(edges: list[tuple[int, int, float]], n: int,
+                             min_cluster_size: int) -> tuple[np.ndarray, int]:
+    """(assignment, cluster count) that HDBSCAN selects from its MST edges, built with dicts.
+
+    The dendrogram is two dicts keyed by linkage node id, the condensed
+    tree a list of (parent cluster, child, lambda, child size) rows with
+    clusters relabeled from n upward in BFS order, stabilities and the
+    excess-of-mass selection dicts over those rows, and each point takes
+    the label of the first selected cluster on its chain of ancestors.
+    """
+    order = np.argsort([w for _, _, w in edges], kind="stable")
+    parent = list(range(2 * n - 1))
+    size = [1] * n + [0] * (n - 1)
+    children: dict[int, tuple[int, int]] = {}
+    dist: dict[int, float] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    next_id = n
+    for ei in order:
+        a, b, w = edges[ei]
+        ra, rb = find(a), find(b)
+        parent[ra] = parent[rb] = next_id
+        children[next_id] = (ra, rb)
+        dist[next_id] = w
+        size[next_id] = size[ra] + size[rb]
+        next_id += 1
+
+    def leaves(node: int) -> list[int]:
+        out, stack = [], [node]
+        while stack:
+            x = stack.pop()
+            if x < n:
+                out.append(x)
+            else:
+                stack.extend(children[x])
+        return out
+
+    root = 2 * n - 2
+    relabel = {root: n}
+    next_label = n + 1
+    rows: list[tuple[int, int, float, int]] = []
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        node = queue[head]
+        head += 1
+        cluster = relabel[node]
+        left, right = children[node]
+        lam = 1.0 / dist[node] if dist[node] > 0 else np.inf
+        left_size = 1 if left < n else size[left]
+        right_size = 1 if right < n else size[right]
+        if left_size >= min_cluster_size and right_size >= min_cluster_size:
+            for child, child_size in ((left, left_size), (right, right_size)):
+                relabel[child] = next_label
+                rows.append((cluster, next_label, lam, child_size))
+                next_label += 1
+                queue.append(child)
+        elif left_size < min_cluster_size and right_size < min_cluster_size:
+            for child in (left, right):
+                for leaf in leaves(child):
+                    rows.append((cluster, leaf, lam, 1))
+        else:
+            small, big = (left, right) if right_size >= min_cluster_size else (right, left)
+            relabel[big] = cluster
+            queue.append(big)
+            for leaf in leaves(small):
+                rows.append((cluster, leaf, lam, 1))
+
+    births = {n: 0.0}
+    for _, child, lam, _ in rows:
+        if child >= n:
+            births[child] = lam
+    stability = {c: 0.0 for c in births}
+    for cluster, _, lam, child_size in rows:
+        contrib = lam - births[cluster]
+        if np.isinf(lam) and np.isinf(births[cluster]):
+            contrib = 0.0
+        stability[cluster] += contrib * child_size
+
+    cluster_children: dict[int, list[int]] = {c: [] for c in stability}
+    for up, child, _, _ in rows:
+        if child >= n:
+            cluster_children[up].append(child)
+    selected = {c: True for c in stability}
+    selected[n] = False  # the root is never a flat cluster
+    for node in sorted(stability, reverse=True):
+        if node == n:
+            continue
+        subtree = sum(stability[ch] for ch in cluster_children[node])
+        if subtree > stability[node]:
+            selected[node] = False
+            stability[node] = subtree
+        else:
+            stack = list(cluster_children[node])
+            while stack:
+                d = stack.pop()
+                selected[d] = False
+                stack.extend(cluster_children[d])
+    chosen = {c for c, keep in selected.items() if keep}
+
+    label_of = {c: i for i, c in enumerate(sorted(chosen))}
+    cluster_parent = {}
+    point_parent = {}
+    for up, child, _, _ in rows:
+        if child >= n:
+            cluster_parent[child] = up
+        else:
+            point_parent[child] = up
+    labels = np.full(n, NOISE, dtype=np.int64)
+    for p in range(n):
+        cur = point_parent[p]
+        while cur is not None:
+            if cur in label_of:
+                labels[p] = label_of[cur]
+                break
+            cur = cluster_parent.get(cur)
+    return labels, len(chosen)
+
 def chebyshev_eig_oracle(l_tilde: np.ndarray, x: np.ndarray, j: int) -> np.ndarray:
     """T_j(L~) x computed through the eigendecomposition U T_j(D) U^T x."""
     lam, u = np.linalg.eigh(l_tilde)

@@ -33,7 +33,6 @@ def test_cluster_of_normals_has_zero_fraction():
     assert clustered.n_nodes == 1
     super_node = clustered.nodes[0]
     assert super_node.kind == KIND_CLUSTER
-    assert super_node.behaviour_fraction == 0.0
     assert clustered.labels.tolist() == [0]
     # intra-cluster edge becomes a self-loop with the summed weight
     assert clustered.edges.tolist() == [[0, 0, 4]]
@@ -51,8 +50,7 @@ def test_three_normals_one_attack():
     kinds = [s.kind for s in clustered.nodes]
     assert kinds == [KIND_CLUSTER, KIND_ATTACK]
     assert clustered.edges.tolist() == [[0, 1, 3]]
-    assert clustered.nodes[1].behaviour_fraction == 1.0
-    assert clustered.labels[1] == 1
+    assert clustered.labels.tolist() == [0, 1]
 
 
 def test_raw_average_then_renormalized():
@@ -120,14 +118,6 @@ def test_cluster_snapshot_pairs_assignment_with_graph():
     assert n_clusters == result.cluster_count
 
 
-def test_hard_label_tie_is_normal():
-    # a half/half behaviour fraction is a draw, and draws stay normal
-    from flowgraph.density_cluster.aggregate import _hard_label
-    assert _hard_label(0.5) == 0
-    assert _hard_label(0.51) == 1
-    assert _hard_label(0.0) == 0
-
-
 def test_assignment_csv(tmp_path):
     path = tmp_path / "assign.csv"
     write_assignment_csv(path, ClusterResult(
@@ -151,16 +141,18 @@ def test_clustered_text_round_trip(tmp_path):
     assert [s.kind for s in back.nodes] == [s.kind for s in clustered.nodes]
     assert [s.members for s in back.nodes] == [s.members for s in clustered.nodes]
     assert np.array_equal(back.labels, clustered.labels) and back.labels.dtype == np.int64
-    assert [s.behaviour_fraction for s in back.nodes] \
-        == [s.behaviour_fraction for s in clustered.nodes]
     assert np.array_equal(back.features, clustered.features)
 
     text = path.read_text()
-    bad_values = [with_node_field(text, 1, "noise"), with_node_field(text, 2, "2"),
-                  with_node_field(text, 2, "-1")]
-    # behaviour_fraction outside [0, 1]; f1 and f8 not finite
-    bad_values += [with_node_field(text, field, value) for field, value in (
-        (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"))]
+    assert text.splitlines()[3].split()[1:4] == ["cluster", "0", "0.0"]
+    assert text.splitlines()[4].split()[1:4] == ["singleton-attack", "1", "1.0"]
+    # node row 0 is a cluster: only 'cluster 0 0.0' reads, as every clustered node is normal
+    bad_values = [with_node_field(text, field, value) for field, value in (
+        (1, "noise"), (1, "singleton-attack"), (2, "1"), (2, "2"), (2, "-1"),
+        (3, "0.3"), (3, "1.0"), (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"))]
+    bad_values.append(text.replace("cluster 0 0.0", "cluster 1 0.3", 1))
+    bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 1 0.5", 1))
+    bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 0 0.0", 1))
     for bad in corrupted_snapshot_texts(text, clustered.n_nodes) + bad_values:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):

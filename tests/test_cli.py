@@ -6,6 +6,7 @@ Each test drives `flowgraph.cli.main` with a small synthetic capture
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 from pathlib import Path
@@ -119,6 +120,33 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert tree_bytes(out_serial / "clusters") == tree_bytes(out_par / "clusters")
 
 
+def test_pool_starts_no_more_workers_than_snapshots(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 1200.0})
+    assert run("synth", "--config", cfg) == 0
+    asked = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, items):
+            return map(task, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert run("graph", "--config", cfg, "--jobs", "64") == 0
+    assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 2
+    assert asked == [2]
+
+
 def test_rerun_leaves_no_stale_snapshot_files(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 7200.0})
@@ -169,9 +197,11 @@ def test_eps_values_that_print_alike_keep_separate_runs(tmp_path):
 
 def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
+    nan_rate = write_config(tmp_path / "nan.json", tmp_path / "shared", learning_rate=float("nan"))
     assert run("synth", "--config", cfg) == 0
     for i, bad in enumerate((("--eps", "0"), ("--min-pts", "0"),
-                             ("--variant", "gcn", "--k", "3"))):
+                             ("--variant", "gcn", "--k", "3"), ("--seed", "-1"),
+                             ("--config", nan_rate), ("--width", "inf"), ("--width", "nan"))):
         out = tmp_path / f"out{i}"
         capsys.readouterr()
         assert run("run-all", "--config", cfg, "--out-dir", out, *bad) == 1, bad

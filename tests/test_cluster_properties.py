@@ -71,7 +71,6 @@ def test_normals_partition_and_attacks_pass_through(graph, params):
     assert np.array_equal(graph.features, raw)
     assert [s.members for s in clustered.nodes[count:]] == [[graph.entities[i]] for i in attack]
     assert clustered.labels.tolist() == [0] * count + [1] * len(attack)
-    assert [s.behaviour_fraction for s in clustered.nodes] == [0.0] * count + [1.0] * len(attack)
     position = {e: i for i, e in enumerate(graph.entities)}
     means = [raw[[position[e] for e in m]].mean(axis=0) for m in members]
     assert np.array_equal(clustered.features, minmax_scale(np.vstack(means + [raw[attack]])))

@@ -54,8 +54,11 @@ def test_config_validation():
         TrainConfig(variant="chebyshev", k=0)
     with pytest.raises(ValueError):
         TrainConfig(hidden=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-0.1)
+    for rate in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 def test_init_shapes():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from flowgraph.density_cluster import NOISE, ClusterParams, DistanceRows, cluster_points, hdbscan
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
-from oracles import block_edge_case, distance_matrix, exact_eps_cases, mst_weight_oracle
+from oracles import (block_edge_case, distance_matrix, exact_eps_cases,
+                     hdbscan_hierarchy_oracle, mst_weight_oracle)
 
 
 def three_blobs(seed: int, spread: float = 0.02, separation: float = 1.0):
@@ -64,6 +66,13 @@ def test_single_point():
     assert np.array_equal(result.assignment, [NOISE])
 
 
+def test_min_cluster_size_below_two_is_refused():
+    points, _ = three_blobs(seed=3)
+    for bad in (1, 0, -1):
+        with pytest.raises(ValueError, match="min_cluster_size"):
+            hdbscan(points, min_pts=2, min_cluster_size=bad)
+
+
 def test_mst_weight_against_exhaustive_oracle():
     cases = []
     for seed in range(30):
@@ -86,6 +95,42 @@ def test_mst_weight_against_exhaustive_oracle():
         total = sum(w for _, _, w in edges)
         assert len(edges) == len(points) - 1
         assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, name
+
+
+def random_point_set(seed: int) -> np.ndarray:
+    """Uniform points, an integer grid (ties, coincident points), blobs or rounded points."""
+    rng = np.random.default_rng(seed)
+    n, dims = int(rng.integers(2, 41)), int(rng.integers(1, 9))
+    kind = seed % 4
+    if kind == 0:
+        return rng.uniform(0, 1, size=(n, dims))
+    if kind == 1:
+        return rng.integers(0, 4, size=(n, dims)).astype(np.float64)
+    if kind == 2:
+        centers = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), dims))
+        return centers[rng.integers(0, len(centers), size=n)] + rng.normal(0, 0.03, (n, dims))
+    return np.round(rng.uniform(0, 1, size=(n, dims)), 1)
+
+
+def test_hierarchy_matches_the_dict_oracle():
+    cases = []
+    for seed in range(2000):
+        rng = np.random.default_rng([seed, 1])
+        cases.append((f"seed {seed}", random_point_set(seed),
+                      int(rng.integers(1, 6)), int(rng.integers(2, 8))))
+    for i, (points, _) in enumerate(exact_eps_cases()):
+        cases.extend((f"exact eps case {i}", points, m, mcs) for m in (1, 2, 4) for mcs in (2, 5))
+    points, _ = block_edge_case()
+    cases.extend(("block edge case", points, m, mcs) for m in (2, 4) for mcs in (2, 5))
+    for name, points, min_pts, mcs in cases:
+        result = hdbscan(points, min_pts, mcs)
+        if len(points) < max(min_pts, 2):
+            continue
+        rows = DistanceRows(points)
+        edges = mutual_reachability_mst(rows, core_distances(rows, min_pts))
+        assignment, count = hdbscan_hierarchy_oracle(edges, len(points), mcs)
+        assert result.cluster_count == count, name
+        assert np.array_equal(result.assignment, assignment), name
 
 
 def test_selected_clusters_respect_min_cluster_size():

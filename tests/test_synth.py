@@ -164,6 +164,8 @@ def test_config_validation():
         SynthConfig(behaviour_separation="medium")
     with pytest.raises(ValueError):
         SynthConfig(duration=-60.0)
+    with pytest.raises(ValueError, match="seed"):
+        SynthConfig(seed=-1)
 
 
 def test_entity_counts_capped_at_address_limits():

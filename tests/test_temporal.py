@@ -31,10 +31,9 @@ def test_empty_input():
 
 
 def test_width_validation():
-    with pytest.raises(NonPositiveWidth):
-        dissect(from_records([flow(0.0)]), 0.0)
-    with pytest.raises(NonPositiveWidth):
-        dissect(from_records([flow(0.0)]), -600.0)
+    for width in (0.0, -600.0, np.inf, np.nan):
+        with pytest.raises(NonPositiveWidth):
+            dissect(from_records([flow(0.0)]), width)
 
 
 def test_snapshot_index_window():
