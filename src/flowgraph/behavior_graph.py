@@ -77,6 +77,8 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     codes, role_node = first_appearance(np.stack([flows.src, flows.dst], axis=1).ravel())
     n = len(codes)
     src, dst = role_node[0::2], role_node[1::2]
+    entities = [flows.entities[c] for c in codes.tolist()]
+    ports = np.array([e.port for e in entities], dtype=np.int64)
 
     def per_node(from_src, from_dst) -> np.ndarray:
         weights = np.stack([from_src, from_dst], axis=1).ravel()
@@ -88,7 +90,7 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     edge_keys, edge_of_flow = first_appearance(src * n + dst)
     edge_src, edge_dst = edge_keys // n, edge_keys % n
     # distinct (sender, destination port) pairs give the ports each node contacted
-    port_pairs = np.unique(src * 65536 + flows.ports[flows.dst])
+    port_pairs = np.unique(src * 65536 + ports[dst])
 
     features = np.stack([
         np.bincount(edge_dst, minlength=n),
@@ -101,8 +103,7 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
         np.bincount(port_pairs // 65536, minlength=n),
     ], axis=1)
     edges = np.stack([edge_src, edge_dst, np.bincount(edge_of_flow)], axis=1)
-    return SnapshotGraph(snapshot=snapshot,
-                         entities=[flows.entities[c] for c in codes.tolist()],
+    return SnapshotGraph(snapshot=snapshot, entities=entities,
                          labels=(2 * n_attack > n_flows).astype(np.int64),
                          features=features, edges=edges)
 

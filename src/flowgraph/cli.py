@@ -38,7 +38,7 @@ from pathlib import Path
 from . import behavior_graph, report, spectral_gcn, synth
 from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
                               write_assignment_csv, write_clustered_text)
-from .errors import FlowgraphError, NonPositiveParameter, OutOfMemory
+from .errors import EmptyCapture, FlowgraphError, NonPositiveParameter, OutOfMemory
 from .flow_model import parse_flows, write_flows
 from .temporal import check_width, dissect
 
@@ -179,25 +179,22 @@ def cmd_synth(config: PipelineConfig) -> Path:
     return path
 
 
-def _build_graph_task(item):
-    snapshot, flows, path = item
-    graph = behavior_graph.build_graph(flows, snapshot=snapshot)
-    behavior_graph.write_graph_text(path, graph)
-    return path
-
-
 def cmd_graph(config: PipelineConfig) -> list[Path]:
-    result = parse_flows(_require_input(config), schema=config.schema,
-                         on_malformed=config.on_malformed)
+    path = _require_input(config)
+    result = parse_flows(path, schema=config.schema, on_malformed=config.on_malformed)
+    if not len(result.records):
+        raise EmptyCapture(f"{path}: no accepted flows ({result.skipped_rows} "
+                           f"malformed rows skipped)")
     if result.skipped_rows:
         log.warning("graph: skipped %d malformed rows", result.skipped_rows)
     buckets = dissect(result.records, config.width)
     # every clustered and assignment file was derived from the graphs replaced here
     for subdir, suffix in (("graphs", ".txt"), ("clusters/*", ".txt"), ("assignments/*", ".csv")):
         _remove_snapshot_files(config, subdir, suffix)
-    tasks = [(snapshot, flows, _out(config, "graphs", f"snapshot_{snapshot.index:05d}.txt"))
-             for snapshot, flows in buckets.items()]
-    paths = _run_tasks(_build_graph_task, tasks, config.jobs)
+    # in this process: a pool task would pickle the whole capture's entity list
+    paths = [_out(config, "graphs", f"snapshot_{s.index:05d}.txt") for s in buckets]
+    for path, (snapshot, flows) in zip(paths, buckets.items()):
+        behavior_graph.write_graph_text(path, behavior_graph.build_graph(flows, snapshot=snapshot))
     log.info("graph: %d snapshots -> %s", len(paths), Path(config.out_dir) / "graphs")
     return paths
 
@@ -264,13 +261,10 @@ def cmd_train(config: PipelineConfig) -> Path:
         log.warning("train: temporal split left no test snapshots")
     metrics_path = _out(config, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write("snapshot,accuracy,precision_normal,precision_attack,"
-                 "recall_normal,recall_attack,balanced_accuracy,n_nodes\n")
+        fh.write(",".join(("snapshot", *spectral_gcn.EvalMetrics.KEYS)) + "\n")
         for name, split in rows:
             m = spectral_gcn.evaluate(model, split, weighted=config.weighted_adjacency)
-            fh.write(f"{name},{m.accuracy!r},{m.precision[0]!r},{m.precision[1]!r},"
-                     f"{m.recall[0]!r},{m.recall[1]!r},{m.balanced_accuracy!r},"
-                     f"{m.n_nodes}\n")
+            fh.write(",".join((str(name), *map(repr, m.as_dict().values()))) + "\n")
     log.info("train: %d train / %d test snapshots, final loss %s -> %s",
              len(train_graphs), len(test_graphs),
              losses[-1] if losses else "n/a", model_path)
@@ -337,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--variant", choices=["gcn", "cheb"])
     common.add_argument("--k", type=int, help="chebyshev polynomial order")
     common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=int, help="parallel snapshot workers")
+    common.add_argument("--jobs", type=int, help="parallel snapshot workers of the cluster stage")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -21,8 +21,12 @@ class MalformedRow(FlowgraphError):
         self.reason = reason
 
 
+class EmptyCapture(FlowgraphError):
+    """A flow CSV holds no accepted flow, so no snapshot can be built."""
+
+
 class NonPositiveWidth(FlowgraphError):
-    """Snapshot width must be finite and strictly positive."""
+    """Snapshot width must be finite, > 0 and wide enough that window bounds stay distinct."""
 
 
 class NonPositiveParameter(FlowgraphError):

@@ -21,7 +21,7 @@ import functools
 import ipaddress
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +74,10 @@ def entity(ip: str, port: str) -> EntityId:
 class FlowTable:
     """Flows as columns: one row per flow, entities as codes into `entities`.
 
-    `src` and `dst` index `entities`, which lists each endpoint once;
-    `ports` holds each entity's port and is shared by every `take` of
-    the table. `start_time` is in seconds relative to the capture
-    start, `label` is 0 for normal and 1 for attack traffic.
+    `src` and `dst` index `entities`, which lists each endpoint once and
+    is shared by every `take` of the table. `start_time` is in seconds
+    relative to the capture start, `label` is 0 for normal and 1 for
+    attack traffic.
     """
 
     entities: list[EntityId]
@@ -89,19 +89,13 @@ class FlowTable:
     bytes_dst_to_src: np.ndarray  # int64
     packets_total: np.ndarray  # int64
     label: np.ndarray  # int64
-    ports: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.ports is None:
-            self.ports = np.array([e.port for e in self.entities], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.src)
 
     def take(self, idx) -> FlowTable:
         """The flows at positions `idx`, in that order, over the same entities."""
-        return FlowTable(self.entities, **{name: getattr(self, name)[idx] for name in _COLUMNS},
-                         ports=self.ports)
+        return FlowTable(self.entities, **{name: getattr(self, name)[idx] for name in _COLUMNS})
 
 
 # the per-flow columns of a FlowTable and their types

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density_cluster import KIND_CLUSTER, eps_text
+from .density_cluster import eps_text
 from .errors import LengthMismatch
 
 
@@ -51,7 +51,7 @@ def population_series(graphs, clustered_graphs) -> list[PopulationRow]:
             snapshot_index=g.snapshot.index,
             normal_count=int((g.labels == 0).sum()),
             attack_count=int((g.labels == 1).sum()),
-            clustered_normal_count=sum(1 for s in cg.nodes if s.kind == KIND_CLUSTER),
+            clustered_normal_count=int((cg.labels == 0).sum()),
         ))
     return rows
 
@@ -96,15 +96,8 @@ class EffectsRow:
 
 def run_totals(clustered_graphs) -> tuple[int, int]:
     """(clustered_normal_total, attack_total) over one run's snapshots."""
-    clustered_normal = 0
-    attack = 0
-    for cg in clustered_graphs:
-        for s in cg.nodes:
-            if s.kind == KIND_CLUSTER:
-                clustered_normal += 1
-            else:
-                attack += 1
-    return clustered_normal, attack
+    attack = sum(int(cg.labels.sum()) for cg in clustered_graphs)
+    return sum(cg.n_nodes for cg in clustered_graphs) - attack, attack
 
 
 def clustering_effects_table(runs) -> list[EffectsRow]:

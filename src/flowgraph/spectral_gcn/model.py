@@ -214,16 +214,13 @@ class EvalMetrics:
     balanced_accuracy: float
     n_nodes: int
 
+    # the keys of `as_dict`, in order: the columns of metrics.csv after `snapshot`
+    KEYS = ("accuracy", "precision_normal", "precision_attack", "recall_normal",
+            "recall_attack", "balanced_accuracy", "n_nodes")
+
     def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision_normal": self.precision[0],
-            "precision_attack": self.precision[1],
-            "recall_normal": self.recall[0],
-            "recall_attack": self.recall[1],
-            "balanced_accuracy": self.balanced_accuracy,
-            "n_nodes": self.n_nodes,
-        }
+        return dict(zip(self.KEYS, (self.accuracy, *self.precision, *self.recall,
+                                    self.balanced_accuracy, self.n_nodes)))
 
 
 def evaluate(model: GcnModel, graphs, *, weighted: bool = False) -> EvalMetrics:

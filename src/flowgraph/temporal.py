@@ -40,8 +40,14 @@ def dissect(flows: FlowTable, width: float) -> dict[SnapshotIndex, FlowTable]:
 
     Returns a mapping ordered by snapshot index; within a snapshot the
     input order is preserved. Snapshots with no flows are omitted.
+    Raises NonPositiveWidth unless every start time is under 2**52 widths.
     """
     check_width(width)
+    last = float(flows.start_time.max()) if len(flows) else 0.0
+    # past 2**52 widths from 0, adjacent window bounds can round to one float
+    if last / width >= 2 ** 52:
+        raise NonPositiveWidth(f"snapshot width {width} is too small for flows that start "
+                               f"up to {last} s: their window index would reach 2**52")
     keys = np.floor(flows.start_time / width).astype(np.int64)
     order = np.argsort(keys, kind="stable")
     indexes, firsts = np.unique(keys[order], return_index=True)

@@ -120,15 +120,12 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert tree_bytes(out_serial / "clusters") == tree_bytes(out_par / "clusters")
 
 
-def test_pool_starts_no_more_workers_than_snapshots(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 1200.0})
-    assert run("synth", "--config", cfg) == 0
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The pool sizes the commands ask for; the fake pool starts no process."""
     asked = []
 
     class RecordingPool:
-        """Records the pool size asked for and runs the tasks in this process."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -142,9 +139,49 @@ def test_pool_starts_no_more_workers_than_snapshots(tmp_path, monkeypatch):
             return map(task, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def two_snapshot_config(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 1200.0})
+    assert run("synth", "--config", cfg) == 0
+    return out, cfg
+
+
+def test_pool_starts_no_more_workers_than_snapshots(tmp_path, recording_pool):
+    out, cfg = two_snapshot_config(tmp_path)
+    assert run("graph", "--config", cfg) == 0
+    assert run("cluster", "--config", cfg, "--jobs", "64") == 0
+    assert len(list((out / "clusters" / "dbscan_eps0.5").glob("snapshot_*.txt"))) == 2
+    assert recording_pool == [2]
+
+
+def test_graph_stage_starts_no_pool(tmp_path, recording_pool):
+    out, cfg = two_snapshot_config(tmp_path)
     assert run("graph", "--config", cfg, "--jobs", "64") == 0
     assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 2
-    assert asked == [2]
+    assert recording_pool == []
+
+
+def test_capture_with_no_accepted_flows_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg) == 0
+    kept = tree_bytes(out / "graphs")
+    header = (out / "flows.csv").read_text().splitlines()[0]
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(header + "\n")
+    all_bad = tmp_path / "all_bad.csv"
+    all_bad.write_text(header + "\n" + "10.0.0.1,80,10.0.0.2,x,0,1,1,1,1,0\n" * 3)
+    for path, flags, skipped in ((header_only, (), 0), (all_bad, ("--malformed", "skip"), 3)):
+        capsys.readouterr()
+        assert run("graph", "--config", cfg, "--input", path, *flags) == 1
+        assert capsys.readouterr().err == (f"flowgraph graph: error: {path}: no accepted flows "
+                                           f"({skipped} malformed rows skipped)\n")
+        # the graphs of the earlier run are neither deleted nor overwritten
+        assert tree_bytes(out / "graphs") == kept
 
 
 def test_rerun_leaves_no_stale_snapshot_files(tmp_path):
@@ -201,7 +238,8 @@ def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     assert run("synth", "--config", cfg) == 0
     for i, bad in enumerate((("--eps", "0"), ("--min-pts", "0"),
                              ("--variant", "gcn", "--k", "3"), ("--seed", "-1"),
-                             ("--config", nan_rate), ("--width", "inf"), ("--width", "nan"))):
+                             ("--config", nan_rate), ("--width", "inf"), ("--width", "nan"),
+                             ("--width", "1e-17"))):
         out = tmp_path / f"out{i}"
         capsys.readouterr()
         assert run("run-all", "--config", cfg, "--out-dir", out, *bad) == 1, bad

@@ -106,7 +106,7 @@ def test_take_selects_rows_over_the_same_entities(flows, positions):
     table = from_records(flows)
     idx = np.array([p for p in positions if p < len(flows)], dtype=np.int64)
     taken = table.take(idx)
-    assert taken.entities is table.entities and taken.ports is table.ports
+    assert taken.entities is table.entities
     assert table_records(taken) == [flows[i] for i in idx]
 
 
@@ -123,7 +123,7 @@ def test_from_records_round_trips_parse_flows(tmp_path_factory, flows):
     expected = from_records(rebased)
     assert parsed.entities == expected.entities
     for name in ("src", "dst", "start_time", "duration", "bytes_src_to_dst",
-                 "bytes_dst_to_src", "packets_total", "label", "ports"):
+                 "bytes_dst_to_src", "packets_total", "label"):
         assert np.array_equal(getattr(parsed, name), getattr(expected, name)), name
 
 

@@ -36,6 +36,21 @@ def test_width_validation():
             dissect(from_records([flow(0.0)]), width)
 
 
+def test_width_too_small_for_the_capture_is_refused():
+    # unrefused, 1e-17 would overflow the int64 index and 1e-16 would
+    # give the empty window [700.0, 700.0) a flow
+    flows = from_records([flow(0.0), flow(700.0)])
+    for width in (1e-17, 1e-16, 700.0 / 2 ** 52):
+        with pytest.raises(NonPositiveWidth, match=r"2\*\*52"):
+            dissect(flows, width)
+    width = np.nextafter(700.0 / 2 ** 52, 1.0)
+    buckets = dissect(flows, width)
+    assert [s.index for s in buckets] == [0, 2 ** 52 - 1]
+    for snapshot, table in buckets.items():
+        assert (snapshot.window_start <= table.start_time).all()
+        assert (table.start_time < snapshot.window_end).all()
+
+
 def test_snapshot_index_window():
     s = SnapshotIndex.for_width(7, 600.0)
     assert s.index == 7
