@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MalformedArtefact
-from .flow_model import EntityId, FlowTable, entity
+from .flow_model import EntityId, FlowTable, entity, parse_label
 from .temporal import SnapshotIndex
 
 N_FEATURES = 8
@@ -230,10 +230,7 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
 
 
 def _graph_node(row: list[str]) -> tuple[EntityId, int]:
-    label = int(row[3])
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return entity(row[1], row[2]), label
+    return entity(row[1], row[2]), parse_label(row[3])
 
 
 def read_graph_text(path) -> SnapshotGraph:

@@ -46,13 +46,12 @@ log = logging.getLogger("flowgraph")
 
 _VARIANT_BY_FLAG = {"gcn": spectral_gcn.VARIANT_RENORMALIZED,
                     "cheb": spectral_gcn.VARIANT_CHEBYSHEV}
-_DEFAULT_K = {"gcn": 1, "cheb": 3}
+_TRAIN_FRACTION = 0.7  # share of the snapshots, in time order, that train
 
 
 @dataclass
 class PipelineConfig:
     input: str | None = None
-    schema: str = "synthetic"
     on_malformed: str = "abort"
     out_dir: str = "out"
     dataset: str | None = None  # defaults to the input file stem
@@ -62,12 +61,10 @@ class PipelineConfig:
     min_pts: int = 2
     min_cluster_size: int = 5
     variant: str = "gcn"  # gcn = first-order renormalized, cheb = chebyshev
-    k: int | None = None  # defaults per variant (gcn: 1, cheb: 3)
+    k: int | None = None  # TrainConfig's default per variant (gcn: 1, cheb: 3)
     hidden: int = 16
     learning_rate: float = 0.01
     epochs: int = 200
-    train_fraction: float = 0.7
-    weighted_adjacency: bool = False
     seed: int = 0
     jobs: int = 1
     synth: dict = field(default_factory=dict)
@@ -78,8 +75,6 @@ class PipelineConfig:
             raise NonPositiveParameter(f"jobs must be >= 1, got {self.jobs}")
         if self.variant not in _VARIANT_BY_FLAG:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_BY_FLAG)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # refuse a bad value before any stage writes, not when its stage runs
         self.cluster_params()
         self.train_config()
@@ -98,11 +93,9 @@ class PipelineConfig:
                              min_cluster_size=self.min_cluster_size)
 
     def train_config(self) -> spectral_gcn.TrainConfig:
-        k = self.k if self.k is not None else _DEFAULT_K[self.variant]
         return spectral_gcn.TrainConfig(
-            variant=_VARIANT_BY_FLAG[self.variant], k=k, hidden=self.hidden,
-            learning_rate=self.learning_rate, epochs=self.epochs,
-            seed=self.seed, weighted_adjacency=self.weighted_adjacency)
+            variant=_VARIANT_BY_FLAG[self.variant], k=self.k, hidden=self.hidden,
+            learning_rate=self.learning_rate, epochs=self.epochs, seed=self.seed)
 
     def synth_config(self) -> synth.SynthConfig:
         kwargs = dict(self.synth)
@@ -126,11 +119,8 @@ def _check_config_keys(values: dict, cls, prefix: str = "") -> None:
         raise ValueError(f"unknown config keys: {unknown}")
     for key, value in values.items():
         kinds = typing.get_args(hints[key]) or (hints[key],)
-        if isinstance(value, bool):
-            fits = bool in kinds
-        else:
-            fits = isinstance(value, kinds) or (type(value) is int and float in kinds)
-        if not fits:
+        # by exact type: true/false is a bool, not an int
+        if not (type(value) in kinds or (type(value) is int and float in kinds)):
             expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
             raise ValueError(f"config key '{prefix}{key}' must be {expected}, "
                              f"got {json.dumps(value)}")
@@ -165,12 +155,6 @@ def _remove_snapshot_files(config: PipelineConfig, subdir: str, suffix: str) -> 
         stale.unlink()
 
 
-def _require_input(config: PipelineConfig) -> str:
-    if not config.input:
-        raise ValueError("no input file; pass --input or set it in the config")
-    return config.input
-
-
 def cmd_synth(config: PipelineConfig) -> Path:
     flows = synth.generate(config.synth_config())
     path = _out(config, "flows.csv")
@@ -180,8 +164,10 @@ def cmd_synth(config: PipelineConfig) -> Path:
 
 
 def cmd_graph(config: PipelineConfig) -> list[Path]:
-    path = _require_input(config)
-    result = parse_flows(path, schema=config.schema, on_malformed=config.on_malformed)
+    path = config.input
+    if not path:
+        raise ValueError("no input file; pass --input or set it in the config")
+    result = parse_flows(path, on_malformed=config.on_malformed)
     if not len(result.records):
         raise EmptyCapture(f"{path}: no accepted flows ({result.skipped_rows} "
                            f"malformed rows skipped)")
@@ -234,19 +220,15 @@ def cmd_cluster(config: PipelineConfig) -> list[Path]:
     return paths
 
 
-def _temporal_split(graphs, train_fraction: float):
-    ordered = sorted(graphs, key=lambda g: g.snapshot.index)
-    cut = int(len(ordered) * train_fraction)
-    train = [g for g in ordered[:cut] if g.n_nodes > 0]
-    test = [g for g in ordered[cut:] if g.n_nodes > 0]
-    return train, test
-
-
 def cmd_train(config: PipelineConfig) -> Path:
     tag = config.cluster_params().tag()
-    graphs = [read_clustered_text(p)
-              for p in _snapshot_files(config, f"clusters/{tag}", "cluster")]
-    train_graphs, test_graphs = _temporal_split(graphs, config.train_fraction)
+    graphs = sorted((read_clustered_text(p)
+                     for p in _snapshot_files(config, f"clusters/{tag}", "cluster")),
+                    key=lambda g: g.snapshot.index)
+    # a temporal split: the earliest snapshots train, the rest test
+    cut = int(len(graphs) * _TRAIN_FRACTION)
+    train_graphs = [g for g in graphs[:cut] if g.n_nodes > 0]
+    test_graphs = [g for g in graphs[cut:] if g.n_nodes > 0]
     if not train_graphs:
         raise ValueError("temporal split left no non-empty training snapshots")
     model, losses = spectral_gcn.train(train_graphs, config.train_config())
@@ -263,7 +245,7 @@ def cmd_train(config: PipelineConfig) -> Path:
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(("snapshot", *spectral_gcn.EvalMetrics.KEYS)) + "\n")
         for name, split in rows:
-            m = spectral_gcn.evaluate(model, split, weighted=config.weighted_adjacency)
+            m = spectral_gcn.evaluate(model, split)
             fh.write(",".join((str(name), *map(repr, m.as_dict().values()))) + "\n")
     log.info("train: %d train / %d test snapshots, final loss %s -> %s",
              len(train_graphs), len(test_graphs),
@@ -319,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--input", help="flow CSV path")
-    common.add_argument("--schema", choices=["synthetic", "unsw15"])
     common.add_argument("--malformed", dest="on_malformed", choices=["abort", "skip"],
                         help="whether a malformed CSV row aborts or is skipped")
     common.add_argument("--out-dir", dest="out_dir")
@@ -329,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--min-pts", dest="min_pts", type=int)
     common.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
     common.add_argument("--variant", choices=["gcn", "cheb"])
-    common.add_argument("--k", type=int, help="chebyshev polynomial order")
+    common.add_argument("--k", type=int, help="polynomial order (gcn: 1; cheb: default 3)")
     common.add_argument("--seed", type=int)
     common.add_argument("--jobs", type=int, help="parallel snapshot workers of the cluster stage")
 

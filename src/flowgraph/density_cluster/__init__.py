@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import require_integers
+
 NOISE = -1
 _BLOCK_BYTES = 256 << 10  # squared differences per kernel block: stays in cache
 _LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # lane on each of 8 planes: halving adds pair them as numpy does
@@ -127,10 +129,7 @@ class ClusterParams:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ("dbscan", "optics") and not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        for name in ("min_pts", "min_cluster_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integers(self, "min_pts", "min_cluster_size")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.algorithm == "hdbscan" and self.min_cluster_size < 2:

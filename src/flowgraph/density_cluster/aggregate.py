@@ -19,7 +19,7 @@ import numpy as np
 from ..behavior_graph import (SnapshotGraph, first_appearance, minmax_scale,
                               normalize_features, read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
-from ..flow_model import EntityId, entity
+from ..flow_model import EntityId, entity, parse_label
 from ..temporal import SnapshotIndex
 from . import NOISE, ClusterParams, ClusterResult, cluster_points
 
@@ -126,7 +126,7 @@ def write_clustered_text(path, graph: ClusteredGraph) -> None:
 
 
 def _super_node(row: list[str]) -> tuple[SuperNode, int]:
-    kind, label = row[1], int(row[2])
+    kind, label = row[1], parse_label(row[2])
     if (kind, label, float(row[3])) not in ((KIND_CLUSTER, 0, 0.0), (KIND_ATTACK, 1, 1.0)):
         raise ValueError(f"kind, hard_label and behaviour_fraction must read "
                          f"'{KIND_CLUSTER} 0 0.0' or '{KIND_ATTACK} 1 1.0', "

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the config dataclasses' integer check."""
+
+import numbers
+
+
+def require_integers(config, *names: str) -> None:
+    """ValueError unless each named field of `config` is an integer; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class FlowgraphError(Exception):
@@ -6,7 +16,7 @@ class FlowgraphError(Exception):
 
 
 class MissingColumn(FlowgraphError):
-    """CSV header does not provide a required column for the declared schema."""
+    """A CSV header names every column of neither flow schema, or of both."""
 
 
 class MalformedRow(FlowgraphError):

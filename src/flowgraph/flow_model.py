@@ -1,17 +1,19 @@
 """Flow table data model and CSV parsing.
 
-Two CSV schemas are understood:
+`parse_flows` reads a CSV in the one schema whose every column its
+header names (extra columns are ignored; a header naming every column
+of neither schema, or of both, is refused):
 
 * ``unsw15`` -- the column subset of the UNSW-NB15 flow files that this
   toolkit consumes: srcip, sport, dstip, dsport, stime, dur, sbytes,
-  dbytes, spkts, dpkts, label. Extra columns are ignored. The file must
-  carry a header row naming these columns.
+  dbytes, spkts, dpkts, label.
 * ``synthetic`` -- this repo's canonical interchange format: src_ip,
   src_port, dst_ip, dst_port, start_time, duration, bytes_fwd,
   bytes_bwd, packets, label.
 
-Timestamps are rebased on parse so that the earliest accepted flow
-starts at 0; downstream snapshot indexing is capture-relative.
+Ports and labels are ASCII decimal texts (see `decimal`). Timestamps
+are rebased on parse so that the earliest accepted flow starts at 0;
+downstream snapshot indexing is capture-relative.
 """
 
 from __future__ import annotations
@@ -65,9 +67,27 @@ def entity(ip: str, port: str) -> EntityId:
 
     Readers and the parser take every entity from here, so a text seen
     in many files or rows is checked by `ipaddress` only the first time.
-    `int()` rejects hex ports and "-" placeholders rather than guessing.
+    `decimal` refuses hex ports and "-" placeholders rather than guessing.
     """
-    return EntityId(ip, int(port))
+    return EntityId(ip, decimal(port))
+
+
+def decimal(text: str) -> int:
+    """A port or label text's value: digits 0-9, no leading zero, whitespace around allowed.
+
+    `int()` alone would also take "+1", "0_1", "01" and non-ASCII digits such as "١".
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(digits)
+
+
+def parse_label(text: str) -> int:
+    """A flow or node label, 0 (normal) or 1 (attack), as `decimal` reads it."""
+    if (label := decimal(text)) > 1:
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return label
 
 
 @dataclass(eq=False)
@@ -129,25 +149,24 @@ def _parse_seconds(text: str) -> float:
     return value
 
 
-def parse_flows(path: str | Path, schema: str = "synthetic",
-                on_malformed: str = "abort") -> ParseResult:
+def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
     """Parse a flow CSV into a validated flow table.
 
     Args:
-        path: CSV file with a header row, comma separated, UTF-8.
-        schema: "unsw15" or "synthetic".
+        path: CSV file with a header row, comma separated, UTF-8, in the
+            schema whose every column the header names.
         on_malformed: "abort" raises MalformedRow on the first bad row;
             "skip" drops bad rows and counts them.
 
     Returns:
         ParseResult with flows in file order, start times rebased so
         the minimum observed start time maps to 0.
+
+    Raises MissingColumn naming `path` for an empty file or a header
+    naming every column of neither schema, or of both.
     """
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
     if on_malformed not in ("abort", "skip"):
         raise ValueError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
-    columns = SCHEMAS[schema]
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -156,13 +175,14 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
         except StopIteration:
             raise MissingColumn(f"{path}: empty file, no header row") from None
         lookup = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in lookup]
-        if missing:
-            raise MissingColumn(
-                f"{path}: header does not match the {schema!r} schema, "
-                f"missing column(s): {', '.join(missing)}"
-            )
-        idx = [lookup[c] for c in columns]
+        missing = {name: [c for c in columns if c not in lookup]
+                   for name, columns in SCHEMAS.items()}
+        found = [name for name, absent in missing.items() if not absent]
+        if len(found) != 1:
+            detail = (f"both schemas, {' and '.join(found)}" if found else "no schema; missing "
+                      + "; ".join(f"{name}: {', '.join(c)}" for name, c in missing.items()))
+            raise MissingColumn(f"{path}: header names every column of {detail}")
+        idx = [lookup[c] for c in SCHEMAS[found[0]]]
 
         # entity code of each (ip, port) text; texts naming one entity
         # (" 10.0.0.1" and "10.0.0.1") share the code through `index`
@@ -190,7 +210,7 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
                     _parse_seconds(fields[4]), _parse_seconds(fields[5]),
                     _count(int(fields[6])), _count(int(fields[7])),
                     _count(sum(map(_count, map(int, fields[8:-1])))),
-                    _parse_label(fields[-1]))
+                    parse_label(fields[-1]))
             except (ValueError, IndexError) as exc:
                 if on_malformed == "abort":
                     raise MalformedRow(row_index, str(exc)) from None
@@ -210,13 +230,6 @@ def parse_flows(path: str | Path, schema: str = "synthetic",
     times = table["start_time"]
     table["start_time"] = times - times.min() if len(times) else times
     return ParseResult(FlowTable(list(index), **table), skipped)
-
-
-def _parse_label(text: str) -> int:
-    label = int(text)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return label
 
 
 def write_flows(path: str | Path, flows: FlowTable) -> None:

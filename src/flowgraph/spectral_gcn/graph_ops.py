@@ -1,10 +1,10 @@
 """Edge-list graph operators for spectral convolution.
 
-Every operator is an `EdgeOperator` built from the symmetrized adjacency
-of a snapshot (or clustered) graph: an edge in either direction makes
-A_ij = A_ji nonzero. The default adjacency is binary; flow-count weights
-are only used when explicitly requested, in which case the two
-directions' weights are summed. Applying an operator costs O(|E| h).
+Every operator is an `EdgeOperator` built from the binary symmetrized
+adjacency of a snapshot (or clustered) graph: an edge in either
+direction makes A_ij = A_ji = 1, whatever its flow count, the unweighted
+adjacency the renormalized GCN of Kipf & Welling (ICLR 2017) is defined
+on. Applying an operator costs O(|E| h).
 """
 
 from __future__ import annotations
@@ -128,29 +128,27 @@ def chebyshev_basis(l_tilde: EdgeOperator, x: np.ndarray, k: int) -> list[np.nda
     return out
 
 
-def union_matrices(graphs, *, weighted: bool = False):
-    """Block-diagonal adjacency plus stacked features and labels.
+def union_matrices(graphs):
+    """Block-diagonal binary adjacency plus stacked features and labels.
 
     Disconnected union of the given graphs: node i of graph g lands at
     offset(g) + i, so graph g's int64 (m, 3) edge rows shift by
     [offset(g), offset(g), 0], and no edges are added between blocks.
-    Binary adjacency has a 1 per connected pair; weighted adjacency sums
-    the weights of both directions and counts a self-loop's weight once.
+    A_ij = A_ji = 1 when an edge joins i and j in either direction (a
+    self-loop sets A_ii), and 0 elsewhere; edge weights are not read.
+    One `np.unique` over both directions of every edge and the diagonal
+    gives the sorted entries, every diagonal one included.
     """
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
     n = int(offsets[-1])
     edges = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [
         g.edges + [offset, offset, 0] for g, offset in zip(graphs, offsets.tolist())])
     src, dst = edges[:, 0], edges[:, 1]
-    weight = edges[:, 2] if weighted else np.ones(len(edges))
-    mirror = src != dst
     nodes = np.arange(n)
-    keys, inverse = np.unique(
-        np.concatenate([src * n + dst, dst[mirror] * n + src[mirror], nodes * n + nodes]),
-        return_inverse=True)
-    vals = np.bincount(inverse, weights=np.concatenate([weight, weight[mirror], np.zeros(n)]))
-    if not weighted:
-        vals = (vals > 0.0).astype(np.float64)
+    keys, inverse = np.unique(np.concatenate([src * n + dst, dst * n + src, nodes * n + nodes]),
+                              return_inverse=True)
+    vals = np.zeros(len(keys))
+    vals[inverse[:2 * len(edges)]] = 1.0
     a = EdgeOperator(n, keys // n, keys % n, vals)
 
     x = np.vstack([g.features for g in graphs]) if graphs else np.zeros((0, 0))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MalformedArtefact, NonFiniteLoss
+from ..errors import MalformedArtefact, NonFiniteLoss, require_integers
 from .graph_ops import (
     EdgeOperator,
     chebyshev_basis,
@@ -43,16 +43,18 @@ _VARIANTS = (VARIANT_RENORMALIZED, VARIANT_CHEBYSHEV)
 @dataclass
 class TrainConfig:
     variant: str = VARIANT_RENORMALIZED
-    k: int = 1
+    k: int | None = None  # None: 1 for renormalized, 3 for chebyshev
     hidden: int = 16
     learning_rate: float = 0.01
     epochs: int = 200
     seed: int = 0
-    weighted_adjacency: bool = False
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.k is None:
+            self.k = 1 if self.variant == VARIANT_RENORMALIZED else 3
+        require_integers(self, "k", "hidden", "epochs", "seed")
         if self.variant == VARIANT_RENORMALIZED and self.k != 1:
             raise ValueError("the renormalized variant is first-order (k=1)")
         if self.k < 1:
@@ -74,10 +76,6 @@ class GcnModel:
     seed: int
     w0: list[np.ndarray]  # input->hidden, one block per polynomial order
     w1: list[np.ndarray]  # hidden->output blocks
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.w0)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -185,7 +183,7 @@ def train(graphs, config: TrainConfig):
         raise ValueError("need at least one training graph")
     if any(g.n_nodes == 0 for g in graphs):
         raise ValueError("training graphs must be non-empty")
-    a, x, y = union_matrices(graphs, weighted=config.weighted_adjacency)
+    a, x, y = union_matrices(graphs)
     operator = build_operator(a, config.variant)
     class_weights = inverse_frequency_weights(y)
     model = init_model(config)
@@ -223,13 +221,13 @@ class EvalMetrics:
                                     self.balanced_accuracy, self.n_nodes)))
 
 
-def evaluate(model: GcnModel, graphs, *, weighted: bool = False) -> EvalMetrics:
+def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     """Metrics over the disconnected union of the given graphs.
 
     Balanced accuracy averages recall over the classes present in the
     labels; per-class precision/recall report 0.0 when undefined.
     """
-    a, x, y = union_matrices(graphs, weighted=weighted)
+    a, x, y = union_matrices(graphs)
     operator = build_operator(a, model.variant)
     _, probs = forward(model, operator, x)
     predicted = probs.argmax(axis=1)
@@ -260,7 +258,7 @@ def save_model(path, model: GcnModel) -> None:
         fh.write(f"k {model.k}\n")
         fh.write(f"hidden {model.hidden}\n")
         fh.write(f"seed {model.seed}\n")
-        fh.write(f"blocks {model.n_blocks}\n")
+        fh.write(f"blocks {len(model.w0)}\n")
         for name, blocks in (("w0", model.w0), ("w1", model.w1)):
             for j, w in enumerate(blocks):
                 fh.write(f"{name} {j} {w.shape[0]} {w.shape[1]}\n")
@@ -274,7 +272,7 @@ def load_model(path) -> GcnModel:
     Raises ValueError when the first line is not the model header, and
     MalformedArtefact naming `path` when the file is empty, cut short,
     or otherwise not in the layout `save_model` writes, when `TrainConfig`
-    refuses its variant, k or hidden, and unless each layer has the
+    refuses its variant, k, hidden or seed, and unless each layer has the
     blocks `init_model` makes for them: 1 (renormalized) or k + 1
     (chebyshev), of shape (8, hidden) in w0 and (hidden, 2) in w1.
     """
@@ -289,7 +287,7 @@ def load_model(path) -> GcnModel:
         lines.pop()
         header = dict(ln.split(" ", 1) for ln in lines[1:6])
         config = TrainConfig(variant=header["variant"], k=int(header["k"]),
-                             hidden=int(header["hidden"]))
+                             hidden=int(header["hidden"]), seed=int(header["seed"]))
         n_blocks = int(header["blocks"])
         if n_blocks != _n_blocks(config):
             raise ValueError(f"a {config.variant} model with k {config.k} has "
@@ -308,7 +306,7 @@ def load_model(path) -> GcnModel:
             if len(blocks[name]) != n_blocks or any(w.shape != shape for w in blocks[name]):
                 raise ValueError(f"expected {n_blocks} {name} blocks of shape {shape}")
         return GcnModel(variant=config.variant, k=config.k, hidden=config.hidden,
-                        seed=int(header["seed"]), w0=blocks["w0"], w1=blocks["w1"])
+                        seed=config.seed, w0=blocks["w0"], w1=blocks["w1"])
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedArtefact(f"{path}: not the layout save_model writes "
                                 f"({type(exc).__name__}: {exc})") from None

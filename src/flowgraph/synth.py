@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_integers
 from .flow_model import _COLUMNS, EntityId, FlowTable
 
 _NORMAL_PEERS = 3  # ring partners contacted per cycle
@@ -62,6 +63,7 @@ class SynthConfig:
     behaviour_separation: str = "high"
 
     def __post_init__(self):
+        require_integers(self, "seed", "n_normal_entities", "n_attack_entities")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_normal_entities < 0 or self.n_attack_entities < 0:

@@ -487,11 +487,10 @@ def majority_label(attack_flows: int, total_flows: int) -> int:
     return 1 if 2 * attack_flows > total_flows else 0
 
 
-def gradient_check(model, graph, *, weighted: bool = False,
-                   class_weights: tuple[float, float] = (1.0, 1.0),
+def gradient_check(model, graph, *, class_weights: tuple[float, float] = (1.0, 1.0),
                    step: float = 1e-6) -> float:
     """Max relative error between analytic and central finite differences."""
-    a, x, y = union_matrices([graph], weighted=weighted)
+    a, x, y = union_matrices([graph])
     operator = build_operator(a, model.variant)
     basis = propagate(model, operator, x)
     _, gw0, gw1 = loss_and_grads(model, operator, basis, y, class_weights)
@@ -519,18 +518,13 @@ def gradient_check(model, graph, *, weighted: bool = False,
     return max_err
 
 
-def adjacency_oracle(graph, *, weighted: bool = False) -> np.ndarray:
-    """Dense symmetrized n x n adjacency; binary unless weighted is true."""
+def adjacency_oracle(graph) -> np.ndarray:
+    """Dense symmetrized binary n x n adjacency: 1 where an edge runs either way."""
     n = graph.n_nodes
     a = np.zeros((n, n))
-    for src, dst, w in graph.edges:
-        if weighted:
-            a[src, dst] += w
-            if src != dst:
-                a[dst, src] += w
-        else:
-            a[src, dst] = 1.0
-            a[dst, src] = 1.0
+    for src, dst, _ in graph.edges:
+        a[src, dst] = 1.0
+        a[dst, src] = 1.0
     return a
 
 

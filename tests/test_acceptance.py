@@ -300,7 +300,7 @@ _unsw_cache: dict[str, list] = {}
 
 def unsw_graphs():
     if "graphs" not in _unsw_cache:
-        result = parse_flows(UNSW_CSV, schema="unsw15", on_malformed="skip")
+        result = parse_flows(UNSW_CSV, on_malformed="skip")
         buckets = dissect(result.records, 600.0)
         _unsw_cache["graphs"] = [build_graph(flows, snapshot=s)
                                  for s, flows in buckets.items()]

@@ -184,6 +184,34 @@ def test_capture_with_no_accepted_flows_is_refused(tmp_path, capsys):
         assert tree_bytes(out / "graphs") == kept
 
 
+def test_graph_reads_the_schema_from_the_header(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("graph", "--config", cfg) == 0
+    synthetic = tree_bytes(out / "graphs")
+    # the same flows in unsw15 columns: a proto column, and packets split in two
+    header, *rows = (out / "flows.csv").read_text().splitlines()
+    unsw_header = "srcip,sport,dstip,dsport,proto,stime,dur,sbytes,dbytes,spkts,dpkts,label"
+    unsw = tmp_path / "unsw.csv"
+    unsw.write_text("\n".join([unsw_header] + [
+        ",".join(f[:4] + ["tcp"] + f[4:9] + ["0", f[9]]) for f in (r.split(",") for r in rows)
+    ]) + "\n")
+    assert run("graph", "--config", cfg, "--input", unsw) == 0
+    assert tree_bytes(out / "graphs") == synthetic
+
+    # every unsw15 column but one (neither schema), and every column of both
+    neither = tmp_path / "neither.csv"
+    neither.write_text(unsw_header.replace(",dpkts", "") + "\n")
+    both = tmp_path / "both.csv"
+    both.write_text(f"{header},{unsw_header}\n")
+    for path in (neither, both):
+        assert run("graph", "--config", cfg, "--input", path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"flowgraph graph: error: {path}: header names every column of ")
+        assert tree_bytes(out / "graphs") == synthetic
+
+
 def test_rerun_leaves_no_stale_snapshot_files(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", out, synth={**SMALL_SYNTH, "duration": 7200.0})
@@ -267,9 +295,16 @@ def test_nonpositive_eps_fails_with_diagnostic(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "epoch": 20}))
-    assert run("synth", "--config", cfg) == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    # the schema comes from the CSV header; the split and the adjacency are fixed
+    for key, value in (("epoch", 20), ("schema", "unsw15"), ("train_fraction", 0.5),
+                       ("weighted_adjacency", True)):
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), key: value}))
+        assert run("synth", "--config", cfg) == 1, key
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err, key
+    with pytest.raises(SystemExit) as exit_info:
+        run("graph", "--schema", "unsw15")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --schema unsw15" in capsys.readouterr().err
 
 
 def test_unknown_synth_key_rejected(tmp_path, capsys):
@@ -295,7 +330,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
                      ({"min_pts": 2.5}, "'min_pts'"),
                      ({"jobs": True}, "'jobs'"),
                      ({"eps": None}, "'eps'"),
-                     ({"weighted_adjacency": 1}, "'weighted_adjacency'"),
+                     ({"k": 1.5}, "'k'"),
                      ({"synth": {"duration": "600"}}, "'synth.duration'"),
                      ({"synth": {"duration": 1e300}}, "flows"),
                      ({"synth": {"n_normal_entities": 20.0}}, "'synth.n_normal_entities'")):
@@ -312,7 +347,6 @@ def test_config_value_types_that_fit_are_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "width": 600,
                                "eps": 1, "k": None, "dataset": None,
-                               "weighted_adjacency": False,
                                "synth": {**SMALL_SYNTH, "duration": 600}}))
     assert run("synth", "--config", cfg) == 0
     assert (tmp_path / "out" / "flows.csv").is_file()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from flowgraph.errors import MalformedRow, MissingColumn
@@ -39,6 +41,11 @@ def test_entity_validation():
             entity("not-an-ip", "80")
         with pytest.raises(ValueError):
             entity("10.0.0.1", "0x50")
+    # ports are ASCII decimal: the whitespace int() strips is all it takes beyond digits
+    assert entity("10.0.0.1", " 80\t") == EntityId("10.0.0.1", 80)
+    for port in ("8_0", "+80", "080", "٨٠", ""):
+        with pytest.raises(ValueError, match="ASCII decimal"):
+            entity("10.0.0.1", port)
 
 
 def test_parse_empty_file_with_header(tmp_path):
@@ -101,11 +108,28 @@ def test_missing_column_and_empty_file(tmp_path):
         parse_flows(empty)
 
 
+def test_schema_comes_from_the_header(tmp_path):
+    fields = "10.0.0.1,5000,10.0.0.2,80,12.5,1.0,100,200,"
+    synthetic, unsw = tmp_path / "synthetic.csv", tmp_path / "unsw.csv"
+    synthetic.write_text(SYNTH_HEADER + fields + "10,1\n")
+    unsw.write_text(UNSW_HEADER + fields + "4,6,1\n")
+    assert table_records(parse_flows(synthetic).records) \
+        == table_records(parse_flows(unsw).records)
+    # every column of neither schema (one unsw15 column short), or of both
+    neither = tmp_path / "neither.csv"
+    neither.write_text(UNSW_HEADER.replace("dpkts,", "") + fields + "10,1\n")
+    both = tmp_path / "both.csv"
+    both.write_text(SYNTH_HEADER.rstrip("\n") + "," + UNSW_HEADER)
+    for path, why in ((neither, "no schema; missing unsw15: dpkts; synthetic: src_ip"),
+                      (both, "both schemas, unsw15 and synthetic")):
+        with pytest.raises(MissingColumn,
+                           match=f"^{re.escape(str(path))}: header names every column of {why}"):
+            parse_flows(path)
+
+
 def test_parameter_validation(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text(SYNTH_HEADER)
-    with pytest.raises(ValueError):
-        parse_flows(path, schema="netflow9")
     with pytest.raises(ValueError):
         parse_flows(path, on_malformed="ignore")
 
@@ -136,7 +160,7 @@ def test_unsw_schema(tmp_path):
         "srcip,sport,dstip,dsport,proto,stime,dur,sbytes,dbytes,spkts,dpkts,label\n"
         "59.166.0.0,1390,149.171.126.6,53,udp,1421927414.0,0.001,132,164,2,3,0\n"
     )
-    records = table_records(parse_flows(path, schema="unsw15").records)
+    records = table_records(parse_flows(path).records)
     assert len(records) == 1
     assert records[0].packets_total == 5
     assert records[0].src == EntityId("59.166.0.0", 1390)
@@ -150,5 +174,5 @@ def test_unsw_hex_port_is_malformed(tmp_path):
         + "59.166.0.0,0x20205321,149.171.126.6,53,1.0,0.001,132,164,2,3,0\n"
     )
     with pytest.raises(MalformedRow):
-        parse_flows(path, schema="unsw15")
-    assert parse_flows(path, schema="unsw15", on_malformed="skip").skipped_rows == 1
+        parse_flows(path)
+    assert parse_flows(path, on_malformed="skip").skipped_rows == 1

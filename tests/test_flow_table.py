@@ -139,6 +139,12 @@ BAD_FIELDS = [
     ({6: "-5"}, "negative count"),
     ({7: str(1 << 63)}, "count beyond 64 bits"),
     ({9: "2"}, "label outside {0, 1}"),
+    ({9: "0_1"}, "label with an underscore"),
+    ({9: "+1"}, "label with a sign"),
+    ({9: "01"}, "label with a leading zero"),
+    ({9: "\u0661"}, "label in Arabic-Indic digits"),
+    ({3: "8_0"}, "port with an underscore"),
+    ({3: "\u0668\u0660"}, "port in Arabic-Indic digits"),
     ({8: "1.5"}, "fractional packet count"),
 ]
 GOOD = ["10.0.0.1", "5000", "10.0.0.2", "80", "12.5", "1.0", "100", "200", "10", "0"]
@@ -175,9 +181,9 @@ def test_malformed_rows_are_skipped_and_counted(tmp_path_factory, kinds, schema)
         rows.append(",".join(fields))
     path = tmp_path_factory.mktemp("csv") / "flows.csv"
     path.write_text("\n".join([SYNTH_HEADER if schema == "synthetic" else UNSW_HEADER]
-                              + rows) + "\n")
+                              + rows) + "\n", encoding="utf-8")
 
-    result = parse_flows(path, schema=schema, on_malformed="skip")
+    result = parse_flows(path, on_malformed="skip")
     assert result.skipped_rows == len(kinds) - len(good)
     t0 = float(good[0]) if good else 0.0
     assert [r.start_time for r in table_records(result.records)] == [n - t0 for n in good]
@@ -185,8 +191,8 @@ def test_malformed_rows_are_skipped_and_counted(tmp_path_factory, kinds, schema)
 
     first_bad = next((n for n, kind in enumerate(kinds) if kind is not None), None)
     if first_bad is None:
-        assert len(parse_flows(path, schema=schema).records) == len(kinds)
+        assert len(parse_flows(path).records) == len(kinds)
     else:
         with pytest.raises(MalformedRow) as err:
-            parse_flows(path, schema=schema)
+            parse_flows(path)
         assert err.value.row_index == first_bad + 1

@@ -59,15 +59,27 @@ def test_config_validation():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="seed"):
         TrainConfig(seed=-1)
+    # a bool or non-integer is refused here, not later as a TypeError in numpy or range
+    for name, bad in (("hidden", {"hidden": 2.5}), ("epochs", {"epochs": 2.5}),
+                      ("k", {"variant": "chebyshev", "k": 1.5}), ("seed", {"seed": 1.5}),
+                      ("hidden", {"hidden": True})):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainConfig(**bad)
+
+
+def test_k_defaults_per_variant():
+    assert TrainConfig().k == 1
+    assert TrainConfig(variant=VARIANT_CHEBYSHEV).k == 3
+    assert TrainConfig(variant=VARIANT_CHEBYSHEV, k=2).k == 2
 
 
 def test_init_shapes():
     renorm = init_model(TrainConfig(variant=VARIANT_RENORMALIZED, hidden=16))
-    assert renorm.n_blocks == 1
+    assert len(renorm.w0) == 1
     assert renorm.w0[0].shape == (8, 16)
     assert renorm.w1[0].shape == (16, 2)
     cheb = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, hidden=5))
-    assert cheb.n_blocks == 4
+    assert len(cheb.w0) == 4
     assert all(w.shape == (8, 5) for w in cheb.w0)
     assert all(w.shape == (5, 2) for w in cheb.w1)
 
@@ -247,10 +259,10 @@ def test_load_refuses_a_header_the_weights_do_not_fit(tmp_path):
     path = tmp_path / "model.txt"
     save_model(path, model)
     text = path.read_text()
-    assert "\nvariant chebyshev\nk 3\nhidden 4\n" in text and "\nblocks 4\n" in text
+    assert "\nvariant chebyshev\nk 3\nhidden 4\nseed 0\nblocks 4\n" in text
     edits = [("variant chebyshev", "variant bogus"), ("\nk 3\n", "\nk 7\n"),
              ("\nk 3\n", "\nk 2\n"), ("\nk 3\n", "\nk 0\n"),
-             ("hidden 4", "hidden 5"), ("hidden 4", "hidden 0"),
+             ("hidden 4", "hidden 5"), ("hidden 4", "hidden 0"), ("\nseed 0\n", "\nseed -3\n"),
              ("variant chebyshev", "variant renormalized"),
              ("variant chebyshev\nk 3", "variant renormalized\nk 1"),
              ("\nw1 0 4 2\n", "\nw0 4 4 2\n")]  # a w1 block read as a fifth w0 block

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,13 @@ def graph_with_edges(n, edges, labels=None):
     return graph_from([np.full(8, float(i)) for i in range(n)], labels or [0] * n, edges)
 
 
-def adjacency(n, edges, *, weighted=False):
-    return union_matrices([graph_with_edges(n, edges)], weighted=weighted)[0]
+def adjacency(n, edges):
+    return union_matrices([graph_with_edges(n, edges)])[0]
+
+
+def unit_weights(g):
+    """g with the flow count of every edge set to 1."""
+    return replace(g, edges=g.edges * [1, 1, 0] + [0, 0, 1])
 
 
 def dense(op):
@@ -66,12 +73,14 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["binary", "weighted"])
+@pytest.mark.parametrize("weights", ["binary", "weighted"])
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-def test_operators_match_dense_oracles(name, weighted):
-    g = ORACLE_CASES[name]
-    a = union_matrices([g], weighted=weighted)[0]
-    a_dense = adjacency_oracle(g, weighted=weighted)
+def test_operators_match_dense_oracles(name, weights):
+    """A "weighted" case keeps its flow counts, a "binary" one has each set to 1;
+    the adjacency and the oracle are binary, so they read neither."""
+    g = ORACLE_CASES[name] if weights == "weighted" else unit_weights(ORACLE_CASES[name])
+    a = union_matrices([g])[0]
+    a_dense = adjacency_oracle(g)
     assert a.shape == (g.n_nodes, g.n_nodes)
     assert np.array_equal(dense(a), a_dense)
     assert np.array_equal(dense(renormalize_adjacency(a)), renormalize_oracle(a_dense))
@@ -93,15 +102,14 @@ def test_operators_match_dense_oracles(name, weighted):
 
 def test_union_matches_block_diagonal_oracle():
     graphs = list(ORACLE_CASES.values())
-    for weighted in (False, True):
-        a = union_matrices(graphs, weighted=weighted)[0]
-        expected = np.zeros(a.shape)
-        offset = 0
-        for g in graphs:
-            block = slice(offset, offset + g.n_nodes)
-            expected[block, block] = adjacency_oracle(g, weighted=weighted)
-            offset += g.n_nodes
-        assert np.array_equal(dense(a), expected)
+    expected = np.zeros((sum(g.n_nodes for g in graphs),) * 2)
+    offset = 0
+    for g in graphs:
+        block = slice(offset, offset + g.n_nodes)
+        expected[block, block] = adjacency_oracle(g)
+        offset += g.n_nodes
+    for blocks in (graphs, [unit_weights(g) for g in graphs]):
+        assert np.array_equal(dense(union_matrices(blocks)[0]), expected)
 
 
 def test_operator_layout():
@@ -146,18 +154,10 @@ def test_renormalized_spectrum_random_graphs():
 
 
 def test_adjacency_symmetrization():
+    # a flow count scales no entry, and a reciprocal pair is one entry of 1 each way
     a = adjacency(3, [(0, 1, 5), (2, 2, 7)])
     assert np.array_equal(dense(a), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    w = dense(adjacency(3, [(0, 1, 5), (2, 2, 7)], weighted=True))
-    assert w[0, 1] == 5.0 and w[1, 0] == 5.0
-    assert w[2, 2] == 7.0  # self-loop weight counted once
-
-
-def test_adjacency_sums_both_directions_when_weighted():
-    edges = [(0, 1, 2), (1, 0, 3)]
-    assert np.array_equal(dense(adjacency(2, edges)), [[0, 1], [1, 0]])
-    w = dense(adjacency(2, edges, weighted=True))
-    assert w[0, 1] == 5.0 and w[1, 0] == 5.0
+    assert np.array_equal(dense(adjacency(2, [(0, 1, 2), (1, 0, 3)])), [[0, 1], [1, 0]])
 
 
 def test_isolated_node_laplacian_and_scaling():

@@ -166,6 +166,11 @@ def test_config_validation():
         SynthConfig(duration=-60.0)
     with pytest.raises(ValueError, match="seed"):
         SynthConfig(seed=-1)
+    # a bool or non-integer is refused here, not later as a TypeError in numpy
+    for name, value in (("n_normal_entities", 2.5), ("n_attack_entities", 1.5),
+                        ("seed", 1.5), ("seed", True)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SynthConfig(**{name: value})
 
 
 def test_entity_counts_capped_at_address_limits():
