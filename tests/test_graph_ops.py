@@ -154,10 +154,16 @@ def test_renormalized_spectrum_random_graphs():
 
 
 def test_adjacency_symmetrization():
-    # a flow count scales no entry, and a reciprocal pair is one entry of 1 each way
+    # a flow count scales no entry
     a = adjacency(3, [(0, 1, 5), (2, 2, 7)])
     assert np.array_equal(dense(a), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert np.array_equal(dense(adjacency(2, [(0, 1, 2), (1, 0, 3)])), [[0, 1], [1, 0]])
+
+
+def test_adjacency_sums_both_directions_when_weighted():
+    """The adjacency is binary: a reciprocal pair with flow counts 2 and 3
+    is one entry of 1 each way, not their sum."""
+    a = adjacency(2, [(0, 1, 2), (1, 0, 3)])
+    assert np.array_equal(dense(a), [[0, 1], [1, 0]])
 
 
 def test_isolated_node_laplacian_and_scaling():
