@@ -58,8 +58,6 @@ class PipelineConfig:
     width: float = 600.0
     algorithm: str = "dbscan"
     eps: float = 0.5
-    min_pts: int = 2
-    min_cluster_size: int = 5
     variant: str = "gcn"  # gcn = first-order renormalized, cheb = chebyshev
     k: int | None = None  # TrainConfig's default per variant (gcn: 1, cheb: 3)
     hidden: int = 16
@@ -88,9 +86,7 @@ class PipelineConfig:
         return "synthetic"
 
     def cluster_params(self) -> ClusterParams:
-        return ClusterParams(algorithm=self.algorithm, eps=self.eps,
-                             min_pts=self.min_pts,
-                             min_cluster_size=self.min_cluster_size)
+        return ClusterParams(algorithm=self.algorithm, eps=self.eps)
 
     def train_config(self) -> spectral_gcn.TrainConfig:
         return spectral_gcn.TrainConfig(
@@ -307,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--width", type=float, help="snapshot width in seconds")
     common.add_argument("--algorithm", choices=["dbscan", "optics", "hdbscan"])
     common.add_argument("--eps", type=float)
-    common.add_argument("--min-pts", dest="min_pts", type=int)
-    common.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
     common.add_argument("--variant", choices=["gcn", "cheb"])
     common.add_argument("--k", type=int, help="polynomial order (gcn: 1; cheb: default 3)")
     common.add_argument("--seed", type=int)

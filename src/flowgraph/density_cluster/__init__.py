@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import require_integers
-
 NOISE = -1
+MIN_PTS = 2  # points in a core point's closed neighbourhood, itself included
+MIN_CLUSTER_SIZE = 5  # hdbscan: points a cluster needs to survive a split
 _BLOCK_BYTES = 256 << 10  # squared differences per kernel block: stays in cache
 _LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # lane on each of 8 planes: halving adds pair them as numpy does
 
@@ -112,29 +112,23 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClusterParams:
-    """Algorithm choice plus the knobs each algorithm consumes.
+    """One clustering run: the algorithm and, for dbscan and optics, eps.
 
-    Defaults follow the reference experiment: min_pts=2, euclidean
-    metric, min_cluster_size=5 for hdbscan, eps in {0.2, 0.5, 0.8} for
-    dbscan/optics (0.5 if unspecified).
+    These are the only settings a run takes, so `tag()` names it in
+    full. The reference experiment's other values are the constants
+    `MIN_PTS` (every algorithm) and `MIN_CLUSTER_SIZE` (hdbscan); eps is
+    one of {0.2, 0.5, 0.8}, 0.5 if unspecified, with the euclidean
+    metric.
     """
 
     algorithm: str = "dbscan"
     eps: float = 0.5
-    min_pts: int = 2
-    min_cluster_size: int = 5
 
     def __post_init__(self):
         if self.algorithm not in ("dbscan", "optics", "hdbscan"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ("dbscan", "optics") and not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        require_integers(self, "min_pts", "min_cluster_size")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
-        if self.algorithm == "hdbscan" and self.min_cluster_size < 2:
-            raise ValueError(
-                f"min_cluster_size must be >= 2, got {self.min_cluster_size}")
 
     def tag(self) -> str:
         """Directory/file tag for this parameterization; `parse_tag` reads it back."""
@@ -165,18 +159,14 @@ class ClusterResult:
     assignment: np.ndarray
     cluster_count: int
 
-    @classmethod
-    def empty(cls) -> "ClusterResult":
-        return cls(assignment=np.zeros(0, dtype=np.int64), cluster_count=0)
-
 
 def cluster_points(points: np.ndarray, params: ClusterParams) -> ClusterResult:
-    """Dispatch to the configured algorithm."""
+    """Run the configured algorithm with `MIN_PTS` and, for hdbscan, `MIN_CLUSTER_SIZE`."""
     if params.algorithm == "dbscan":
-        return dbscan(points, params.eps, params.min_pts)
+        return dbscan(points, params.eps, MIN_PTS)
     if params.algorithm == "optics":
-        return optics(points, params.eps, params.min_pts).extract_at_eps(params.eps)
-    return hdbscan(points, params.min_pts, params.min_cluster_size)
+        return optics(points, params.eps, MIN_PTS).extract_at_eps(params.eps)
+    return hdbscan(points, MIN_PTS, MIN_CLUSTER_SIZE)
 
 
 from .dbscan import dbscan  # noqa: E402
@@ -197,6 +187,8 @@ from .aggregate import (  # noqa: E402
 __all__ = [
     "KIND_ATTACK",
     "KIND_CLUSTER",
+    "MIN_CLUSTER_SIZE",
+    "MIN_PTS",
     "NOISE",
     "ClusterParams",
     "ClusterResult",

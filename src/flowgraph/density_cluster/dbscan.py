@@ -19,8 +19,6 @@ from . import NOISE, ClusterResult, DistanceRows
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    if n == 0:
-        return ClusterResult.empty()
 
     # One blockwise pass computes every distance row once; within is the
     # symmetric closed eps-ball mask and its row sums are the ball sizes.

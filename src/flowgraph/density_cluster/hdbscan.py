@@ -162,10 +162,8 @@ def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterR
         raise ValueError(f"min_cluster_size must be >= 2, got {min_cluster_size}")
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    if n == 0:
-        return ClusterResult.empty()
     if n < max(min_pts, 2):
-        # core distances undefined; documented degenerate case
+        # core distances undefined, or no points at all; documented degenerate case
         return ClusterResult(assignment=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
 

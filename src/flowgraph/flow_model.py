@@ -11,9 +11,10 @@ of neither schema, or of both, is refused):
   src_port, dst_ip, dst_port, start_time, duration, bytes_fwd,
   bytes_bwd, packets, label.
 
-Ports and labels are ASCII decimal texts (see `decimal`). Timestamps
-are rebased on parse so that the earliest accepted flow starts at 0;
-downstream snapshot indexing is capture-relative.
+Ports, labels, byte and packet counts are ASCII decimal texts (see
+`decimal`); seconds are unsigned ASCII numbers. Timestamps are rebased
+on parse so that the earliest accepted flow starts at 0; downstream
+snapshot indexing is capture-relative.
 """
 
 from __future__ import annotations
@@ -134,16 +135,19 @@ class ParseResult:
 
 
 def _count(value: int) -> int:
-    if value < 0:
-        raise ValueError(f"negative count: {value}")
+    """A byte or packet count, or a sum of packet counts, as int64 stores it."""
     if value >= 1 << 63:
         raise ValueError(f"count does not fit in 64 bits: {value}")
     return value
 
 
 def _parse_seconds(text: str) -> float:
-    value = float(text)
-    # rejects NaN (comparison is False) and negatives; inf rejected below
+    """An unsigned ASCII number of seconds; `float()` alone would take "+5", "1_2.5" and "٥"."""
+    digits = text.strip()
+    if not digits.isascii() or "_" in digits or digits[:1] in "+-":
+        raise ValueError(f"not an unsigned ASCII number of seconds: {text!r}")
+    value = float(digits)
+    # rejects NaN (the comparison is False) and inf
     if not value >= 0 or value == float("inf"):
         raise ValueError(f"seconds value must be finite and >= 0: {text!r}")
     return value
@@ -208,8 +212,8 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
                 s, d, t, dur, fwd, bwd, n_packets, lab = (
                     code(fields[0], fields[1]), code(fields[2], fields[3]),
                     _parse_seconds(fields[4]), _parse_seconds(fields[5]),
-                    _count(int(fields[6])), _count(int(fields[7])),
-                    _count(sum(map(_count, map(int, fields[8:-1])))),
+                    _count(decimal(fields[6])), _count(decimal(fields[7])),
+                    _count(sum(map(decimal, fields[8:-1]))),
                     parse_label(fields[-1]))
             except (ValueError, IndexError) as exc:
                 if on_malformed == "abort":

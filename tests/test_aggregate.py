@@ -95,7 +95,7 @@ def test_attack_population_invariant():
         labels = rng.integers(0, 2, size=n).tolist()
         features = rng.uniform(0, 1, size=(n, 8)).tolist()
         graph = graph_from(features, labels)
-        params = ClusterParams(algorithm="dbscan", eps=0.4, min_pts=2)
+        params = ClusterParams(algorithm="dbscan", eps=0.4)
         _, clustered = cluster_snapshot(graph, params)
         n_attack_in = sum(labels)
         singles = [s for s in clustered.nodes if s.kind == KIND_ATTACK]
@@ -111,7 +111,7 @@ def test_cluster_snapshot_pairs_assignment_with_graph():
         [0, 0, 0, 1],
         [(0, 1, 1)],
     )
-    params = ClusterParams(algorithm="dbscan", eps=0.2, min_pts=2)
+    params = ClusterParams(algorithm="dbscan", eps=0.2)
     result, clustered = cluster_snapshot(graph, params)
     assert len(result.assignment) == 3  # only the normal nodes
     n_clusters = sum(1 for s in clustered.nodes if s.kind == KIND_CLUSTER)

@@ -7,6 +7,7 @@ Each test drives `flowgraph.cli.main` with a small synthetic capture
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from flowgraph.cli import main
-from flowgraph.density_cluster import DistanceRows
+from flowgraph.density_cluster import ClusterParams, DistanceRows
 from oracles import with_node_field
 
 SMALL_SYNTH = {
@@ -264,7 +265,7 @@ def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
     nan_rate = write_config(tmp_path / "nan.json", tmp_path / "shared", learning_rate=float("nan"))
     assert run("synth", "--config", cfg) == 0
-    for i, bad in enumerate((("--eps", "0"), ("--min-pts", "0"),
+    for i, bad in enumerate((("--eps", "0"),
                              ("--variant", "gcn", "--k", "3"), ("--seed", "-1"),
                              ("--config", nan_rate), ("--width", "inf"), ("--width", "nan"),
                              ("--width", "1e-17"))):
@@ -307,6 +308,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --schema unsw15" in capsys.readouterr().err
 
 
+def test_clustering_settings_are_algorithm_and_eps_only(tmp_path, capsys):
+    # min_pts and min_cluster_size are the constants every run uses, so a
+    # run's tag names all of its settings
+    assert [f.name for f in dataclasses.fields(ClusterParams)] == ["algorithm", "eps"]
+    for flag in (("--min-pts", "3"), ("--min-cluster-size", "10")):
+        with pytest.raises(SystemExit) as exit_info:
+            run("cluster", *flag)
+        assert exit_info.value.code == 2, flag
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for key, value in (("min_pts", 3), ("min_cluster_size", 10)):
+        cfg = write_config(tmp_path / "cfg.json", out, **{key: value})
+        assert run("run-all", "--config", cfg) == 1, key
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err, key
+        assert not out.exists(), key
+
+
 def test_unknown_synth_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
@@ -327,7 +345,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
     out = str(tmp_path / "out")
     for bad, key in (({"width": "600"}, "'width'"),
                      ({"eps": "0.2"}, "'eps'"),
-                     ({"min_pts": 2.5}, "'min_pts'"),
+                     ({"epochs": 2.5}, "'epochs'"),
                      ({"jobs": True}, "'jobs'"),
                      ({"eps": None}, "'eps'"),
                      ({"k": 1.5}, "'k'"),

@@ -71,6 +71,16 @@ def test_parse_single_synthetic_row(tmp_path):
     assert r.label == 0
 
 
+def test_padded_and_exponent_numbers_still_parse(tmp_path):
+    """Padding and the exponent form repr writes still parse; BAD_FIELDS holds the refusals."""
+    path = tmp_path / "numbers.csv"
+    path.write_text(SYNTH_HEADER + "".join(f"10.0.0.1,5000,10.0.0.2,80,0.0,{dur},{n},200,10,0\n"
+                                           for dur, n in ((" 12.5 ", " 100 "), ("1e-05", "7"))))
+    records = parse_flows(path).records
+    assert records.duration.tolist() == [12.5, 1e-05]
+    assert records.bytes_src_to_dst.tolist() == [100, 7]
+
+
 def test_skip_policy_counts_bad_rows(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(

@@ -146,6 +146,12 @@ BAD_FIELDS = [
     ({3: "8_0"}, "port with an underscore"),
     ({3: "\u0668\u0660"}, "port in Arabic-Indic digits"),
     ({8: "1.5"}, "fractional packet count"),
+    ({4: "1_2.5"}, "start time with an underscore"),
+    ({4: "\u0665"}, "start time in Arabic-Indic digits"),
+    ({5: "+0.5"}, "duration with a sign"),
+    ({6: "1_000"}, "byte count with an underscore"),
+    ({7: "+5"}, "byte count with a sign"),
+    ({8: "\u0665"}, "packet count in Arabic-Indic digits"),
 ]
 GOOD = ["10.0.0.1", "5000", "10.0.0.2", "80", "12.5", "1.0", "100", "200", "10", "0"]
 SYNTH_HEADER = ("src_ip,src_port,dst_ip,dst_port,start_time,duration,"
@@ -155,7 +161,8 @@ UNSW_HEADER = "srcip,sport,dstip,dsport,proto,stime,dur,sbytes,dbytes,spkts,dpkt
 
 def as_unsw(fields: list[str]) -> list[str]:
     """The unsw15 row of a synthetic row: a proto column and packets split in two."""
-    spkts, dpkts = (str(int(fields[8]) - 1), "1") if fields[8].isdigit() else (fields[8], "0")
+    good = fields[8].isascii() and fields[8].isdigit()
+    spkts, dpkts = (str(int(fields[8]) - 1), "1") if good else (fields[8], "0")
     return fields[:4] + ["tcp"] + fields[4:8] + [spkts, dpkts, fields[9]]
 
 

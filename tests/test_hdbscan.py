@@ -154,7 +154,7 @@ def test_determinism():
 
 def test_dispatch_through_cluster_points():
     points, truth = three_blobs(seed=2)
-    params = ClusterParams(algorithm="hdbscan", min_pts=2, min_cluster_size=5)
+    params = ClusterParams(algorithm="hdbscan")
     result = cluster_points(points, params)
     assert result.cluster_count == 3
     assert partitions_equal(result.assignment, truth)

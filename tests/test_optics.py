@@ -79,6 +79,6 @@ def test_extraction_ids_dense():
 
 def test_dispatch_through_cluster_points():
     points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
-    params = ClusterParams(algorithm="optics", eps=0.2, min_pts=2)
+    params = ClusterParams(algorithm="optics", eps=0.2)
     result = cluster_points(points, params)
     assert np.array_equal(result.assignment, [0, 0, NOISE])
