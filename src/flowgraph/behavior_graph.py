@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MalformedArtefact
-from .flow_model import EntityId, FlowTable, entity, parse_label
+from .flow_model import EntityId, FlowTable, decimal, entity, parse_label
 from .temporal import SnapshotIndex
 
 N_FEATURES = 8
@@ -126,10 +126,10 @@ def normalize_features(graph: SnapshotGraph) -> SnapshotGraph:
 
 
 def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
-                        rows: list[str], edges: np.ndarray, weight) -> None:
+                        rows: list[str], edges: np.ndarray, weight_suffix: str) -> None:
     """Write the layout of graph and clustered files; `rows[i]` follows index i.
 
-    Edge weight w is written as `weight(w)`: `int` or `float`, as the reader takes it.
+    Edge weight w is written as its digits followed by `weight_suffix`.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# snapshot {snapshot.index} {snapshot.window_start!r} "
@@ -138,22 +138,24 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
             fh.write(f"{i} {row}\n")
         fh.write(f"# edges {len(edges)}\n# {_EDGE_COLUMNS}\n")
         for s, d, w in edges.tolist():
-            fh.write(f"{s} {d} {weight(w)}\n")
+            fh.write(f"{s} {d} {w}{weight_suffix}\n")
 
 
-def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
+def read_snapshot_text(path, noun: str, columns: str, make_node, weight_suffix: str):
     """(snapshot, nodes, labels, features, edges) from the layout `write_snapshot_text` writes.
 
     `make_node` gives a row's (node, label) from its fields (ValueError
-    on a value it refuses), `weight` (`int` or `float`) an edge weight's
-    value from its text; columns f1..f8 are read here, and the labels,
-    features and edges come back as an int64 vector, an (n, N_FEATURES)
-    matrix and an int64 (m, 3) array. Raises MalformedArtefact naming
-    `path` and the line on a refused value, and unless the counts
-    match the rows, the last line ends with a newline, each node row
-    has one field per column and its position as index, each edge
-    endpoint is a node index, each weight is a whole count in [1, 2**63)
-    and no (src, dst) pair repeats: any truncation of a written file fails.
+    on a value it refuses); the labels, features f1..f8 and edges come
+    back as an int64 vector, an (n, N_FEATURES) matrix and an int64
+    (m, 3) array. Raises MalformedArtefact naming `path` and the line
+    on a refused value, and unless the counts match the rows, the last
+    line ends with a newline, each node row has one field per column
+    and its position as index, each edge endpoint reads as a node row's
+    index, the snapshot index, the counts and the weights (each weight
+    followed by `weight_suffix`) are `decimal`, each weight is in
+    [1, 2**63), no (src, dst) pair repeats, and the window bounds and
+    features are finite, ASCII and without `_`: any truncation of a
+    written file fails.
     """
     names = columns.split()
     first = names.index("f1")
@@ -171,9 +173,9 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
             return parts
 
         try:
-            _, _, index, start, end = take(5, "#", "snapshot")
-            snapshot = SnapshotIndex(int(index), float(start), float(end))
-            n_nodes = int(take(3, "#", noun)[2])
+            _, _, index, *bounds = take(5, "#", "snapshot")
+            snapshot = SnapshotIndex(decimal(index), *_read_floats(bounds, "window bound {}"))
+            n_nodes = decimal(take(3, "#", noun)[2])
             take(1 + len(names), "#", *names)
             nodes, labels, features = [], [], []
             for i, (lineno, line) in zip(range(n_nodes), lines):
@@ -183,24 +185,26 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
                 node, label = make_node(row)
                 nodes.append(node)
                 labels.append(label)
-                features.append(_read_features(row[first:first + N_FEATURES]))
-            n_edges = int(take(3, "#", "edges")[2])
+                features.append(_read_floats(row[first:first + N_FEATURES], "feature f{}"))
+            n_edges = decimal(take(3, "#", "edges")[2])
             take(4, "#", *_EDGE_COLUMNS.split())
+            node_of = {str(i): i for i in range(n_nodes)}  # each index as node rows write it
             edges, pairs = [], set()
             for _, (lineno, line) in zip(range(n_edges), lines):
                 s, d, text = line.split()
-                s, d, w = int(s), int(d), weight(text)
-                if not (0 <= s < n_nodes and 0 <= d < n_nodes):
-                    raise ValueError(f"edge endpoint out of range [0, {n_nodes})")
-                if not (1 <= w <= _MAX_WEIGHT and w == int(w)):
+                if s not in node_of or d not in node_of:
+                    raise ValueError(f"edge endpoint not a node index in [0, {n_nodes}): {s} {d}")
+                if not text.endswith(weight_suffix):
+                    raise ValueError(f"edge weight must read <count>{weight_suffix}, got {text}")
+                s, d, w = node_of[s], node_of[d], decimal(text.removesuffix(weight_suffix))
+                if not 1 <= w <= _MAX_WEIGHT:
                     raise ValueError(f"edge weight must be a count in [1, 2**63), got {text}")
                 if (s, d) in pairs:
                     raise ValueError(f"edge {s} -> {d} appears twice")
                 pairs.add((s, d))
-                edges.append((s, d, int(w)))
-            if min(n_nodes, n_edges) < 0 or len(edges) != n_edges:
-                raise ValueError(f"counted {n_nodes} nodes and {n_edges} edges, "
-                                 f"found {len(nodes)} and {len(edges)} rows")
+                edges.append((s, d, w))
+            if len(edges) != n_edges:
+                raise ValueError(f"counted {n_edges} edges, found {len(edges)} rows")
             if not line.endswith("\n"):
                 raise ValueError("no newline at end of file")
             for lineno, _ in lines:
@@ -212,13 +216,17 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight):
             np.array(edges, dtype=np.int64).reshape(len(edges), 3))
 
 
-def _read_features(fields: list[str]) -> list[float]:
-    """f1..f8 from their texts; ValueError unless every one is finite."""
+def _read_floats(fields: list[str], name: str) -> list[float]:
+    """`float` of each text; ValueError naming `name.format(j)` for the first text j (from 1)
+    that is not finite, not ASCII or holds `_` (`float` takes "1_0" and "١")."""
+    text = " ".join(fields)
     values = list(map(float, fields))
-    if not all(map(math.isfinite, values)):
-        bad = next(j for j, v in enumerate(values) if not math.isfinite(v))
-        raise ValueError(f"feature f{bad + 1} must be finite, got {fields[bad]}")
-    return values
+    if text.isascii() and "_" not in text and all(map(math.isfinite, values)):
+        return values
+    bad = next(j for j, (t, v) in enumerate(zip(fields, values))
+               if not (t.isascii() and "_" not in t and math.isfinite(v)))
+    raise ValueError(f"{name.format(bad + 1)} must be a finite ASCII number without '_', "
+                     f"got {fields[bad]}")
 
 
 def write_graph_text(path, graph: SnapshotGraph) -> None:
@@ -226,7 +234,7 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
     rows = [f"{e.ip} {e.port} {label} " + " ".join(map(repr, row))
             for e, label, row in zip(graph.entities, graph.labels.tolist(),
                                      graph.features.tolist())]
-    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges, int)
+    write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges, "")
 
 
 def _graph_node(row: list[str]) -> tuple[EntityId, int]:
@@ -234,4 +242,4 @@ def _graph_node(row: list[str]) -> tuple[EntityId, int]:
 
 
 def read_graph_text(path) -> SnapshotGraph:
-    return SnapshotGraph(*read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, int))
+    return SnapshotGraph(*read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, ""))

@@ -11,7 +11,8 @@ Subcommands cover the two phases end to end:
 
 Stages communicate through the documented on-disk text formats, so any
 stage can be re-run or inspected in isolation. Options come from an
-optional JSON config file (--config) overridden by command-line flags.
+optional JSON config file (--config) overridden by command-line flags;
+the GCN's training settings are `spectral_gcn` constants, not options.
 The FLOWGRAPH_LOG environment variable sets the log level.
 
 Layout under --out-dir:
@@ -60,9 +61,6 @@ class PipelineConfig:
     eps: float = 0.5
     variant: str = "gcn"  # gcn = first-order renormalized, cheb = chebyshev
     k: int | None = None  # TrainConfig's default per variant (gcn: 1, cheb: 3)
-    hidden: int = 16
-    learning_rate: float = 0.01
-    epochs: int = 200
     seed: int = 0
     jobs: int = 1
     synth: dict = field(default_factory=dict)
@@ -89,9 +87,8 @@ class PipelineConfig:
         return ClusterParams(algorithm=self.algorithm, eps=self.eps)
 
     def train_config(self) -> spectral_gcn.TrainConfig:
-        return spectral_gcn.TrainConfig(
-            variant=_VARIANT_BY_FLAG[self.variant], k=self.k, hidden=self.hidden,
-            learning_rate=self.learning_rate, epochs=self.epochs, seed=self.seed)
+        return spectral_gcn.TrainConfig(variant=_VARIANT_BY_FLAG[self.variant], k=self.k,
+                                        seed=self.seed)
 
     def synth_config(self) -> synth.SynthConfig:
         kwargs = dict(self.synth)
@@ -244,8 +241,7 @@ def cmd_train(config: PipelineConfig) -> Path:
             m = spectral_gcn.evaluate(model, split)
             fh.write(",".join((str(name), *map(repr, m.as_dict().values()))) + "\n")
     log.info("train: %d train / %d test snapshots, final loss %s -> %s",
-             len(train_graphs), len(test_graphs),
-             losses[-1] if losses else "n/a", model_path)
+             len(train_graphs), len(test_graphs), losses[-1], model_path)
     return model_path
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..behavior_graph import (SnapshotGraph, first_appearance, minmax_scale,
                               normalize_features, read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
-from ..flow_model import EntityId, entity, parse_label
+from ..flow_model import EntityId, entity
 from ..temporal import SnapshotIndex
 from . import NOISE, ClusterParams, ClusterResult, cluster_points
 
@@ -122,20 +122,20 @@ def write_clustered_text(path, graph: ClusteredGraph) -> None:
             for node, label, row in zip(graph.nodes, graph.labels.tolist(),
                                         graph.features.tolist())]
     write_snapshot_text(path, graph.snapshot, "supernodes", _NODE_COLUMNS, rows, graph.edges,
-                        float)
+                        ".0")
 
 
 def _super_node(row: list[str]) -> tuple[SuperNode, int]:
-    kind, label = row[1], parse_label(row[2])
-    if (kind, label, float(row[3])) not in ((KIND_CLUSTER, 0, 0.0), (KIND_ATTACK, 1, 1.0)):
+    kind = row[1]
+    if (kind, row[2], row[3]) not in ((KIND_CLUSTER, "0", "0.0"), (KIND_ATTACK, "1", "1.0")):
         raise ValueError(f"kind, hard_label and behaviour_fraction must read "
                          f"'{KIND_CLUSTER} 0 0.0' or '{KIND_ATTACK} 1 1.0', "
                          f"got {' '.join(row[1:4])!r}")
     members = [entity(ip, port) for ip, port in
                (chunk.rsplit("|", 1) for chunk in row[-1].split(";"))]
-    return SuperNode(kind=kind, members=members), label
+    return SuperNode(kind=kind, members=members), int(row[2])
 
 
 def read_clustered_text(path) -> ClusteredGraph:
     return ClusteredGraph(*read_snapshot_text(path, "supernodes", _NODE_COLUMNS,
-                                              _super_node, float))
+                                              _super_node, ".0"))

@@ -50,8 +50,7 @@ class EdgeOperator:
         return EdgeOperator(self.n, self.rows, self.cols, vals)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            return np.bincount(self.rows, weights=x[self.cols] * self.vals, minlength=self.n)
+        """This matrix times an (n, h) array; a vector goes in as an (n, 1) column."""
         h = x.shape[1]
         slots = self._slots.get(h)
         if slots is None:
@@ -94,13 +93,12 @@ def lambda_max(lap: EdgeOperator) -> float:
     spectrum, when the iteration does not converge or the graph is (all
     but) edgeless, so that its top eigenvalue is numerically zero.
     """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(lap.n)
+    v = np.random.default_rng(0).standard_normal((lap.n, 1))
     v /= np.linalg.norm(v)
     previous = np.inf
     for _ in range(_POWER_MAX_ITER):
         w = lap @ v
-        estimate = float(v @ w)  # Rayleigh quotient, v is unit length
+        estimate = float(v.ravel() @ w.ravel())  # Rayleigh quotient, v is unit length
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0.0:
             break

@@ -10,10 +10,11 @@ chebyshev
     layer sums per-order terms sum_j T_j(L~) H W_j before the
     nonlinearity, with one weight block per order.
 
-Training is full-batch gradient descent on cross-entropy weighted by
-inverse class frequency; all gradients are analytic (the tests check
-them against central finite differences). Multiple snapshot graphs are
-combined block-diagonally into one disconnected graph per step.
+Training is EPOCHS steps of full-batch gradient descent, of size
+LEARNING_RATE, on cross-entropy weighted by inverse class frequency;
+all gradients are analytic (the tests check them against central
+finite differences). Multiple snapshot graphs are combined
+block-diagonally into one disconnected graph per step.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .graph_ops import (
 
 N_INPUT = 8
 N_CLASSES = 2
+# both variants train with the settings of Kipf & Welling (ICLR 2017, arXiv 1609.02907)
+HIDDEN = 16
+LEARNING_RATE = 0.01
+EPOCHS = 200
 
 VARIANT_RENORMALIZED = "renormalized"
 VARIANT_CHEBYSHEV = "chebyshev"
@@ -44,9 +49,6 @@ _VARIANTS = (VARIANT_RENORMALIZED, VARIANT_CHEBYSHEV)
 class TrainConfig:
     variant: str = VARIANT_RENORMALIZED
     k: int | None = None  # None: 1 for renormalized, 3 for chebyshev
-    hidden: int = 16
-    learning_rate: float = 0.01
-    epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -54,26 +56,18 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.k is None:
             self.k = 1 if self.variant == VARIANT_RENORMALIZED else 3
-        require_integers(self, "k", "hidden", "epochs", "seed")
+        require_integers(self, "k", "seed")
         if self.variant == VARIANT_RENORMALIZED and self.k != 1:
             raise ValueError("the renormalized variant is first-order (k=1)")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
-        if self.epochs < 0 or not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"epochs must be >= 0 and learning_rate finite and >= 0, "
-                             f"got {self.epochs} and {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class GcnModel:
-    variant: str
-    k: int
-    hidden: int
-    seed: int
+    config: TrainConfig
     w0: list[np.ndarray]  # input->hidden, one block per polynomial order
     w1: list[np.ndarray]  # hidden->output blocks
 
@@ -91,10 +85,9 @@ def _n_blocks(config: TrainConfig) -> int:
 def init_model(config: TrainConfig) -> GcnModel:
     rng = np.random.default_rng(config.seed)
     blocks = _n_blocks(config)
-    w0 = [_glorot(rng, N_INPUT, config.hidden) for _ in range(blocks)]
-    w1 = [_glorot(rng, config.hidden, N_CLASSES) for _ in range(blocks)]
-    return GcnModel(variant=config.variant, k=config.k, hidden=config.hidden,
-                    seed=config.seed, w0=w0, w1=w1)
+    w0 = [_glorot(rng, N_INPUT, HIDDEN) for _ in range(blocks)]
+    w1 = [_glorot(rng, HIDDEN, N_CLASSES) for _ in range(blocks)]
+    return GcnModel(config, w0, w1)
 
 
 def build_operator(a: EdgeOperator, variant: str) -> EdgeOperator:
@@ -121,9 +114,9 @@ def propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> list[np
     Applied to the features, this is the first layer's input basis; it
     does not depend on the weights, so `train` computes it once.
     """
-    if model.variant == VARIANT_RENORMALIZED:
+    if model.config.variant == VARIANT_RENORMALIZED:
         return [operator @ x]
-    return chebyshev_basis(operator, x, model.k)
+    return chebyshev_basis(operator, x, model.config.k)
 
 
 def _forward(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarray]):
@@ -178,7 +171,7 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarr
 
 
 def train(graphs, config: TrainConfig):
-    """Full-batch gradient descent from `init_model(config)`; returns (model, losses)."""
+    """EPOCHS steps of size LEARNING_RATE from `init_model(config)`; returns (model, losses)."""
     if not graphs:
         raise ValueError("need at least one training graph")
     if any(g.n_nodes == 0 for g in graphs):
@@ -190,15 +183,13 @@ def train(graphs, config: TrainConfig):
     basis = propagate(model, operator, x)
 
     losses: list[float] = []
-    for epoch in range(config.epochs):
+    for epoch in range(EPOCHS):
         loss, gw0, gw1 = loss_and_grads(model, operator, basis, y, class_weights)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
         losses.append(loss)
-        for w, g in zip(model.w0, gw0):
-            w -= config.learning_rate * g
-        for w, g in zip(model.w1, gw1):
-            w -= config.learning_rate * g
+        for w, g in zip(model.w0 + model.w1, gw0 + gw1):
+            w -= LEARNING_RATE * g
         if not all(np.isfinite(w).all() for w in model.w0 + model.w1):
             raise NonFiniteLoss(epoch)
     return model, losses
@@ -228,7 +219,7 @@ def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     labels; per-class precision/recall report 0.0 when undefined.
     """
     a, x, y = union_matrices(graphs)
-    operator = build_operator(a, model.variant)
+    operator = build_operator(a, model.config.variant)
     _, probs = forward(model, operator, x)
     predicted = probs.argmax(axis=1)
 
@@ -250,15 +241,16 @@ def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     )
 
 
+def _header(config: TrainConfig) -> list[str]:
+    """The lines of a model file before its weight blocks."""
+    return ["gcn-model v1", f"variant {config.variant}", f"k {config.k}", f"hidden {HIDDEN}",
+            f"seed {config.seed}", f"blocks {_n_blocks(config)}"]
+
+
 def save_model(path, model: GcnModel) -> None:
-    """Plain-text export: header lines, then row-major weight blocks."""
+    """Plain-text export: `_header` lines, then row-major weight blocks."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gcn-model v1\n")
-        fh.write(f"variant {model.variant}\n")
-        fh.write(f"k {model.k}\n")
-        fh.write(f"hidden {model.hidden}\n")
-        fh.write(f"seed {model.seed}\n")
-        fh.write(f"blocks {len(model.w0)}\n")
+        fh.write("\n".join(_header(model.config)) + "\n")
         for name, blocks in (("w0", model.w0), ("w1", model.w1)):
             for j, w in enumerate(blocks):
                 fh.write(f"{name} {j} {w.shape[0]} {w.shape[1]}\n")
@@ -267,14 +259,17 @@ def save_model(path, model: GcnModel) -> None:
 
 
 def load_model(path) -> GcnModel:
-    """The model `save_model` wrote to `path`.
+    """The model `save_model` wrote to `path`, with the `TrainConfig` its header names.
 
     Raises ValueError when the first line is not the model header, and
     MalformedArtefact naming `path` when the file is empty, cut short,
-    or otherwise not in the layout `save_model` writes, when `TrainConfig`
-    refuses its variant, k, hidden or seed, and unless each layer has the
-    blocks `init_model` makes for them: 1 (renormalized) or k + 1
-    (chebyshev), of shape (8, hidden) in w0 and (hidden, 2) in w1.
+    or otherwise not in the layout `save_model` writes: when a text is
+    not ASCII or holds `_`, `TrainConfig` refuses the variant, k or seed,
+    a header or block line differs from the one `save_model` writes for
+    that config (so numbers are plain decimal, hidden is HIDDEN, and each
+    layer holds 1 block (renormalized) or k + 1 (chebyshev), numbered
+    from 0, of shape (8, HIDDEN) in w0 and (HIDDEN, 2) in w1), or a
+    block's rows do not hold its shape.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -284,29 +279,25 @@ def load_model(path) -> GcnModel:
     try:
         if not text.endswith("\n"):
             raise ValueError("no newline at end of file" if text else "empty file")
+        if not text.isascii() or "_" in text:
+            raise ValueError("a text that is not ASCII or holds '_'")
         lines.pop()
         header = dict(ln.split(" ", 1) for ln in lines[1:6])
         config = TrainConfig(variant=header["variant"], k=int(header["k"]),
-                             hidden=int(header["hidden"]), seed=int(header["seed"]))
-        n_blocks = int(header["blocks"])
-        if n_blocks != _n_blocks(config):
-            raise ValueError(f"a {config.variant} model with k {config.k} has "
-                             f"{_n_blocks(config)} blocks per layer, not {n_blocks}")
-        at = 6
-        blocks: dict[str, list[np.ndarray]] = {"w0": [], "w1": []}
-        for _ in range(2 * n_blocks):
-            name, _, rows, cols = lines[at].split()
-            rows, cols = int(rows), int(cols)
-            data = [ln.split() for ln in lines[at + 1:at + 1 + rows]]
-            blocks[name].append(np.array(data, dtype=np.float64).reshape(rows, cols))
-            at += 1 + rows
+                             seed=int(header["seed"]))
+        if lines[:6] != _header(config):
+            raise ValueError(f"the header of {config} reads {_header(config)}, not {lines[:6]}")
+        at, blocks = 6, {"w0": [], "w1": []}
+        for name, shape in (("w0", (N_INPUT, HIDDEN)), ("w1", (HIDDEN, N_CLASSES))):
+            for j in range(_n_blocks(config)):
+                if lines[at] != f"{name} {j} {shape[0]} {shape[1]}":
+                    raise ValueError(f"line {at + 1}: expected {name} block {j} of shape {shape}")
+                data = [ln.split() for ln in lines[at + 1:at + 1 + shape[0]]]
+                blocks[name].append(np.array(data, dtype=np.float64).reshape(shape))
+                at += 1 + shape[0]
         if at != len(lines):
             raise ValueError(f"line {at + 1} follows the last weight block")
-        for name, shape in (("w0", (N_INPUT, config.hidden)), ("w1", (config.hidden, N_CLASSES))):
-            if len(blocks[name]) != n_blocks or any(w.shape != shape for w in blocks[name]):
-                raise ValueError(f"expected {n_blocks} {name} blocks of shape {shape}")
-        return GcnModel(variant=config.variant, k=config.k, hidden=config.hidden,
-                        seed=config.seed, w0=blocks["w0"], w1=blocks["w1"])
+        return GcnModel(config, blocks["w0"], blocks["w1"])
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedArtefact(f"{path}: not the layout save_model writes "
                                 f"({type(exc).__name__}: {exc})") from None

@@ -30,9 +30,13 @@ def graph_from(features, labels, edges=(), index=0) -> SnapshotGraph:
                          edges=np.array(edges, dtype=np.int64).reshape(-1, 3))
 
 
-# edge weights no reader takes: not a whole count >= 1, or past int64
+# edge weights no reader takes: not a whole count >= 1, past int64, or not ASCII
+# decimal (a clustered weight is a decimal count followed by ".0")
 BAD_WEIGHTS = ("0", "-5", "0.0", "-2.0", "2.5", "nan", "inf", "-inf",
-               "9223372036854775808", "1e30")
+               "9223372036854775808", "9223372036854775808.0", "1e30", "3_0", "+3", "03",
+               "\u0663", "3_0.0", "+3.0", "\u0663.0", "3.00", "3e0")
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
@@ -41,19 +45,30 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
     Every truncation (at a line boundary or inside a line), the last
     edge row replaced by one with an endpoint outside [0, n_nodes), by
     a copy of the first edge row (the file must hold two edges or
-    more), or by the same pair with each of `BAD_WEIGHTS`, the other
-    count noun, a node row out of place and a line after the edge list.
+    more), or by the same pair with each of `BAD_WEIGHTS` or with an
+    endpoint that `int` takes but is not ASCII decimal, the other count
+    noun, a node row out of place, a line after the edge list, and a
+    snapshot index, count or window bound that `int` or `float` takes
+    but is signed, holds `_` or is not ASCII.
     """
     head, last = text.rstrip("\n").rsplit("\n", 1)  # all but the last edge row, and that row
     head += "\n"
     first = text.split(" weight\n", 1)[1].split("\n", 1)[0]
-    src, dst, _ = last.split()
-    swapped = (text.replace("# nodes ", "# supernodes ") if "# nodes " in text
-               else text.replace("# supernodes ", "# nodes "))
+    src, dst, w = last.split()
+    noun = "nodes" if "# nodes " in text else "supernodes"
+    swapped = text.replace(f"# {noun} ", "# supernodes " if noun == "nodes" else "# nodes ")
+    start = text.split(" ", 4)[3]  # the window start's text
     return [text[:cut] for cut in range(len(text))] + [
         head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", head + first + "\n", swapped,
         text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"] + [
-        head + f"{src} {dst} {w}\n" for w in BAD_WEIGHTS]
+        head + f"{src} {dst} {bad}\n" for bad in BAD_WEIGHTS] + [
+        head + row + "\n" for row in (f"+{src} {dst} {w}", f"{src} 0_{dst} {w}",
+                                      f"{src} {dst.translate(ARABIC_INDIC)} {w}")] + [
+        text.replace(old, new, 1) for old, new in (
+            ("# snapshot ", "# snapshot +"), ("# snapshot ", "# snapshot 0_"),
+            (f"# {noun} ", f"# {noun} 0_"), (f"# {noun} ", f"# {noun} +"),
+            ("# edges ", "# edges +"), ("# edges ", "# edges 0_"),
+            (f" {start} ", f" 0_{start} "), (f" {start} ", f" {start.translate(ARABIC_INDIC)} "))]
 
 
 def with_node_field(text: str, field: int, value: str) -> str:
@@ -491,7 +506,7 @@ def gradient_check(model, graph, *, class_weights: tuple[float, float] = (1.0, 1
                    step: float = 1e-6) -> float:
     """Max relative error between analytic and central finite differences."""
     a, x, y = union_matrices([graph])
-    operator = build_operator(a, model.variant)
+    operator = build_operator(a, model.config.variant)
     basis = propagate(model, operator, x)
     _, gw0, gw1 = loss_and_grads(model, operator, basis, y, class_weights)
 

@@ -216,14 +216,13 @@ def test_criterion_6_gradient_checks():
         rng = np.random.default_rng(6)
         g_renorm = graph_from(rng.uniform(size=(4, 8)), [0, 0, 1, 1],
                               [(0, 1, 1), (2, 3, 2)])
-        model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED, hidden=3, seed=3))
+        model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED, seed=3))
         err = gradient_check(model, g_renorm, class_weights=(1.0, 2.0))
         assert err < 1e-5, f"renormalized max relative error {err:.2e}"
 
         g_cheb = graph_from(rng.uniform(size=(5, 8)), [0, 0, 1, 1, 0],
                             [(0, 1, 1), (1, 2, 1), (3, 4, 3)])
-        model = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3,
-                                       hidden=3, seed=4))
+        model = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, seed=4))
         err = gradient_check(model, g_cheb)
         assert err < 1e-5, f"chebyshev max relative error {err:.2e}"
 

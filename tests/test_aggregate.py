@@ -149,7 +149,9 @@ def test_clustered_text_round_trip(tmp_path):
     # node row 0 is a cluster: only 'cluster 0 0.0' reads, as every clustered node is normal
     bad_values = [with_node_field(text, field, value) for field, value in (
         (1, "noise"), (1, "singleton-attack"), (2, "1"), (2, "2"), (2, "-1"),
-        (3, "0.3"), (3, "1.0"), (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"))]
+        (3, "0.3"), (3, "1.0"), (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"),
+        # the class fields read exactly as written; f1-f8 are ASCII with no '_'
+        (2, "+0"), (3, "0_0.0"), (3, "0.00"), (3, "\u0660.0"), (4, "1_0.0"), (5, "\u0662.0"))]
     bad_values.append(text.replace("cluster 0 0.0", "cluster 1 0.3", 1))
     bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 1 0.5", 1))
     bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 0 0.0", 1))

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from flowgraph.cli import main
+from flowgraph.cli import PipelineConfig, main
 from flowgraph.density_cluster import ClusterParams, DistanceRows
+from flowgraph.spectral_gcn import GcnModel, TrainConfig
 from oracles import with_node_field
 
 SMALL_SYNTH = {
@@ -32,7 +33,6 @@ def write_config(path: Path, out_dir: Path, **overrides) -> Path:
         "input": str(out_dir / "flows.csv"),
         "out_dir": str(out_dir),
         "synth": SMALL_SYNTH,
-        "epochs": 20,
         "seed": 0,
     }
     values.update(overrides)
@@ -66,7 +66,7 @@ def test_synth_then_run_all_writes_all_artifacts(tmp_path):
     assert (out / "model.txt").exists()
     trace = (out / "loss_trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,loss"
-    assert len(trace) == 1 + 20
+    assert len(trace) == 1 + 200  # EPOCHS
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("snapshot,accuracy,")
     assert metrics[-1].startswith("union,")
@@ -263,11 +263,11 @@ def test_eps_values_that_print_alike_keep_separate_runs(tmp_path):
 
 def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
-    nan_rate = write_config(tmp_path / "nan.json", tmp_path / "shared", learning_rate=float("nan"))
+    nan_width = write_config(tmp_path / "nan.json", tmp_path / "shared", width=float("nan"))
     assert run("synth", "--config", cfg) == 0
     for i, bad in enumerate((("--eps", "0"),
                              ("--variant", "gcn", "--k", "3"), ("--seed", "-1"),
-                             ("--config", nan_rate), ("--width", "inf"), ("--width", "nan"),
+                             ("--config", nan_width), ("--width", "inf"), ("--width", "nan"),
                              ("--width", "1e-17"))):
         out = tmp_path / f"out{i}"
         capsys.readouterr()
@@ -325,6 +325,20 @@ def test_clustering_settings_are_algorithm_and_eps_only(tmp_path, capsys):
         assert not out.exists(), key
 
 
+def test_training_settings_are_variant_k_and_seed_only(tmp_path, capsys):
+    # the hidden size, learning rate and epochs are the constants every model trains with
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == ["variant", "k", "seed"]
+    assert [f.name for f in dataclasses.fields(GcnModel)] == ["config", "w0", "w1"]
+    pipeline_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert not pipeline_fields & {"hidden", "learning_rate", "epochs"}
+    out = tmp_path / "out"
+    for key, value in (("hidden", 16), ("learning_rate", 0.01), ("epochs", 200)):
+        cfg = write_config(tmp_path / "cfg.json", out, **{key: value})
+        assert run("run-all", "--config", cfg) == 1, key
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err, key
+        assert not out.exists(), key
+
+
 def test_unknown_synth_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
@@ -345,7 +359,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
     out = str(tmp_path / "out")
     for bad, key in (({"width": "600"}, "'width'"),
                      ({"eps": "0.2"}, "'eps'"),
-                     ({"epochs": 2.5}, "'epochs'"),
+                     ({"seed": 2.5}, "'seed'"),
                      ({"jobs": True}, "'jobs'"),
                      ({"eps": None}, "'eps'"),
                      ({"k": 1.5}, "'k'"),

@@ -120,7 +120,7 @@ def test_operator_layout():
     assert set(zip(a.rows.tolist(), a.cols.tolist())) \
         == set(zip(a.cols.tolist(), a.rows.tolist()))
     assert a.nbytes < a.n * a.n * 8
-    v = np.random.default_rng(0).standard_normal(a.n)
+    v = np.random.default_rng(0).standard_normal((a.n, 1))  # a vector goes in as a column
     a_hat = renormalize_adjacency(a)
     assert np.abs(a_hat @ v - dense(a_hat) @ v).max() < 1e-12
 
