@@ -8,7 +8,7 @@ behaviour with a from-scratch spectral graph convolutional network.
 
 from . import behavior_graph, density_cluster, report, spectral_gcn, synth, temporal
 from .behavior_graph import SnapshotGraph, build_graph, normalize_features
-from .density_cluster import ClusterParams, ClusterResult, ClusteredGraph, cluster_snapshot
+from .density_cluster import ClusterParams, ClusterResult, cluster_snapshot
 from .errors import FlowgraphError
 from .flow_model import EntityId, FlowTable, parse_flows, write_flows
 from .spectral_gcn import GcnModel, TrainConfig, evaluate, train
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterParams",
     "ClusterResult",
-    "ClusteredGraph",
     "EntityId",
     "FlowTable",
     "FlowgraphError",

@@ -18,6 +18,9 @@ and an 8-dimensional label-free behaviour vector:
 
 A flow counts once per endpoint role, so a self-loop flow (src entity
 == dst entity) contributes twice to that node's tallies.
+
+`density_cluster.aggregate` collapses such a graph into a super-node
+graph of the same type, `SnapshotGraph`.
 """
 
 from __future__ import annotations
@@ -41,10 +44,15 @@ _MAX_WEIGHT = np.iinfo(np.int64).max
 
 @dataclass
 class SnapshotGraph:
-    """Node i is `entities[i]`, with label `labels[i]` and behaviour vector `features[i]`."""
+    """Node i is `nodes[i]`, with label `labels[i]` and behaviour vector `features[i]`.
+
+    A behaviour graph's nodes are `EntityId`s and its labels majority
+    votes; a clustered graph's nodes are `SuperNode`s and its labels
+    hard labels (0 for a cluster, 1 for an attack singleton).
+    """
 
     snapshot: SnapshotIndex
-    entities: list[EntityId]
+    nodes: list  # EntityId per node, or SuperNode per node of a clustered graph
     labels: np.ndarray  # int64, one per node
     features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
     edges: np.ndarray  # int64, shape (n_edges, 3): src index, dst index, flow count
@@ -77,8 +85,8 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
     codes, role_node = first_appearance(np.stack([flows.src, flows.dst], axis=1).ravel())
     n = len(codes)
     src, dst = role_node[0::2], role_node[1::2]
-    entities = [flows.entities[c] for c in codes.tolist()]
-    ports = np.array([e.port for e in entities], dtype=np.int64)
+    nodes = [flows.entities[c] for c in codes.tolist()]
+    ports = np.array([e.port for e in nodes], dtype=np.int64)
 
     def per_node(from_src, from_dst) -> np.ndarray:
         weights = np.stack([from_src, from_dst], axis=1).ravel()
@@ -103,7 +111,7 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
         np.bincount(port_pairs // 65536, minlength=n),
     ], axis=1)
     edges = np.stack([edge_src, edge_dst, np.bincount(edge_of_flow)], axis=1)
-    return SnapshotGraph(snapshot=snapshot, entities=entities,
+    return SnapshotGraph(snapshot=snapshot, nodes=nodes,
                          labels=(2 * n_attack > n_flows).astype(np.int64),
                          features=features, edges=edges)
 
@@ -141,8 +149,9 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
             fh.write(f"{s} {d} {w}{weight_suffix}\n")
 
 
-def read_snapshot_text(path, noun: str, columns: str, make_node, weight_suffix: str):
-    """(snapshot, nodes, labels, features, edges) from the layout `write_snapshot_text` writes.
+def read_snapshot_text(path, noun: str, columns: str, make_node,
+                       weight_suffix: str) -> SnapshotGraph:
+    """The graph of the layout `write_snapshot_text` writes.
 
     `make_node` gives a row's (node, label) from its fields (ValueError
     on a value it refuses); the labels, features f1..f8 and edges come
@@ -211,9 +220,9 @@ def read_snapshot_text(path, noun: str, columns: str, make_node, weight_suffix: 
                 raise ValueError("unexpected line after the edge list")
         except ValueError as exc:
             raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
-    return (snapshot, nodes, np.array(labels, dtype=np.int64),
-            np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES),
-            np.array(edges, dtype=np.int64).reshape(len(edges), 3))
+    return SnapshotGraph(snapshot, nodes, np.array(labels, dtype=np.int64),
+                         np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES),
+                         np.array(edges, dtype=np.int64).reshape(len(edges), 3))
 
 
 def _read_floats(fields: list[str], name: str) -> list[float]:
@@ -232,7 +241,7 @@ def _read_floats(fields: list[str], name: str) -> list[float]:
 def write_graph_text(path, graph: SnapshotGraph) -> None:
     """Write a graph file: one row per node with its entity, label and features."""
     rows = [f"{e.ip} {e.port} {label} " + " ".join(map(repr, row))
-            for e, label, row in zip(graph.entities, graph.labels.tolist(),
+            for e, label, row in zip(graph.nodes, graph.labels.tolist(),
                                      graph.features.tolist())]
     write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges, "")
 
@@ -242,4 +251,4 @@ def _graph_node(row: list[str]) -> tuple[EntityId, int]:
 
 
 def read_graph_text(path) -> SnapshotGraph:
-    return SnapshotGraph(*read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, ""))
+    return read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, "")

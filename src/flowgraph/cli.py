@@ -22,7 +22,7 @@ Layout under --out-dir:
     clusters/<tag>/snapshot_XXXXX.txt (cluster; tag like dbscan_eps0.2)
     assignments/<tag>/snapshot_XXXXX.csv
     model.txt, loss_trace.csv, metrics.csv (train)
-    reports/<dataset>_<algorithm>_<eps>.csv, <dataset>_effects.csv (report)
+    reports/<stem>_<algorithm>_<eps>.csv, <stem>_effects.csv (report; stem of --input)
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class PipelineConfig:
     input: str | None = None
     on_malformed: str = "abort"
     out_dir: str = "out"
-    dataset: str | None = None  # defaults to the input file stem
     width: float = 600.0
     algorithm: str = "dbscan"
     eps: float = 0.5
@@ -77,11 +76,7 @@ class PipelineConfig:
 
     @property
     def dataset_name(self) -> str:
-        if self.dataset:
-            return self.dataset
-        if self.input:
-            return Path(self.input).stem
-        return "synthetic"
+        return Path(self.input).stem if self.input else "synthetic"
 
     def cluster_params(self) -> ClusterParams:
         return ClusterParams(algorithm=self.algorithm, eps=self.eps)

@@ -175,7 +175,6 @@ from .hdbscan import hdbscan  # noqa: E402
 from .aggregate import (  # noqa: E402
     KIND_ATTACK,
     KIND_CLUSTER,
-    ClusteredGraph,
     SuperNode,
     aggregate,
     cluster_snapshot,
@@ -192,7 +191,6 @@ __all__ = [
     "NOISE",
     "ClusterParams",
     "ClusterResult",
-    "ClusteredGraph",
     "SuperNode",
     "OpticsResult",
     "aggregate",

@@ -1,13 +1,15 @@
 """Aggregation of a clustered snapshot into a super-node graph.
 
-Each cluster of normal entities collapses into one super-node whose
-behaviour vector is the arithmetic mean of the members' raw vectors
-(the super-node feature matrix is then re-normalized per snapshot);
-every attack entity survives untouched as a singleton super-node, so
-the attack population is invariant under aggregation. Noise-assigned
-normal entities are discarded along with their incident edges. Edges
-between super-nodes carry the sum of the member-to-member weights;
-edges internal to one cluster become a self-loop.
+The super-node graph is a `SnapshotGraph` whose nodes are `SuperNode`s
+and whose labels are hard labels. Each cluster of normal entities
+collapses into one super-node whose behaviour vector is the arithmetic
+mean of the members' raw vectors (the super-node feature matrix is then
+re-normalized per snapshot); every attack entity survives untouched as
+a singleton super-node, so the attack population is invariant under
+aggregation. Noise-assigned normal entities are discarded along with
+their incident edges. Edges between super-nodes carry the sum of the
+member-to-member weights; edges internal to one cluster become a
+self-loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from ..behavior_graph import (SnapshotGraph, first_appearance, minmax_scale,
                               normalize_features, read_snapshot_text, write_snapshot_text)
 from ..errors import AssignmentMismatch
 from ..flow_model import EntityId, entity
-from ..temporal import SnapshotIndex
 from . import NOISE, ClusterParams, ClusterResult, cluster_points
 
 KIND_CLUSTER = "cluster"
@@ -35,22 +36,7 @@ class SuperNode:
     members: list[EntityId]
 
 
-@dataclass
-class ClusteredGraph:
-    """Super-node i is `nodes[i]`, with hard label `labels[i]` and features `features[i]`."""
-
-    snapshot: SnapshotIndex
-    nodes: list[SuperNode]
-    labels: np.ndarray  # int64 hard labels: 0 for a cluster, 1 for an attack singleton
-    features: np.ndarray  # float64, shape (n_nodes, N_FEATURES)
-    edges: np.ndarray  # int64, shape (n_edges, 3): src index, dst index, summed flow count
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.labels)
-
-
-def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
+def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
     """Collapse clustered normal nodes; keep attack nodes as singletons.
 
     `result.assignment` must cover exactly the normal nodes of `graph`
@@ -74,9 +60,9 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     super_of[attack] = result.cluster_count + np.arange(len(attack))
     member_positions = [np.flatnonzero(super_of == cid) for cid in range(result.cluster_count)]
 
-    nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.entities[i] for i in p.tolist()])
+    nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.nodes[i] for i in p.tolist()])
              for p in member_positions]
-    nodes += [SuperNode(kind=KIND_ATTACK, members=[graph.entities[i]]) for i in attack.tolist()]
+    nodes += [SuperNode(kind=KIND_ATTACK, members=[graph.nodes[i]]) for i in attack.tolist()]
     labels = np.repeat([0, 1], [result.cluster_count, len(attack)])
     features = minmax_scale(np.vstack(
         [graph.features[p].mean(axis=0) for p in member_positions] + [graph.features[attack]]))
@@ -87,12 +73,12 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> ClusteredGraph:
     pairs, pair_of_edge = first_appearance(src[kept] * n + dst[kept])
     weight = np.bincount(pair_of_edge, weights=graph.edges[kept, 2]).astype(np.int64)
     edges = np.stack([pairs // n, pairs % n, weight], axis=1)
-    return ClusteredGraph(snapshot=graph.snapshot, nodes=nodes, labels=labels,
-                          features=features, edges=edges)
+    return SnapshotGraph(snapshot=graph.snapshot, nodes=nodes, labels=labels,
+                         features=features, edges=edges)
 
 
 def cluster_snapshot(graph: SnapshotGraph,
-                     params: ClusterParams) -> tuple[ClusterResult, ClusteredGraph]:
+                     params: ClusterParams) -> tuple[ClusterResult, SnapshotGraph]:
     """Normalize, cluster the normal nodes, aggregate. One snapshot.
 
     Distances are computed on per-snapshot min-max normalized features;
@@ -112,7 +98,7 @@ def write_assignment_csv(path, result: ClusterResult) -> None:
             fh.write(f"{i},{int(cid)}\n")
 
 
-def write_clustered_text(path, graph: ClusteredGraph) -> None:
+def write_clustered_text(path, graph: SnapshotGraph) -> None:
     """Text export mirroring the snapshot-graph format plus members; weights print as `3.0`.
 
     Only normal nodes are clustered, so behaviour_fraction is the hard label as a float.
@@ -136,6 +122,5 @@ def _super_node(row: list[str]) -> tuple[SuperNode, int]:
     return SuperNode(kind=kind, members=members), int(row[2])
 
 
-def read_clustered_text(path) -> ClusteredGraph:
-    return ClusteredGraph(*read_snapshot_text(path, "supernodes", _NODE_COLUMNS,
-                                              _super_node, ".0"))
+def read_clustered_text(path) -> SnapshotGraph:
+    return read_snapshot_text(path, "supernodes", _NODE_COLUMNS, _super_node, ".0")

@@ -48,7 +48,11 @@ SCHEMAS = {"unsw15": UNSW15_COLUMNS, "synthetic": SYNTHETIC_COLUMNS}
 
 @dataclass(frozen=True)
 class EntityId:
-    """A behavioural entity: one (IP address, port) endpoint."""
+    """A behavioural entity: one (IP address, port) endpoint.
+
+    An IPv6 scope id (`fe80::1%eth0`) is refused: `ipaddress` takes any
+    text after `%`, spaces and `;` too, which the artefact files split on.
+    """
 
     ip: str
     port: int
@@ -60,6 +64,8 @@ class EntityId:
             ipaddress.ip_address(self.ip)
         except ValueError:
             raise ValueError(f"not a valid IP address literal: {self.ip!r}") from None
+        if "%" in self.ip:
+            raise ValueError(f"IP address with a scope id: {self.ip!r}")
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -23,8 +23,8 @@ def graph_from(features, labels, edges=(), index=0) -> SnapshotGraph:
     """Snapshot `index` (600 s wide) whose node i has labels[i] and features[i]."""
     labels = np.asarray(labels, dtype=np.int64)
     return SnapshotGraph(snapshot=SnapshotIndex.for_width(index, 600.0),
-                         entities=[EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i)
-                                   for i in range(len(labels))],
+                         nodes=[EntityId(f"10.0.{i // 200}.{i % 200 + 1}", 1000 + i)
+                                for i in range(len(labels))],
                          labels=labels,
                          features=np.asarray(features, dtype=np.float64).reshape(len(labels), N_FEATURES),
                          edges=np.array(edges, dtype=np.int64).reshape(-1, 3))

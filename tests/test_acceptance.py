@@ -129,7 +129,7 @@ def test_criterion_1_labeling_rule():
             flow(s1, c, 1), flow(s0, c, 0),
         ]
         graph = build_graph(from_records(flows))
-        labels = dict(zip(graph.entities, graph.labels.tolist()))
+        labels = dict(zip(graph.nodes, graph.labels.tolist()))
         assert labels == {s0: 0, s1: 1, b: 0, c: 0, d: 1}
 
 

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowgraph.behavior_graph import minmax_scale
+import flowgraph
+from flowgraph import density_cluster
+from flowgraph.behavior_graph import (SnapshotGraph, build_graph, minmax_scale, read_graph_text,
+                                      write_graph_text)
 from flowgraph.density_cluster import (
     KIND_ATTACK,
     KIND_CLUSTER,
     NOISE,
     ClusterParams,
     ClusterResult,
+    SuperNode,
     aggregate,
     cluster_snapshot,
     read_clustered_text,
@@ -19,6 +25,8 @@ from flowgraph.density_cluster import (
     write_clustered_text,
 )
 from flowgraph.errors import AssignmentMismatch, MalformedArtefact
+from flowgraph.flow_model import EntityId
+from flowgraph.synth import SynthConfig, generate
 from oracles import aggregate_edges_oracle, corrupted_snapshot_texts, graph_from, with_node_field
 
 
@@ -78,8 +86,27 @@ def test_all_noise_leaves_only_attack_singletons():
     result = ClusterResult(assignment=np.array([NOISE, NOISE]), cluster_count=0)
     clustered = aggregate(graph, result)
     assert [s.kind for s in clustered.nodes] == [KIND_ATTACK]
-    assert clustered.nodes[0].members == [graph.entities[1]]
+    assert clustered.nodes[0].members == [graph.nodes[1]]
     assert clustered.edges.tolist() == []
+
+
+def test_behaviour_and_clustered_graphs_are_one_type(tmp_path):
+    # a clustered graph differs from the graph it aggregates only in what its nodes are
+    assert [f.name for f in dataclasses.fields(SnapshotGraph)] == [
+        "snapshot", "nodes", "labels", "features", "edges"]
+    assert not hasattr(flowgraph, "ClusteredGraph")
+    assert not hasattr(density_cluster, "ClusteredGraph")
+    graph = build_graph(generate(SynthConfig(seed=0, duration=600.0, n_normal_entities=10)))
+    normal = int((graph.labels == 0).sum())
+    assert normal > 0 and graph.labels.any()
+    clustered = aggregate(graph, ClusterResult(np.zeros(normal, dtype=np.int64), 1))
+    write_graph_text(tmp_path / "graph.txt", graph)
+    write_clustered_text(tmp_path / "clustered.txt", clustered)
+    made = [graph, read_graph_text(tmp_path / "graph.txt"),
+            clustered, read_clustered_text(tmp_path / "clustered.txt")]
+    assert [type(g) for g in made] == [SnapshotGraph] * 4
+    assert {type(node) for g in made[:2] for node in g.nodes} == {EntityId}
+    assert {type(node) for g in made[2:] for node in g.nodes} == {SuperNode}
 
 
 def test_assignment_mismatch():

@@ -54,7 +54,7 @@ def test_node_labels_from_incident_flows():
     flows = [flow(A, D, label=1), flow(B, D, label=1), flow(D, C, label=0),
              flow(C, A, label=1)]
     g = build_graph(from_records(flows))
-    labels = dict(zip(g.entities, g.labels.tolist()))
+    labels = dict(zip(g.nodes, g.labels.tolist()))
     assert labels[D] == 1
     assert labels[C] == 0
     # A sees {1,1}: strict attack majority
@@ -113,7 +113,7 @@ def test_build_graph_matches_extract_features():
         g = build_graph(from_records(flows))
         assert sum(w for _, _, w in g.edges) == len(flows)
         assert g.n_nodes <= 2 * len(flows)
-        for e, label, row in zip(g.entities, g.labels, g.features):
+        for e, label, row in zip(g.nodes, g.labels, g.features):
             assert np.allclose(row, extract_features(e, flows))
             assert label == majority_label(*flow_tallies(e, flows))
 
@@ -132,13 +132,13 @@ def test_features_are_label_free():
                for f in flows]
     g1 = build_graph(from_records(flows))
     g2 = build_graph(from_records(flipped))
-    assert g1.entities == g2.entities
+    assert g1.nodes == g2.nodes
     assert np.array_equal(g1.features, g2.features)
 
 
 def test_empty_input_yields_empty_graph():
     g = build_graph(from_records([]))
-    assert g.n_nodes == 0 and g.edges.tolist() == [] and g.entities == []
+    assert g.n_nodes == 0 and g.edges.tolist() == [] and g.nodes == []
     assert g.labels.shape == (0,) and g.labels.dtype == np.int64
     assert g.features.shape == (0, N_FEATURES)
 
@@ -169,7 +169,7 @@ def test_graph_text_round_trip(tmp_path):
     back = read_graph_text(path)
     assert back.snapshot == g.snapshot
     assert back.edges.tolist() == g.edges.tolist()
-    assert back.entities == g.entities
+    assert back.nodes == g.nodes
     assert np.array_equal(back.labels, g.labels) and back.labels.dtype == np.int64
     assert np.array_equal(back.features, g.features) and back.features.dtype == np.float64
 

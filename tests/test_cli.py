@@ -72,7 +72,7 @@ def test_synth_then_run_all_writes_all_artifacts(tmp_path):
     assert metrics[-1].startswith("union,")
     assert len(metrics) == 1 + 2 + 1  # 2 test snapshots + union row
 
-    # dataset name defaults to the input file stem
+    # reports are named from the input file stem
     assert (out / "reports" / "flows_dbscan_0.5.csv").exists()
     effects = (out / "reports" / "flows_effects.csv").read_text().splitlines()
     assert effects[0] == "method,eps,clustered_normal_total,attack_total,share_percent"
@@ -104,7 +104,7 @@ def test_run_all_matches_staged_stages(tmp_path):
 
     trees = tree_bytes(out_a), tree_bytes(out_b)
     assert set(trees[0]) == set(trees[1])
-    # dataset name differs only via the input stem, which is shared here
+    # report names differ only via the input stem, which is shared here
     assert trees[0] == trees[1]
 
 
@@ -339,6 +339,17 @@ def test_training_settings_are_variant_k_and_seed_only(tmp_path, capsys):
         assert not out.exists(), key
 
 
+def test_reports_are_named_from_the_input_stem_only(tmp_path, capsys):
+    # no config key names the reports, so none can place them outside --out-dir
+    assert "dataset" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+    out = tmp_path / "a" / "b" / "out"
+    cfg = write_config(tmp_path / "cfg.json", out, dataset="../../escaped")
+    for command in ("run-all", "report"):
+        assert run(command, "--config", cfg) == 1, command
+        assert "unknown config keys: ['dataset']" in capsys.readouterr().err, command
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
 def test_unknown_synth_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
@@ -378,7 +389,7 @@ def test_config_value_types_that_fit_are_accepted(tmp_path):
     # an integer where a number is expected, null where the default is None
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "width": 600,
-                               "eps": 1, "k": None, "dataset": None,
+                               "eps": 1, "k": None,
                                "synth": {**SMALL_SYNTH, "duration": 600}}))
     assert run("synth", "--config", cfg) == 0
     assert (tmp_path / "out" / "flows.csv").is_file()

@@ -54,7 +54,7 @@ graphs = st.lists(flow_records, max_size=60).map(
 def test_normals_partition_and_attacks_pass_through(graph, params):
     raw = graph.features.copy()
     result, clustered = cluster_snapshot(graph, params)
-    normal = [e for e, label in zip(graph.entities, graph.labels.tolist()) if label == 0]
+    normal = [e for e, label in zip(graph.nodes, graph.labels.tolist()) if label == 0]
     attack = np.flatnonzero(graph.labels == 1)
     count = result.cluster_count
 
@@ -69,9 +69,9 @@ def test_normals_partition_and_attacks_pass_through(graph, params):
 
     # attack entities and their unscaled rows reach aggregation unchanged, in order
     assert np.array_equal(graph.features, raw)
-    assert [s.members for s in clustered.nodes[count:]] == [[graph.entities[i]] for i in attack]
+    assert [s.members for s in clustered.nodes[count:]] == [[graph.nodes[i]] for i in attack]
     assert clustered.labels.tolist() == [0] * count + [1] * len(attack)
-    position = {e: i for i, e in enumerate(graph.entities)}
+    position = {e: i for i, e in enumerate(graph.nodes)}
     means = [raw[[position[e] for e in m]].mean(axis=0) for m in members]
     assert np.array_equal(clustered.features, minmax_scale(np.vstack(means + [raw[attack]])))
 
@@ -91,5 +91,5 @@ def test_graph_and_clustered_files_round_trip(tmp_path_factory, graph, params):
         assert back.features.dtype == np.float64
         assert back.features.shape == written.features.shape
         assert np.array_equal(back.features, written.features)
-    assert read_graph_text(work / "graph.txt").entities == graph.entities
+    assert read_graph_text(work / "graph.txt").nodes == graph.nodes
     assert read_clustered_text(work / "clustered.txt").nodes == clustered.nodes

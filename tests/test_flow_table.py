@@ -77,8 +77,8 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
         assert (graph.snapshot.window_start, graph.snapshot.window_end) == (k * WIDTH,
                                                                             k * WIDTH + WIDTH)
         ids = first_appearance(e for f in window for e in (f.src, f.dst))
-        assert graph.entities == ids
-        for e, label, row in zip(graph.entities, graph.labels, graph.features):
+        assert graph.nodes == ids
+        for e, label, row in zip(graph.nodes, graph.labels, graph.features):
             assert np.array_equal(row, extract_features(e, window))
             assert label == majority_label(*flow_tallies(e, window))
         pairs = [(ids.index(f.src), ids.index(f.dst)) for f in window]
@@ -89,7 +89,7 @@ def test_dissect_and_build_graph_match_the_oracles(flows):
 def test_empty_and_one_flow_tables():
     empty = from_records([])
     assert len(empty) == 0 and dissect(empty, WIDTH) == {}
-    assert build_graph(empty).entities == [] and build_graph(empty).edges.tolist() == []
+    assert build_graph(empty).nodes == [] and build_graph(empty).edges.tolist() == []
 
     one = FlowRecord(ENTITIES[0], ENTITIES[0], WIDTH, 2.5, 10, 20, 3, 1)
     (snapshot, table), = dissect(from_records([one]), WIDTH).items()
@@ -132,6 +132,8 @@ BAD_FIELDS = [
     ({3: "70000"}, "port out of range"),
     ({1: "0x50"}, "hex port"),
     ({0: "10.0.0.256"}, "not an IP address"),
+    ({0: "fe80::1%eth0"}, "IPv6 address with a scope id"),
+    ({2: "fe80::1%a b"}, "scope id holding a space"),
     ({4: "nan"}, "start time not a number"),
     ({4: "-1.0"}, "negative start time"),
     ({5: "-1.0"}, "negative duration"),

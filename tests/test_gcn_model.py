@@ -173,7 +173,7 @@ def test_gradient_check_renormalized():
 
 def test_gradient_check_chebyshev():
     g = separable_graph(seed=9, n_per_class=3)  # 6 nodes
-    g.entities, g.labels, g.features = g.entities[:5], g.labels[:5], g.features[:5]
+    g.nodes, g.labels, g.features = g.nodes[:5], g.labels[:5], g.features[:5]
     g.edges = g.edges[(g.edges[:, :2] < 5).all(axis=1)]
     model = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3, seed=7))
     assert gradient_check(model, g) < 1e-5
@@ -274,7 +274,7 @@ def test_load_refuses_a_header_the_weights_do_not_fit(tmp_path):
 def permuted_graph(g, perm):
     """The graph whose node i is node perm[i] of g."""
     new_index = np.argsort(perm)
-    return SnapshotGraph(snapshot=g.snapshot, entities=[g.entities[i] for i in perm],
+    return SnapshotGraph(snapshot=g.snapshot, nodes=[g.nodes[i] for i in perm],
                          labels=g.labels[perm], features=g.features[perm],
                          edges=np.column_stack([new_index[g.edges[:, :2]], g.edges[:, 2]]))
 

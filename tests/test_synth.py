@@ -149,7 +149,7 @@ def test_high_separation_recovers_attack_entities():
     agreements = []
     for _, window in dissect(flows, 600.0).items():
         graph = build_graph(window)
-        for e, label in zip(graph.entities, graph.labels):
+        for e, label in zip(graph.nodes, graph.labels):
             designated_attack = e.ip.startswith(("172.16.", "192.168."))
             agreements.append(label == int(designated_attack))
     assert np.mean(agreements) >= 0.95
