@@ -163,8 +163,8 @@ def read_snapshot_text(path, noun: str, columns: str, make_node,
     index, the snapshot index, the counts and the weights (each weight
     followed by `weight_suffix`) are `decimal`, each weight is in
     [1, 2**63), no (src, dst) pair repeats, and the window bounds and
-    features are finite, ASCII and without `_`: any truncation of a
-    written file fails.
+    features are finite, unsigned, ASCII and without `_`: any truncation
+    of a written file fails.
     """
     names = columns.split()
     first = names.index("f1")
@@ -227,15 +227,17 @@ def read_snapshot_text(path, noun: str, columns: str, make_node,
 
 def _read_floats(fields: list[str], name: str) -> list[float]:
     """`float` of each text; ValueError naming `name.format(j)` for the first text j (from 1)
-    that is not finite, not ASCII or holds `_` (`float` takes "1_0" and "١")."""
-    text = " ".join(fields)
+    that is not finite, not ASCII, holds `_` or starts with a sign (`float` takes "1_0", "١"
+    and "+1"); an exponent's sign, as in "1e-05", is fine."""
+    text = " " + " ".join(fields)
     values = list(map(float, fields))
-    if text.isascii() and "_" not in text and all(map(math.isfinite, values)):
+    if (text.isascii() and "_" not in text and " +" not in text and " -" not in text
+            and all(map(math.isfinite, values))):
         return values
     bad = next(j for j, (t, v) in enumerate(zip(fields, values))
-               if not (t.isascii() and "_" not in t and math.isfinite(v)))
-    raise ValueError(f"{name.format(bad + 1)} must be a finite ASCII number without '_', "
-                     f"got {fields[bad]}")
+               if not (t.isascii() and "_" not in t and t[0] not in "+-" and math.isfinite(v)))
+    raise ValueError(f"{name.format(bad + 1)} must be a finite unsigned ASCII number without "
+                     f"'_', got {fields[bad]}")
 
 
 def write_graph_text(path, graph: SnapshotGraph) -> None:

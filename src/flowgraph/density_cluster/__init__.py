@@ -1,10 +1,12 @@
 """Density clustering of normal behavioural entities.
 
 DBSCAN, OPTICS (with flat epsilon extraction) and HDBSCAN are
-implemented here directly on dense numpy arrays. All three take their
-distances from one exact kernel, `DistanceRows`, in the difference
-form, which sums the squared differences in numpy's own order, so every
-distance equals the plain `sqrt(((p - q) ** 2).sum())` bit for bit.
+implemented here directly on dense numpy arrays, for points with the
+`N_FEATURES` = 8 behaviour features. All three take their distances
+from one exact kernel, `DistanceRows`, in the difference form, which
+adds the eight squared differences in the one order numpy's add-reduce
+uses for eight terms, so every distance equals the plain
+`sqrt(((p - q) ** 2).sum())` bit for bit.
 DBSCAN fills a boolean eps-ball mask from it in a single blockwise
 pass; OPTICS computes each point's row when it processes the point, and
 HDBSCAN its core distances in one blockwise pass and each Prim row when
@@ -20,94 +22,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..behavior_graph import N_FEATURES
+
 NOISE = -1
 MIN_PTS = 2  # points in a core point's closed neighbourhood, itself included
 MIN_CLUSTER_SIZE = 5  # hdbscan: points a cluster needs to survive a split
 _BLOCK_BYTES = 256 << 10  # squared differences per kernel block: stays in cache
-_LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # lane on each of 8 planes: halving adds pair them as numpy does
+_LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # feature on each plane: halving adds pair them as numpy does
 
 
 class DistanceRows:
-    """Exact euclidean distances from chosen points of a set to all of them.
+    """Exact euclidean distances between behaviour vectors, from chosen points to all.
 
     `rows(p)` is point p's row and `rows(idx)` one row per index of a
     slice or index array of at most `rows.block` points; `blocks()`
     walks all rows in order. Each entry is the bits of
-    `sqrt(((points[i] - points[j]) ** 2).sum())`: the squared
-    differences of all features are made in one pass from a contiguous
-    copy of `points.T` and added in the order numpy's add-reduce uses on
-    a short contiguous axis (see `_pairwise_sum`). d(p, q) and d(q, p)
-    are the same bits: the squared differences are equal and are summed
-    in the same order. A returned row is a view of one scratch buffer
-    allocated per point set, so it holds only until the next call.
+    `sqrt(((points[i] - points[j]) ** 2).sum())`: the squares of the
+    eight feature differences are made in one pass from a contiguous
+    copy of `points.T`, one plane per feature in `_LANES` order, and
+    three in-place halvings add them as numpy's add-reduce adds eight
+    terms, ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7)). d(p, q) and d(q, p)
+    are the same bits: the squares are equal and are added in the same
+    order. A returned row is a view of one scratch buffer allocated per
+    point set, so it holds only until the next call.
     """
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=np.float64)
-        self.n, n_features = points.shape
-        order = np.array(_plane_order(n_features), dtype=np.intp)
-        self._cols = np.ascontiguousarray(points.T[order])
-        self._planes = max(n_features, 1)  # no features: one plane that stays zero
-        self.block = max(1, _BLOCK_BYTES // (8 * self._planes * max(self.n, 1)))
-        self._squares = np.zeros(self._planes * min(self.block, self.n) * self.n)
+        if points.ndim != 2 or points.shape[1] != N_FEATURES:
+            raise ValueError(f"points must be shaped (n, {N_FEATURES}), got {points.shape}")
+        self.n = len(points)
+        self._cols = np.ascontiguousarray(points.T[list(_LANES)])
+        self.block = max(1, _BLOCK_BYTES // (8 * N_FEATURES * max(self.n, 1)))
+        self._squares = np.empty(N_FEATURES * min(self.block, self.n) * self.n)
 
     def __call__(self, idx) -> np.ndarray:
         single = isinstance(idx, (int, np.integer))
         if single:
             idx = slice(idx, idx + 1)
         block = self._cols[:, idx, None]
-        rows = block.shape[1]
-        squares = self._squares[:self._planes * rows * self.n].reshape(self._planes, rows, self.n)
-        terms = squares[:len(block)]
-        np.subtract(block, self._cols[:, None], out=terms)
-        np.multiply(terms, terms, out=terms)
-        out = _pairwise_sum(squares)
-        np.sqrt(out, out=out)
-        return out[0] if single else out
+        t = self._squares[:block.size * self.n].reshape(N_FEATURES, block.shape[1], self.n)
+        np.subtract(block, self._cols[:, None], out=t)
+        np.multiply(t, t, out=t)
+        t[:4] += t[4:]
+        t[:2] += t[2:4]
+        t[0] += t[1]
+        np.sqrt(t[0], out=t[0])
+        return t[0, 0] if single else t[0]
 
     def blocks(self):
         """(first row, rows) of consecutive blocks covering rows 0..n-1."""
         for lo in range(0, self.n, self.block):
             yield lo, self(slice(lo, min(lo + self.block, self.n)))
-
-
-def _plane_order(count: int) -> list[int]:
-    """The feature on each plane, so that `_pairwise_sum` adds in numpy's order."""
-    if count > 128:
-        half = count // 2 // 8 * 8
-        return _plane_order(half) + [half + j for j in _plane_order(count - half)]
-    body = count - count % 8
-    return [lo + lane for lo in range(0, body, 8) for lane in _LANES] + list(range(body, count))
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """terms[0] = the sum over axis 0 as numpy's pairwise add-reduce makes it.
-
-    Fewer than 8 terms are added left to right. Up to 128 terms go to
-    eight interleaved lanes, joined as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)),
-    then the rest are added in order. More than 128 split into two halves
-    at a multiple of 8. The planes hold the terms in `_plane_order`, so
-    every add is in place on contiguous, disjoint planes; `terms` is
-    overwritten.
-    """
-    count = len(terms)
-    if count < 8:
-        for j in range(1, count):
-            terms[0] += terms[j]
-    elif count > 128:
-        half = count // 2 // 8 * 8
-        _pairwise_sum(terms[:half])
-        terms[0] += _pairwise_sum(terms[half:])
-    else:
-        body = count - count % 8
-        for lo in range(8, body, 8):
-            terms[:8] += terms[lo:lo + 8]
-        terms[:4] += terms[4:8]
-        terms[:2] += terms[2:4]
-        terms[0] += terms[1]
-        for j in range(body, count):
-            terms[0] += terms[j]
-    return terms[0]
 
 
 @dataclass
@@ -127,8 +93,8 @@ class ClusterParams:
     def __post_init__(self):
         if self.algorithm not in ("dbscan", "optics", "hdbscan"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in ("dbscan", "optics") and not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.algorithm in ("dbscan", "optics") and not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
     def tag(self) -> str:
         """Directory/file tag for this parameterization; `parse_tag` reads it back."""

@@ -91,7 +91,11 @@ def cluster_snapshot(graph: SnapshotGraph,
 
 
 def write_assignment_csv(path, result: ClusterResult) -> None:
-    """CSV export: node_index,cluster_id with -1 for noise."""
+    """CSV export: node_index,cluster_id with -1 for noise.
+
+    `node_index` i is the i-th normal (label 0) node in graph row order,
+    the i-th point `cluster_snapshot` clusters, not graph row i.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node_index,cluster_id\n")
         for i, cid in enumerate(result.assignment):

@@ -17,13 +17,13 @@ from . import NOISE, ClusterResult, DistanceRows
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    distances = DistanceRows(points)
+    n = distances.n
 
     # One blockwise pass computes every distance row once; within is the
     # symmetric closed eps-ball mask and its row sums are the ball sizes.
     within = np.empty((n, n), dtype=bool)
-    for lo, rows in DistanceRows(points).blocks():
+    for lo, rows in distances.blocks():
         within[lo:lo + len(rows)] = rows <= eps
     core = within.sum(axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=np.int64)

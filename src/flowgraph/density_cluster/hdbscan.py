@@ -160,14 +160,13 @@ def _excess_of_mass(parent: list[int], stability: list[float]) -> tuple[list[int
 def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterResult:
     if min_cluster_size < 2:  # a point would become a cluster, which the walk cannot split
         raise ValueError(f"min_cluster_size must be >= 2, got {min_cluster_size}")
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    distances = DistanceRows(points)
+    n = distances.n
     if n < max(min_pts, 2):
         # core distances undefined, or no points at all; documented degenerate case
         return ClusterResult(assignment=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
 
-    distances = DistanceRows(points)
     edges = mutual_reachability_mst(distances, core_distances(distances, min_pts))
     parent, stability, fell_from = _condense(*_single_linkage(edges, n), min_cluster_size)
     label, count = _excess_of_mass(parent, stability)

@@ -46,14 +46,13 @@ class OpticsResult:
 
 
 def optics(points: np.ndarray, eps: float, min_pts: int) -> OpticsResult:
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    rows = DistanceRows(points)
+    n = rows.n
     order = np.empty(n, dtype=np.int64)
     reach = np.full(n, np.inf)
     core_dist = np.full(n, np.inf)
     processed = np.zeros(n, dtype=bool)
     seed_reach = np.full(n, np.inf)  # reach on the seed set, infinity off it
-    rows = DistanceRows(points)
 
     def process(p: int, position: int) -> None:
         processed[p] = True

@@ -269,7 +269,8 @@ def load_model(path) -> GcnModel:
     that config (so numbers are plain decimal, hidden is HIDDEN, and each
     layer holds 1 block (renormalized) or k + 1 (chebyshev), numbered
     from 0, of shape (8, HIDDEN) in w0 and (HIDDEN, 2) in w1), or a
-    block's rows do not hold its shape.
+    block's rows do not hold its shape of finite weights (`train` saves
+    no `nan` or `inf`).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -297,6 +298,8 @@ def load_model(path) -> GcnModel:
                 at += 1 + shape[0]
         if at != len(lines):
             raise ValueError(f"line {at + 1} follows the last weight block")
+        if not all(np.isfinite(block).all() for block in blocks["w0"] + blocks["w1"]):
+            raise ValueError("a weight that is not finite")
         return GcnModel(config, blocks["w0"], blocks["w1"])
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedArtefact(f"{path}: not the layout save_model writes "

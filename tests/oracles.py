@@ -57,7 +57,8 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
     src, dst, w = last.split()
     noun = "nodes" if "# nodes " in text else "supernodes"
     swapped = text.replace(f"# {noun} ", "# supernodes " if noun == "nodes" else "# nodes ")
-    start = text.split(" ", 4)[3]  # the window start's text
+    header = text.split("\n", 1)[0]
+    index, start, end = header.split()[2:]  # the snapshot index and window bounds' texts
     return [text[:cut] for cut in range(len(text))] + [
         head + f"0 {n_nodes} 1\n", head + "-1 0 1\n", head + first + "\n", swapped,
         text.replace("\n0 ", "\n7 ", 1), text + "0 1 1\n"] + [
@@ -68,7 +69,9 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
             ("# snapshot ", "# snapshot +"), ("# snapshot ", "# snapshot 0_"),
             (f"# {noun} ", f"# {noun} 0_"), (f"# {noun} ", f"# {noun} +"),
             ("# edges ", "# edges +"), ("# edges ", "# edges 0_"),
-            (f" {start} ", f" 0_{start} "), (f" {start} ", f" {start.translate(ARABIC_INDIC)} "))]
+            (f" {start} ", f" 0_{start} "), (f" {start} ", f" {start.translate(ARABIC_INDIC)} "),
+            (f" {start} ", f" +{start} "), (f" {end}\n", f" -{end}\n"),
+            (header, f"# snapshot {index} -600.0 -0.0"))]
 
 
 def with_node_field(text: str, field: int, value: str) -> str:
@@ -101,6 +104,18 @@ def aggregate_edges_oracle(graph: SnapshotGraph, assignment, cluster_count: int)
     return [[s, d, w] for (s, d), w in weight.items()]
 
 
+def padded(points) -> np.ndarray:
+    """`points` with zero columns appended up to the `N_FEATURES` columns the clusterers take.
+
+    A zero column adds nothing to a squared distance. For three or fewer
+    columns it leaves every distance bit unchanged too: numpy adds eight
+    terms as ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7)), which with d3..d7 = 0
+    is (d0+d1)+d2, the left-to-right sum it makes of three terms.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    return np.hstack([points, np.zeros((len(points), N_FEATURES - points.shape[1]))])
+
+
 def distance_matrix(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
@@ -112,14 +127,15 @@ def exact_eps_cases() -> list[tuple[np.ndarray, float]]:
     Integer-grid points have integer squared distances, so eps in
     {1, 2, 5} is met exactly (5 through 3-4-5 triangles); half of each
     grid is stacked on again so points have coincident twins, and one
-    input is a single point repeated.
+    input is a single point repeated. The 2- and 3-D grids are `padded`
+    to 8 columns.
     """
     cases = [(np.zeros((5, 8)), 1.0)]
     for seed in range(6):
         rng = np.random.default_rng(seed)
         dims = (2, 3, 8)[seed % 3]
         n = int(rng.integers(5, 40))
-        grid = rng.integers(0, 6 if dims < 8 else 3, size=(n, dims)).astype(np.float64)
+        grid = padded(rng.integers(0, 6 if dims < 8 else 3, size=(n, dims)))
         points = np.vstack([grid, grid[: len(grid) // 2]])
         cases.extend((points, eps) for eps in (1.0, 2.0, 5.0))
     return cases

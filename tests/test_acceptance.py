@@ -58,6 +58,7 @@ from oracles import (
     graph_from,
     majority_label,
     mst_weight_oracle,
+    padded,
 )
 
 
@@ -163,8 +164,8 @@ def test_criterion_4_hdbscan_blobs_and_mst():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             centers = np.array([[0.0, 0.0], [separation, 0.0], [0.0, separation]])
-            points = np.vstack([c + rng.normal(0.0, spread, size=(10, 2))
-                                for c in centers])
+            points = padded(np.vstack([c + rng.normal(0.0, spread, size=(10, 2))
+                                       for c in centers]))
             result = hdbscan(points, 2, 5)
             blobs = [set(range(10 * b, 10 * b + 10)) for b in range(3)]
             found = {}
@@ -179,7 +180,7 @@ def test_criterion_4_hdbscan_blobs_and_mst():
         for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(5, 51))
-            points = rng.random((n, 4))
+            points = padded(rng.random((n, 4)))
             min_pts = int(rng.integers(2, 5))
             rows = DistanceRows(points)
             edges = mutual_reachability_mst(rows, core_distances(rows, min_pts))

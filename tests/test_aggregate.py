@@ -177,8 +177,9 @@ def test_clustered_text_round_trip(tmp_path):
     bad_values = [with_node_field(text, field, value) for field, value in (
         (1, "noise"), (1, "singleton-attack"), (2, "1"), (2, "2"), (2, "-1"),
         (3, "0.3"), (3, "1.0"), (3, "2.0"), (3, "-0.25"), (3, "nan"), (4, "nan"), (11, "inf"),
-        # the class fields read exactly as written; f1-f8 are ASCII with no '_'
-        (2, "+0"), (3, "0_0.0"), (3, "0.00"), (3, "\u0660.0"), (4, "1_0.0"), (5, "\u0662.0"))]
+        # the class fields read exactly as written; f1-f8 are unsigned ASCII with no '_'
+        (2, "+0"), (3, "0_0.0"), (3, "0.00"), (3, "\u0660.0"), (4, "1_0.0"), (5, "\u0662.0"),
+        (4, "+1.0"), (5, "-0.0"), (11, "-1.0"))]
     bad_values.append(text.replace("cluster 0 0.0", "cluster 1 0.3", 1))
     bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 1 0.5", 1))
     bad_values.append(text.replace("singleton-attack 1 1.0", "singleton-attack 0 0.0", 1))

@@ -178,14 +178,18 @@ def test_graph_text_round_trip(tmp_path):
     bad_labels = [with_node_field(text, 3, label)
                   for label in ("2", "-1", "0_1", "+1", "01", "\u0661")]
     bad_ports = [with_node_field(text, 2, port) for port in ("8_0", "\u0668\u0660")]
-    # f1, f2 and f7 of node 0 not finite, or not ASCII with no '_'
+    # f1, f2, f7 and f8 of node 0 not finite, signed, or not ASCII with no '_'
     bad_features = [with_node_field(text, field, value)
                     for field, value in ((4, "nan"), (5, "-inf"), (10, "inf"), (4, "1_0.0"),
-                                         (5, "\u0662.0"), (11, "1_0.5\n"))]
+                                         (5, "\u0662.0"), (11, "1_0.5\n"), (4, "+1.0"),
+                                         (5, "-1.0"), (10, "-0.0"), (11, "+0.5\n"))]
     for bad in corrupted_snapshot_texts(text, g.n_nodes) + bad_labels + bad_ports + bad_features:
         path.write_text(bad, encoding="utf-8")
         with pytest.raises(MalformedArtefact, match="snap.txt"):
             read_graph_text(path)
+    # an exponent's sign is not the number's: repr writes 1e-05 and 1e+16
+    path.write_text(with_node_field(with_node_field(text, 4, "1e-05"), 5, "1e+16"))
+    assert read_graph_text(path).features[0, :2].tolist() == [1e-05, 1e+16]
 
 
 def test_extract_features_requires_incident_flow():

@@ -265,7 +265,7 @@ def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "shared")
     nan_width = write_config(tmp_path / "nan.json", tmp_path / "shared", width=float("nan"))
     assert run("synth", "--config", cfg) == 0
-    for i, bad in enumerate((("--eps", "0"),
+    for i, bad in enumerate((("--eps", "0"), ("--eps", "inf"), ("--eps", "nan"),
                              ("--variant", "gcn", "--k", "3"), ("--seed", "-1"),
                              ("--config", nan_width), ("--width", "inf"), ("--width", "nan"),
                              ("--width", "1e-17"))):
@@ -287,11 +287,17 @@ def test_flag_overrides_config(tmp_path):
 
 
 def test_nonpositive_eps_fails_with_diagnostic(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", tmp_path / "out")
-    assert run("cluster", "--config", cfg, "--eps", "0") == 1
-    err = capsys.readouterr().err
-    assert "flowgraph cluster: error:" in err
-    assert "eps" in err
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0 and run("graph", "--config", cfg) == 0
+    for algorithm in ("dbscan", "optics"):
+        for eps in ("0", "-inf", "inf", "nan"):
+            capsys.readouterr()
+            assert run("cluster", "--config", cfg, "--algorithm", algorithm, f"--eps={eps}") == 1
+            err = capsys.readouterr().err
+            assert "flowgraph cluster: error:" in err
+            assert "eps must be finite and > 0" in err
+    assert not (out / "clusters").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

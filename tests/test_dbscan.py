@@ -4,18 +4,18 @@ import numpy as np
 
 from flowgraph.density_cluster import (NOISE, ClusterParams, DistanceRows, cluster_points,
                                       dbscan, eps_text, hdbscan, optics, parse_tag)
-from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases
+from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases, padded
 
 
 def test_chain_within_eps():
-    points = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
+    points = padded([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
     result = dbscan(points, eps=0.15, min_pts=2)
     assert result.cluster_count == 1
     assert np.array_equal(result.assignment, [0, 0, 0])
 
 
 def test_single_point_is_noise():
-    result = dbscan(np.array([[1.0, 2.0]]), eps=0.5, min_pts=2)
+    result = dbscan(padded([[1.0, 2.0]]), eps=0.5, min_pts=2)
     assert result.cluster_count == 0
     assert np.array_equal(result.assignment, [NOISE])
 
@@ -24,7 +24,7 @@ def test_two_far_blobs():
     rng = np.random.default_rng(0)
     blob1 = rng.uniform(-0.025, 0.025, size=(3, 2))
     blob2 = rng.uniform(-0.025, 0.025, size=(3, 2)) + 5.0
-    points = np.vstack([blob1, blob2])
+    points = padded(np.vstack([blob1, blob2]))
     result = dbscan(points, eps=0.2, min_pts=2)
     assert result.cluster_count == 2
     assert np.array_equal(result.assignment, [0, 0, 0, 1, 1, 1])
@@ -87,7 +87,7 @@ def test_cluster_ids_dense_and_sized():
 
 
 def test_dispatch_through_cluster_points():
-    points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
+    points = padded([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
     params = ClusterParams(algorithm="dbscan", eps=0.2)
     result = cluster_points(points, params)
     assert np.array_equal(result.assignment, [0, 0, NOISE])

@@ -1,10 +1,8 @@
 """The column-wise distance kernel against the oracle's distance matrix, bit for bit.
 
 Features span six orders of magnitude, so a summation order other than
-numpy's own add-reduce rounds some entry differently. The row counts
-cross the kernel's block edges, and the feature counts cover each
-branch of the pairwise sum: fewer than 8 terms, 8 lanes with and
-without a remainder, and the split above 128.
+numpy's own add-reduce of the eight squared differences rounds some
+entry differently. The row counts cross the kernel's block edges.
 """
 
 from __future__ import annotations
@@ -12,24 +10,43 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from flowgraph.density_cluster import DistanceRows, hdbscan, optics
+from flowgraph.behavior_graph import build_graph, normalize_features
+from flowgraph.density_cluster import DistanceRows, dbscan, hdbscan, optics
+from flowgraph.synth import SynthConfig, generate
+from flowgraph.temporal import dissect
 from oracles import block_edge_case, distance_matrix as oracle_distance_matrix, exact_eps_cases
 
 
-def mixed_scale_points(n: int, n_features: int, seed: int) -> np.ndarray:
+def mixed_scale_points(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.uniform(-3, 3, size=n_features)
-    return rng.standard_normal((n, n_features)) * scale
+    scale = 10.0 ** rng.uniform(-3, 3, size=8)
+    return rng.standard_normal((n, 8)) * scale
+
+
+def traffic_points() -> list[np.ndarray]:
+    """The normalized normal-node features of each snapshot of a small capture, as clustered.
+
+    Without attack entities a column's minimum is a normal node's, so
+    the features hold zeros, and many values repeat down a column. Half
+    of each set is stacked on again, so rows repeat and distances tie.
+    """
+    table = generate(SynthConfig(seed=0, duration=7200.0, n_normal_entities=20,
+                                 n_attack_entities=0))
+    sets = []
+    for snapshot, flows in dissect(table, 600.0).items():
+        graph = build_graph(flows, snapshot=snapshot)
+        points = normalize_features(graph).features[graph.labels == 0]
+        sets.append(np.vstack([points, points[:len(points) // 2]]))
+    return sets
 
 
 def cases():
-    for n_features in [*range(1, 21), 64]:
-        for n in (1, 2, 63, 64, 65, 300):
-            yield f"{n}x{n_features}", mixed_scale_points(n, n_features, seed=n * 1000 + n_features)
-    for n_features in (129, 200):
-        for n in (1, 65, 130):
-            yield f"{n}x{n_features}", mixed_scale_points(n, n_features, seed=n * 1000 + n_features)
+    for n in (1, 2, 63, 64, 65, 300):
+        yield f"{n}x8", mixed_scale_points(n, seed=n * 1000 + 8)
+    for i, points in enumerate(traffic_points()):
+        yield f"traffic snapshot {i}", points
     for i, (points, _) in enumerate(exact_eps_cases()):
         yield f"exact eps case {i}", points
     yield "block edge case", block_edge_case()[0]
@@ -52,8 +69,17 @@ def test_kernel_equals_oracle_bit_for_bit():
             assert np.array_equal(row, expected[i]), (name, i)
 
 
+def test_traffic_points_hold_zeros_and_ties():
+    sets = traffic_points()
+    assert len(sets) == 12
+    for points in sets:
+        assert (points == 0).any()
+        assert any(len(np.unique(col)) < len(col) for col in points.T)
+        assert len(np.unique(points, axis=0)) < len(points)
+
+
 def test_kernel_takes_rows_in_any_order():
-    points = mixed_scale_points(150, 8, seed=5)
+    points = mixed_scale_points(150, seed=5)
     order = np.random.default_rng(6).permutation(150)
     rows = DistanceRows(points)
     for lo in range(0, 150, rows.block):
@@ -63,7 +89,18 @@ def test_kernel_takes_rows_in_any_order():
 
 def test_empty_input():
     assert all_rows(np.zeros((0, 8))).shape == (0, 0)
-    assert np.array_equal(all_rows(np.ones((3, 0))), np.zeros((3, 3)))
+
+
+def test_points_take_the_eight_behaviour_features():
+    for shape in ((3, 0), (3, 2), (3, 9), (8,), (2, 4, 8)):
+        with pytest.raises(ValueError, match=r"shaped \(n, 8\)"):
+            DistanceRows(np.ones(shape))
+    # every clusterer, hdbscan also on too few points to build a tree
+    for run in (lambda p: dbscan(p, 0.5, 2), lambda p: optics(p, 0.5, 2),
+                lambda p: hdbscan(p, 2, 5)):
+        for n in (1, 3):
+            with pytest.raises(ValueError, match=r"shaped \(n, 8\)"):
+                run(np.ones((n, 2)))
 
 
 def test_optics_and_hdbscan_hold_no_distance_matrix():

@@ -264,7 +264,11 @@ def test_load_refuses_a_header_the_weights_do_not_fit(tmp_path):
              ("blocks 4", "blocks +4"), ("\nw0 0 8 16\n", "\nw0 0 8 1_6\n"),
              ("\nw0 0 8 16\n", "\nw0 0 +8 16\n"),
              ("\nw0 0 8 16\n" + weight, "\nw0 0 8 16\n" + weight.replace(".", "_0.", 1)),
-             ("\nw0 0 8 16\n" + weight, "\nw0 0 8 16\n\u0661" + weight)]
+             ("\nw0 0 8 16\n" + weight, "\nw0 0 8 16\n\u0661" + weight),
+             # save_model never writes a weight that is not finite
+             *(("\nw0 0 8 16\n" + weight, "\nw0 0 8 16\n" + bad)
+               for bad in ("nan", "inf", "-inf", "1e400")),
+             ("\nw1 3 16 2\n", "\nw1 3 16 2\nnan ")]
     for old, new in edits:
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(MalformedArtefact, match="model.txt"):

@@ -6,14 +6,14 @@ import pytest
 from flowgraph.density_cluster import NOISE, ClusterParams, DistanceRows, cluster_points, hdbscan
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
 from oracles import (block_edge_case, distance_matrix, exact_eps_cases,
-                     hdbscan_hierarchy_oracle, mst_weight_oracle)
+                     hdbscan_hierarchy_oracle, mst_weight_oracle, padded)
 
 
 def three_blobs(seed: int, spread: float = 0.02, separation: float = 1.0):
     rng = np.random.default_rng(seed)
     centers = np.array([[0.0, 0.0], [separation, 0.0], [0.0, separation]])
-    points = np.vstack([c + rng.uniform(-spread, spread, size=(10, 2))
-                        for c in centers])
+    points = padded(np.vstack([c + rng.uniform(-spread, spread, size=(10, 2))
+                               for c in centers]))
     truth = np.repeat([0, 1, 2], 10)
     return points, truth
 
@@ -39,14 +39,14 @@ def test_recovers_three_blobs():
 def test_min_cluster_size_threshold():
     # 4 points pairwise at distance 0.1: a tetrahedron on scaled basis
     # vectors; too small for min_cluster_size=5
-    points = np.eye(4) * (0.1 / np.sqrt(2.0))
+    points = padded(np.eye(4) * (0.1 / np.sqrt(2.0)))
     result = hdbscan(points, min_pts=2, min_cluster_size=5)
     assert result.cluster_count == 0
     assert np.array_equal(result.assignment, [NOISE] * 4)
 
 
 def test_duplicate_points():
-    points = np.array([[0.0, 0.0]] * 6 + [[3.0, 3.0]] * 6)
+    points = padded([[0.0, 0.0]] * 6 + [[3.0, 3.0]] * 6)
     result = hdbscan(points, min_pts=2, min_cluster_size=5)
     assert result.cluster_count == 2
     assert len(set(result.assignment[:6])) == 1
@@ -55,14 +55,14 @@ def test_duplicate_points():
 
 
 def test_fewer_points_than_min_pts():
-    points = np.array([[0.0], [1.0]])
+    points = padded([[0.0], [1.0]])
     result = hdbscan(points, min_pts=3, min_cluster_size=2)
     assert result.cluster_count == 0
     assert np.array_equal(result.assignment, [NOISE, NOISE])
 
 
 def test_single_point():
-    result = hdbscan(np.array([[0.5, 0.5]]), min_pts=2, min_cluster_size=2)
+    result = hdbscan(padded([[0.5, 0.5]]), min_pts=2, min_cluster_size=2)
     assert np.array_equal(result.assignment, [NOISE])
 
 
@@ -98,18 +98,20 @@ def test_mst_weight_against_exhaustive_oracle():
 
 
 def random_point_set(seed: int) -> np.ndarray:
-    """Uniform points, an integer grid (ties, coincident points), blobs or rounded points."""
+    """Uniform points, an integer grid (ties, coincident points), blobs or rounded points,
+    in 1 to 8 dimensions and `padded` to 8 columns."""
     rng = np.random.default_rng(seed)
     n, dims = int(rng.integers(2, 41)), int(rng.integers(1, 9))
     kind = seed % 4
     if kind == 0:
-        return rng.uniform(0, 1, size=(n, dims))
+        return padded(rng.uniform(0, 1, size=(n, dims)))
     if kind == 1:
-        return rng.integers(0, 4, size=(n, dims)).astype(np.float64)
+        return padded(rng.integers(0, 4, size=(n, dims)))
     if kind == 2:
         centers = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), dims))
-        return centers[rng.integers(0, len(centers), size=n)] + rng.normal(0, 0.03, (n, dims))
-    return np.round(rng.uniform(0, 1, size=(n, dims)), 1)
+        return padded(centers[rng.integers(0, len(centers), size=n)]
+                      + rng.normal(0, 0.03, (n, dims)))
+    return padded(np.round(rng.uniform(0, 1, size=(n, dims)), 1))
 
 
 def test_hierarchy_matches_the_dict_oracle():

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 
 from flowgraph.density_cluster import NOISE, ClusterParams, cluster_points, dbscan, optics
-from oracles import block_edge_case, distance_matrix, exact_eps_cases
+from oracles import block_edge_case, distance_matrix, exact_eps_cases, padded
 
 
 def test_two_close_points():
-    points = np.array([[0.0], [0.1]])
+    points = padded([[0.0], [0.1]])
     result = optics(points, eps=0.2, min_pts=2)
     assert np.allclose(result.core_distance, [0.1, 0.1])
     extracted = result.extract_at_eps(0.2)
@@ -16,7 +16,7 @@ def test_two_close_points():
 
 
 def test_isolated_point():
-    points = np.array([[0.0], [100.0]])
+    points = padded([[0.0], [100.0]])
     result = optics(points, eps=0.5, min_pts=2)
     assert np.isinf(result.reachability).all()
     assert np.isinf(result.core_distance).all()
@@ -78,7 +78,7 @@ def test_extraction_ids_dense():
 
 
 def test_dispatch_through_cluster_points():
-    points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
+    points = padded([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
     params = ClusterParams(algorithm="optics", eps=0.2)
     result = cluster_points(points, params)
     assert np.array_equal(result.assignment, [0, 0, NOISE])
