@@ -2,8 +2,9 @@
 
 The toolkit turns a flow CSV into per-snapshot behaviour graphs,
 compresses each snapshot's normal population with density clustering
-(DBSCAN / OPTICS / HDBSCAN, implemented here), and classifies node
-behaviour with a from-scratch spectral graph convolutional network.
+(DBSCAN and OPTICS's eps extraction, one pass at min_pts 2, and
+HDBSCAN, implemented here), and classifies node behaviour with a
+from-scratch spectral graph convolutional network.
 """
 
 from . import behavior_graph, density_cluster, report, spectral_gcn, synth, temporal

@@ -162,9 +162,9 @@ def read_snapshot_text(path, noun: str, columns: str, make_node,
     and its position as index, each edge endpoint reads as a node row's
     index, the snapshot index, the counts and the weights (each weight
     followed by `weight_suffix`) are `decimal`, each weight is in
-    [1, 2**63), no (src, dst) pair repeats, and the window bounds and
-    features are finite, unsigned, ASCII and without `_`: any truncation
-    of a written file fails.
+    [1, 2**63), no (src, dst) pair repeats, the window bounds and
+    features are finite, unsigned, ASCII and without `_`, and the window
+    end is not below its start: any truncation of a written file fails.
     """
     names = columns.split()
     first = names.index("f1")
@@ -183,7 +183,10 @@ def read_snapshot_text(path, noun: str, columns: str, make_node,
 
         try:
             _, _, index, *bounds = take(5, "#", "snapshot")
-            snapshot = SnapshotIndex(decimal(index), *_read_floats(bounds, "window bound {}"))
+            start, end = _read_floats(bounds, "window bound {}")
+            if end < start:
+                raise ValueError(f"window end {bounds[1]} is below its start {bounds[0]}")
+            snapshot = SnapshotIndex(decimal(index), start, end)
             n_nodes = decimal(take(3, "#", noun)[2])
             take(1 + len(names), "#", *names)
             nodes, labels, features = [], [], []

@@ -2,15 +2,17 @@
 
 DBSCAN, OPTICS (with flat epsilon extraction) and HDBSCAN are
 implemented here directly on dense numpy arrays, for points with the
-`N_FEATURES` = 8 behaviour features. All three take their distances
-from one exact kernel, `DistanceRows`, in the difference form, which
-adds the eight squared differences in the one order numpy's add-reduce
-uses for eight terms, so every distance equals the plain
+`N_FEATURES` = 8 behaviour features. All take their distances from one
+exact kernel, `DistanceRows`, in the difference form, which adds the
+eight squared differences in the one order numpy's add-reduce uses for
+eight terms, so every distance equals the plain
 `sqrt(((p - q) ** 2).sum())` bit for bit.
-DBSCAN fills a boolean eps-ball mask from it in a single blockwise
-pass; OPTICS computes each point's row when it processes the point, and
-HDBSCAN its core distances in one blockwise pass and each Prim row when
-a point joins the tree, so neither holds an n x n float matrix.
+At `MIN_PTS` = 2 DBSCAN's clusters are the eps-graph's connected
+components of two or more points, and OPTICS's extraction at the eps it
+ran with is the same clustering, so one breadth-first pass serves both:
+it computes each point's row once, a block of rows at a time. HDBSCAN
+makes its core distances in one blockwise pass and each Prim row when a
+point joins the tree. No algorithm holds an n x n array.
 Clustering is applied only to the normal-labeled nodes of a snapshot;
 noise points are discarded and the surviving clusters are aggregated
 into super-nodes with averaged behaviour.
@@ -127,16 +129,18 @@ class ClusterResult:
 
 
 def cluster_points(points: np.ndarray, params: ClusterParams) -> ClusterResult:
-    """Run the configured algorithm with `MIN_PTS` and, for hdbscan, `MIN_CLUSTER_SIZE`."""
-    if params.algorithm == "dbscan":
-        return dbscan(points, params.eps, MIN_PTS)
-    if params.algorithm == "optics":
-        return optics(points, params.eps, MIN_PTS).extract_at_eps(params.eps)
-    return hdbscan(points, MIN_PTS, MIN_CLUSTER_SIZE)
+    """Run the configured algorithm with `MIN_PTS` and, for hdbscan, `MIN_CLUSTER_SIZE`.
+
+    dbscan and optics share `dbscan`'s pass: at `MIN_PTS` = 2 OPTICS's
+    flat extraction at the eps it ran with equals DBSCAN at that eps
+    (Ankerst et al., SIGMOD 1999, "ExtractDBSCAN-Clustering").
+    """
+    if params.algorithm == "hdbscan":
+        return hdbscan(points, MIN_PTS, MIN_CLUSTER_SIZE)
+    return dbscan(points, params.eps)
 
 
 from .dbscan import dbscan  # noqa: E402
-from .optics import OpticsResult, optics  # noqa: E402
 from .hdbscan import hdbscan  # noqa: E402
 from .aggregate import (  # noqa: E402
     KIND_ATTACK,
@@ -158,14 +162,12 @@ __all__ = [
     "ClusterParams",
     "ClusterResult",
     "SuperNode",
-    "OpticsResult",
     "aggregate",
     "cluster_points",
     "cluster_snapshot",
     "dbscan",
     "eps_text",
     "hdbscan",
-    "optics",
     "parse_tag",
     "read_clustered_text",
     "write_assignment_csv",

@@ -1,12 +1,13 @@
-"""DBSCAN on dense points, exact and deterministic.
+"""DBSCAN at `MIN_PTS` = 2, exact and deterministic.
 
 Neighborhoods are closed euclidean balls that include the query point,
-so min_pts=2 means "at least one other point within eps". Clusters are
-the connected components of core points under mutual eps-reachability;
-a border point (non-core within eps of some core) joins the cluster of
-the lowest-index core point inside its eps-ball. Remaining points are
-noise. Cluster ids are dense from 0 in ascending order of each
-cluster's lowest core index.
+so at min_pts 2 a point is core exactly when another point lies within
+eps, and no border point exists: the clusters are the connected
+components of the eps-graph that hold two or more points, and a
+component of one point is noise. OPTICS's flat extraction at the eps it
+ran with gives the same clustering, so this pass serves both settings.
+Cluster ids are dense from 0 in ascending order of each cluster's
+lowest index.
 """
 
 from __future__ import annotations
@@ -16,37 +17,28 @@ import numpy as np
 from . import NOISE, ClusterResult, DistanceRows
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterResult:
-    distances = DistanceRows(points)
-    n = distances.n
-
-    # One blockwise pass computes every distance row once; within is the
-    # symmetric closed eps-ball mask and its row sums are the ball sizes.
-    within = np.empty((n, n), dtype=bool)
-    for lo, rows in distances.blocks():
-        within[lo:lo + len(rows)] = rows <= eps
-    core = within.sum(axis=1) >= min_pts
-    labels = np.full(n, NOISE, dtype=np.int64)
-
-    # Grow one component per unlabeled core, scanning starts in index order.
+def dbscan(points: np.ndarray, eps: float) -> ClusterResult:
+    rows = DistanceRows(points)
+    labels = np.full(rows.n, NOISE, dtype=np.int64)
+    reached = np.zeros(rows.n, dtype=bool)
     cluster_count = 0
-    for start in range(n):
-        if not core[start] or labels[start] != NOISE:
+    # One breadth-first search per unreached start, in index order; a point's
+    # row is computed once, when the point is in the frontier.
+    for start in range(rows.n):
+        if reached[start]:
             continue
-        cid = cluster_count
-        cluster_count += 1
-        labels[start] = cid
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            reachable = np.flatnonzero(within[p] & core & (labels == NOISE))
-            labels[reachable] = cid
-            stack.extend(reachable.tolist())
-
-    # Border assignment: lowest-index core within eps.
-    for p in np.flatnonzero(~core):
-        cores_in_reach = np.flatnonzero(within[p] & core)
-        if cores_in_reach.size:
-            labels[p] = labels[cores_in_reach[0]]
-
+        reached[start] = True
+        frontier, size = np.array([start]), 1
+        while frontier.size:
+            found = []
+            for lo in range(0, frontier.size, rows.block):
+                near = (rows(frontier[lo:lo + rows.block]) <= eps).any(axis=0)
+                found.append(np.flatnonzero(near & ~reached))
+                reached[found[-1]] = True
+            frontier = np.concatenate(found)
+            labels[frontier] = cluster_count
+            size += frontier.size
+        if size > 1:
+            labels[start] = cluster_count
+            cluster_count += 1
     return ClusterResult(assignment=labels, cluster_count=cluster_count)

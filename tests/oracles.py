@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph
+from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph, build_graph, normalize_features
 from flowgraph.flow_model import EntityId, FlowTable
 from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
-from flowgraph.temporal import SnapshotIndex
+from flowgraph.synth import SynthConfig, generate
+from flowgraph.temporal import SnapshotIndex, dissect
 
 NOISE = -1
 
@@ -47,9 +48,10 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
     a copy of the first edge row (the file must hold two edges or
     more), or by the same pair with each of `BAD_WEIGHTS` or with an
     endpoint that `int` takes but is not ASCII decimal, the other count
-    noun, a node row out of place, a line after the edge list, and a
+    noun, a node row out of place, a line after the edge list, a
     snapshot index, count or window bound that `int` or `float` takes
-    but is signed, holds `_` or is not ASCII.
+    but is signed, holds `_` or is not ASCII, and a window end below
+    its start.
     """
     head, last = text.rstrip("\n").rsplit("\n", 1)  # all but the last edge row, and that row
     head += "\n"
@@ -71,7 +73,8 @@ def corrupted_snapshot_texts(text: str, n_nodes: int) -> list[str]:
             ("# edges ", "# edges +"), ("# edges ", "# edges 0_"),
             (f" {start} ", f" 0_{start} "), (f" {start} ", f" {start.translate(ARABIC_INDIC)} "),
             (f" {start} ", f" +{start} "), (f" {end}\n", f" -{end}\n"),
-            (header, f"# snapshot {index} -600.0 -0.0"))]
+            (header, f"# snapshot {index} -600.0 -0.0"),
+            (header, "# snapshot 3 2400.0 1800.0"))]
 
 
 def with_node_field(text: str, field: int, value: str) -> str:
@@ -152,6 +155,23 @@ def block_edge_case() -> tuple[np.ndarray, float]:
     return np.vstack([grid, grid[:100]]), 2.0
 
 
+def traffic_points() -> list[np.ndarray]:
+    """The normalized normal-node features of each snapshot of a small capture, as clustered.
+
+    Without attack entities a column's minimum is a normal node's, so
+    the features hold zeros, and many values repeat down a column. Half
+    of each set is stacked on again, so rows repeat and distances tie.
+    """
+    table = generate(SynthConfig(seed=0, duration=7200.0, n_normal_entities=20,
+                                 n_attack_entities=0))
+    sets = []
+    for snapshot, flows in dissect(table, 600.0).items():
+        graph = build_graph(flows, snapshot=snapshot)
+        points = normalize_features(graph).features[graph.labels == 0]
+        sets.append(np.vstack([points, points[:len(points) // 2]]))
+    return sets
+
+
 def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int):
     """Reachability-closure DBSCAN over the full distance matrix.
 
@@ -188,6 +208,64 @@ def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int):
                     labels[p] = labels[q]
                     break
     return labels, cluster_count
+
+
+@dataclass
+class OpticsOrdering:
+    """An OPTICS run capped at eps: the processing order, and each point's
+    reachability and core distance, infinity where undefined."""
+
+    order: np.ndarray
+    reachability: np.ndarray
+    core_distance: np.ndarray
+
+    def extract_at_eps(self, eps_prime: float) -> tuple[np.ndarray, int]:
+        """(labels, cluster_count) of the flat DBSCAN-style clustering at eps_prime.
+
+        Scanning the order, a point whose reachability exceeds eps_prime
+        starts a new cluster if its core distance is within eps_prime
+        and is noise otherwise; every other point joins the cluster open.
+        """
+        labels = np.full(len(self.order), NOISE, dtype=np.int64)
+        cluster_count, current = 0, NOISE
+        for p in self.order:
+            if self.reachability[p] > eps_prime:
+                current = NOISE
+                if self.core_distance[p] <= eps_prime:
+                    current, cluster_count = cluster_count, cluster_count + 1
+            labels[p] = current
+        return labels, cluster_count
+
+
+def optics_oracle(points: np.ndarray, eps: float, min_pts: int) -> OpticsOrdering:
+    """OPTICS (Ankerst et al., SIGMOD 1999) over the full distance matrix.
+
+    A point's core distance is defined only when its closed eps-ball
+    (self included) holds at least min_pts points, and only neighbours
+    within eps receive reachability updates. The next point processed
+    is the unprocessed seed of least reachability, lowest index on ties;
+    with no seed left, the lowest unprocessed index starts anew.
+    """
+    n = len(points)
+    d = distance_matrix(points)
+    reach, core = np.full(n, np.inf), np.full(n, np.inf)
+    order: list[int] = []
+    seeds: set[int] = set()
+    done = np.zeros(n, dtype=bool)
+    for start in range(n):
+        p = None if done[start] else start
+        while p is not None:
+            order.append(p)
+            done[p] = True
+            seeds.discard(p)
+            if (d[p] <= eps).sum() >= min_pts:
+                core[p] = np.sort(d[p])[min_pts - 1]
+                for q in range(n):
+                    if not done[q] and d[p, q] <= eps and max(core[p], d[p, q]) < reach[q]:
+                        reach[q] = max(core[p], d[p, q])
+                        seeds.add(q)
+            p = min(seeds, key=lambda q: (reach[q], q), default=None)
+    return OpticsOrdering(np.array(order, dtype=np.int64), reach, core)
 
 
 def mutual_reachability_matrix(points: np.ndarray, min_pts: int) -> np.ndarray:

@@ -24,12 +24,13 @@ from flowgraph.behavior_graph import build_graph
 from flowgraph.density_cluster import (
     KIND_ATTACK,
     KIND_CLUSTER,
+    MIN_PTS,
     ClusterParams,
     DistanceRows,
+    cluster_points,
     cluster_snapshot,
     dbscan,
     hdbscan,
-    optics,
 )
 from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
 from flowgraph.flow_model import EntityId, parse_flows
@@ -58,6 +59,7 @@ from oracles import (
     graph_from,
     majority_label,
     mst_weight_oracle,
+    optics_oracle,
     padded,
 )
 
@@ -106,8 +108,7 @@ def random_point_set(seed):
     n = int(rng.integers(5, 101))
     points = rng.random((n, 8))
     eps = float(rng.uniform(0.2, 0.9))
-    min_pts = int(rng.integers(2, 6))
-    return points, eps, min_pts
+    return points, eps
 
 
 def test_criterion_1_labeling_rule():
@@ -137,9 +138,9 @@ def test_criterion_1_labeling_rule():
 def test_criterion_2_dbscan_oracle_equivalence():
     with criterion("2", 30.0):
         for seed in range(100):
-            points, eps, min_pts = random_point_set(seed)
-            result = dbscan(points, eps, min_pts)
-            expected_labels, expected_count = dbscan_oracle(points, eps, min_pts)
+            points, eps = random_point_set(seed)
+            result = dbscan(points, eps)
+            expected_labels, expected_count = dbscan_oracle(points, eps, MIN_PTS)
             assert np.array_equal(result.assignment, expected_labels), f"seed {seed}"
             assert result.cluster_count == expected_count, f"seed {seed}"
 
@@ -147,14 +148,15 @@ def test_criterion_2_dbscan_oracle_equivalence():
 def test_criterion_3_optics_matches_dbscan_on_cores():
     with criterion("3", 60.0):
         for seed in range(100):
-            points, eps, min_pts = random_point_set(seed)
-            base = dbscan(points, eps, min_pts)
-            ordering = optics(points, eps, min_pts)
-            extracted = ordering.extract_at_eps(eps)
-            core = ordering.core_distance <= eps
-            assert np.array_equal(extracted.assignment[core],
-                                  base.assignment[core]), f"seed {seed}"
-            assert extracted.cluster_count == base.cluster_count, f"seed {seed}"
+            # at MIN_PTS = 2 every clustered point is core, so the
+            # assignments match outright
+            points, eps = random_point_set(seed)
+            base = dbscan(points, eps)
+            labels, count = optics_oracle(points, eps, MIN_PTS).extract_at_eps(eps)
+            setting = cluster_points(points, ClusterParams("optics", eps))
+            for result in (base, setting):
+                assert np.array_equal(result.assignment, labels), f"seed {seed}"
+                assert result.cluster_count == count, f"seed {seed}"
 
 
 def test_criterion_4_hdbscan_blobs_and_mst():

@@ -190,6 +190,13 @@ def test_graph_text_round_trip(tmp_path):
     # an exponent's sign is not the number's: repr writes 1e-05 and 1e+16
     path.write_text(with_node_field(with_node_field(text, 4, "1e-05"), 5, "1e+16"))
     assert read_graph_text(path).features[0, :2].tolist() == [1e-05, 1e+16]
+    # a window may be empty, as build_graph's default 0.0 0.0, but not reversed
+    header = text.split("\n", 1)[0]
+    path.write_text(text.replace(header, "# snapshot 3 2400.0 1800.0"))
+    with pytest.raises(MalformedArtefact, match="line 1: window end 1800.0 is below its start"):
+        read_graph_text(path)
+    path.write_text(text.replace(header, "# snapshot 0 0.0 0.0"))
+    assert read_graph_text(path).snapshot == SnapshotIndex(0, 0.0, 0.0)
 
 
 def test_extract_features_requires_incident_flow():

@@ -2,20 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowgraph.density_cluster import (NOISE, ClusterParams, DistanceRows, cluster_points,
-                                      dbscan, eps_text, hdbscan, optics, parse_tag)
+from flowgraph.density_cluster import (MIN_PTS, NOISE, ClusterParams, DistanceRows,
+                                      cluster_points, dbscan, eps_text, hdbscan, parse_tag)
 from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases, padded
 
 
 def test_chain_within_eps():
     points = padded([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-    result = dbscan(points, eps=0.15, min_pts=2)
+    result = dbscan(points, eps=0.15)
     assert result.cluster_count == 1
     assert np.array_equal(result.assignment, [0, 0, 0])
 
 
 def test_single_point_is_noise():
-    result = dbscan(padded([[1.0, 2.0]]), eps=0.5, min_pts=2)
+    result = dbscan(padded([[1.0, 2.0]]), eps=0.5)
     assert result.cluster_count == 0
     assert np.array_equal(result.assignment, [NOISE])
 
@@ -25,7 +25,7 @@ def test_two_far_blobs():
     blob1 = rng.uniform(-0.025, 0.025, size=(3, 2))
     blob2 = rng.uniform(-0.025, 0.025, size=(3, 2)) + 5.0
     points = padded(np.vstack([blob1, blob2]))
-    result = dbscan(points, eps=0.2, min_pts=2)
+    result = dbscan(points, eps=0.2)
     assert result.cluster_count == 2
     assert np.array_equal(result.assignment, [0, 0, 0, 1, 1, 1])
 
@@ -33,8 +33,8 @@ def test_two_far_blobs():
 def test_empty_input():
     # no points take each algorithm's general path
     empty = np.zeros((0, 8))
-    for result in (dbscan(empty, eps=0.5, min_pts=2),
-                   optics(empty, eps=0.5, min_pts=2).extract_at_eps(0.5),
+    for result in (dbscan(empty, eps=0.5),
+                   cluster_points(empty, ClusterParams("optics", 0.5)),
                    hdbscan(empty, min_pts=2, min_cluster_size=5)):
         assert result.cluster_count == 0
         assert result.assignment.dtype == np.int64 and len(result.assignment) == 0
@@ -47,19 +47,17 @@ def test_oracle_equivalence_100_seeds():
         n = int(rng.integers(1, 101))
         points = rng.uniform(0, 1, size=(n, 8))
         eps = float(rng.uniform(0.2, 0.9))
-        min_pts = int(rng.integers(2, 6))
-        cases.append((f"seed {seed}", points, eps, min_pts))
+        cases.append((f"seed {seed}", points, eps))
     for i, (points, eps) in enumerate(exact_eps_cases()):
-        cases.extend((f"exact eps case {i}", points, eps, m) for m in (2, 3, 5))
-    points, eps = block_edge_case()
-    cases.extend(("block edge case", points, eps, m) for m in (2, 3, 5))
-    for name, points, eps, min_pts in cases:
+        cases.append((f"exact eps case {i}", points, eps))
+    cases.append(("block edge case", *block_edge_case()))
+    for name, points, eps in cases:
         # the shared kernel is the oracle's distance matrix, bit for bit
         rows = DistanceRows(points)
         assert np.array_equal(np.vstack([block.copy() for _, block in rows.blocks()]),
                               distance_matrix(points)), name
-        result = dbscan(points, eps, min_pts)
-        expected, count = dbscan_oracle(points, eps, min_pts)
+        result = dbscan(points, eps)
+        expected, count = dbscan_oracle(points, eps, MIN_PTS)
         assert result.cluster_count == count, name
         assert np.array_equal(result.assignment, expected), name
 
@@ -67,19 +65,19 @@ def test_oracle_equivalence_100_seeds():
 def test_determinism():
     rng = np.random.default_rng(9)
     points = rng.uniform(0, 1, size=(60, 8))
-    a = dbscan(points, 0.5, 2)
-    b = dbscan(points, 0.5, 2)
+    a = dbscan(points, 0.5)
+    b = dbscan(points, 0.5)
     assert np.array_equal(a.assignment, b.assignment)
     assert a.cluster_count == b.cluster_count
 
 
 def test_cluster_ids_dense_and_sized():
-    # at min_pts=2 there are no border points, so every cluster holds
-    # at least min_pts members
+    # at MIN_PTS = 2 there are no border points, so every cluster holds
+    # at least MIN_PTS members
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         points = rng.uniform(0, 1, size=(80, 8))
-        result = dbscan(points, 0.45, 2)
+        result = dbscan(points, 0.45)
         ids = np.unique(result.assignment[result.assignment != NOISE])
         assert np.array_equal(ids, np.arange(result.cluster_count))
         for cid in ids:

@@ -12,34 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowgraph.behavior_graph import build_graph, normalize_features
-from flowgraph.density_cluster import DistanceRows, dbscan, hdbscan, optics
-from flowgraph.synth import SynthConfig, generate
-from flowgraph.temporal import dissect
-from oracles import block_edge_case, distance_matrix as oracle_distance_matrix, exact_eps_cases
+from flowgraph.density_cluster import ClusterParams, DistanceRows, cluster_points, dbscan, hdbscan
+from oracles import (block_edge_case, distance_matrix as oracle_distance_matrix, exact_eps_cases,
+                     traffic_points)
 
 
 def mixed_scale_points(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3, size=8)
     return rng.standard_normal((n, 8)) * scale
-
-
-def traffic_points() -> list[np.ndarray]:
-    """The normalized normal-node features of each snapshot of a small capture, as clustered.
-
-    Without attack entities a column's minimum is a normal node's, so
-    the features hold zeros, and many values repeat down a column. Half
-    of each set is stacked on again, so rows repeat and distances tie.
-    """
-    table = generate(SynthConfig(seed=0, duration=7200.0, n_normal_entities=20,
-                                 n_attack_entities=0))
-    sets = []
-    for snapshot, flows in dissect(table, 600.0).items():
-        graph = build_graph(flows, snapshot=snapshot)
-        points = normalize_features(graph).features[graph.labels == 0]
-        sets.append(np.vstack([points, points[:len(points) // 2]]))
-    return sets
 
 
 def cases():
@@ -96,7 +77,7 @@ def test_points_take_the_eight_behaviour_features():
         with pytest.raises(ValueError, match=r"shaped \(n, 8\)"):
             DistanceRows(np.ones(shape))
     # every clusterer, hdbscan also on too few points to build a tree
-    for run in (lambda p: dbscan(p, 0.5, 2), lambda p: optics(p, 0.5, 2),
+    for run in (lambda p: dbscan(p, 0.5), lambda p: cluster_points(p, ClusterParams("optics")),
                 lambda p: hdbscan(p, 2, 5)):
         for n in (1, 3):
             with pytest.raises(ValueError, match=r"shaped \(n, 8\)"):
@@ -104,13 +85,17 @@ def test_points_take_the_eight_behaviour_features():
 
 
 def test_optics_and_hdbscan_hold_no_distance_matrix():
-    # n * n * 8 bytes would be 32 MB; rows are made one block at a time
+    # n * n * 8 bytes would be 32 MB and an n x n mask 4 MB; rows are made
+    # one block at a time, so dbscan and the optics setting stay within
+    # 1 MiB and hdbscan, which also keeps its tree, within 4 MiB
     points = np.random.default_rng(12).random((2000, 8))
-    for run in (lambda: optics(points, 0.5, 2), lambda: hdbscan(points, 2, 5)):
+    for run, bound in ((lambda: dbscan(points, 0.5), 1),
+                       (lambda: cluster_points(points, ClusterParams("optics", 0.5)), 1),
+                       (lambda: hdbscan(points, 2, 5), 4)):
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 1024 ** 2, peak
+        assert peak < bound * 1024 ** 2, peak
