@@ -10,9 +10,10 @@ eight terms, so every distance equals the plain
 At `MIN_PTS` = 2 DBSCAN's clusters are the eps-graph's connected
 components of two or more points, and OPTICS's extraction at the eps it
 ran with is the same clustering, so one breadth-first pass serves both:
-it computes each point's row once, a block of rows at a time. HDBSCAN
-makes its core distances in one blockwise pass and each Prim row when a
-point joins the tree. No algorithm holds an n x n array.
+it computes each point's row once, a block of rows at a time. At
+`MIN_PTS` = 2 HDBSCAN's mutual reachability is the plain distance, so
+it builds a euclidean minimum spanning tree, computing each point's row
+once, when the point joins the tree. No algorithm holds an n x n array.
 Clustering is applied only to the normal-labeled nodes of a snapshot;
 noise points are discarded and the surviving clusters are aggregated
 into super-nodes with averaged behaviour.
@@ -37,8 +38,8 @@ class DistanceRows:
     """Exact euclidean distances between behaviour vectors, from chosen points to all.
 
     `rows(p)` is point p's row and `rows(idx)` one row per index of a
-    slice or index array of at most `rows.block` points; `blocks()`
-    walks all rows in order. Each entry is the bits of
+    slice or index array of at most `rows.block` points. Each entry is
+    the bits of
     `sqrt(((points[i] - points[j]) ** 2).sum())`: the squares of the
     eight feature differences are made in one pass from a contiguous
     copy of `points.T`, one plane per feature in `_LANES` order, and
@@ -71,11 +72,6 @@ class DistanceRows:
         t[0] += t[1]
         np.sqrt(t[0], out=t[0])
         return t[0, 0] if single else t[0]
-
-    def blocks(self):
-        """(first row, rows) of consecutive blocks covering rows 0..n-1."""
-        for lo in range(0, self.n, self.block):
-            yield lo, self(slice(lo, min(lo + self.block, self.n)))
 
 
 @dataclass
@@ -136,7 +132,7 @@ def cluster_points(points: np.ndarray, params: ClusterParams) -> ClusterResult:
     (Ankerst et al., SIGMOD 1999, "ExtractDBSCAN-Clustering").
     """
     if params.algorithm == "hdbscan":
-        return hdbscan(points, MIN_PTS, MIN_CLUSTER_SIZE)
+        return hdbscan(points)
     return dbscan(points, params.eps)
 
 

@@ -40,11 +40,13 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
     """Collapse clustered normal nodes; keep attack nodes as singletons.
 
     `result.assignment` must cover exactly the normal nodes of `graph`
-    in node order. Cluster features are averaged from the input graph's
-    feature vectors as given (pass the raw graph for raw averaging) and
-    the stacked super-node matrix is then min-max re-normalized. Edges
-    with a noise endpoint are dropped; edges onto one super-node pair
-    merge, in the order of the pair's first edge, summing their weights.
+    in node order, with ids in [NOISE, cluster_count) and at least one
+    member in every cluster; `AssignmentMismatch` otherwise. Cluster
+    features are averaged from the input graph's feature vectors as
+    given (pass the raw graph for raw averaging) and the stacked
+    super-node matrix is then min-max re-normalized. Edges with a noise
+    endpoint are dropped; edges onto one super-node pair merge, in the
+    order of the pair's first edge, summing their weights.
     """
     normal = np.flatnonzero(graph.labels == 0)
     attack = np.flatnonzero(graph.labels == 1)
@@ -52,6 +54,10 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
         raise AssignmentMismatch(
             f"assignment covers {len(result.assignment)} points but the "
             f"graph has {len(normal)} normal nodes")
+    outside = (result.assignment < NOISE) | (result.assignment >= result.cluster_count)
+    if outside.any():
+        raise AssignmentMismatch(f"cluster id {int(result.assignment[outside][0])} is outside "
+                                 f"[{NOISE}, {result.cluster_count})")
 
     # super-node of each graph node: its cluster, the attack singletons
     # after the clusters, NOISE for discarded normal nodes
@@ -59,6 +65,9 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
     super_of[normal] = result.assignment
     super_of[attack] = result.cluster_count + np.arange(len(attack))
     member_positions = [np.flatnonzero(super_of == cid) for cid in range(result.cluster_count)]
+    empty = [cid for cid, p in enumerate(member_positions) if not len(p)]
+    if empty:
+        raise AssignmentMismatch(f"cluster {empty[0]} has no member")
 
     nodes = [SuperNode(kind=KIND_CLUSTER, members=[graph.nodes[i] for i in p.tolist()])
              for p in member_positions]

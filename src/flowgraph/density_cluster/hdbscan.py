@@ -1,38 +1,30 @@
-"""HDBSCAN: hierarchical density clustering with stability selection.
+"""HDBSCAN at `MIN_PTS` = 2, with stability selection.
 
-Pipeline: (1) core distance per point = distance to its min_pts-th
-nearest neighbor, the neighborhood including the point itself; (2)
-mutual reachability distance d_mr(p, q) = max(core(p), core(q),
-d(p, q)); (3) minimum spanning tree over d_mr (dense Prim, computing
-each point's distance row when it joins the tree); (4) single-linkage
-dendrogram; (5) one breadth-first walk condensing it with
-min_cluster_size, which gives each cluster's parent and stability and
-the cluster each point falls from; (6) excess-of-mass selection of the
-flat clustering (Campello, Moulavi & Sander, PAKDD 2013). Steps 4-6
-hold the tree in flat lists indexed by node or cluster. Points under no
-selected cluster are noise.
+At min_pts 2 a point's core distance is the distance to its nearest
+other point, so core(p) <= d(p, q) and core(q) <= d(p, q), and the
+mutual reachability max(core(p), core(q), d(p, q)) is exactly the bits
+of d(p, q). Pipeline: (1) minimum spanning tree over the euclidean
+distances (dense Prim, computing each point's distance row when it
+joins the tree); (2) single-linkage dendrogram; (3) one breadth-first
+walk condensing it with `MIN_CLUSTER_SIZE`, which gives each cluster's
+parent and stability and the cluster each point falls from; (4)
+excess-of-mass selection of the flat clustering (Campello, Moulavi &
+Sander, PAKDD 2013). Steps 2-4 hold the tree in flat lists indexed by
+node or cluster. Points under no selected cluster are noise.
 
-Fewer points than min_pts is a documented degenerate case: everything
-is noise.
+Fewer than 2 points is a documented degenerate case: everything is
+noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import NOISE, ClusterResult, DistanceRows
+from . import MIN_CLUSTER_SIZE, NOISE, ClusterResult, DistanceRows
 
 
-def core_distances(rows: DistanceRows, min_pts: int) -> np.ndarray:
-    """Distance to the min_pts-th nearest neighbor, self included, in one blockwise pass."""
-    core = np.empty(rows.n)
-    for lo, block in rows.blocks():
-        core[lo:lo + len(block)] = np.partition(block, min_pts - 1, axis=1)[:, min_pts - 1]
-    return core
-
-
-def mutual_reachability_mst(rows: DistanceRows, core: np.ndarray) -> list[tuple[int, int, float]]:
-    """MST edges (parent, child, weight) under mutual reachability.
+def minimum_spanning_tree(rows: DistanceRows) -> list[tuple[int, int, float]]:
+    """MST edges (parent, child, weight) over the euclidean distances.
 
     Dense Prim from point 0, reading each point's distance row once,
     when it joins the tree; ties on the cheapest frontier edge go to the
@@ -41,18 +33,14 @@ def mutual_reachability_mst(rows: DistanceRows, core: np.ndarray) -> list[tuple[
     n = rows.n
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-
-    def mr_row(j: int) -> np.ndarray:
-        return np.maximum(np.maximum(core[j], core), rows(j))
-
-    best = mr_row(0)
+    best = rows(0).copy()  # a row is a view of the kernel's scratch buffer
     best_parent = np.zeros(n, dtype=np.int64)
     edges = []
     for _ in range(n - 1):
         j = int(np.where(in_tree, np.inf, best).argmin())
         edges.append((int(best_parent[j]), j, float(best[j])))
         in_tree[j] = True
-        row = mr_row(j)
+        row = rows(j)
         improved = ~in_tree & (row < best)
         best[improved] = row[improved]
         best_parent[improved] = j
@@ -157,18 +145,14 @@ def _excess_of_mass(parent: list[int], stability: list[float]) -> tuple[list[int
     return label, count
 
 
-def hdbscan(points: np.ndarray, min_pts: int, min_cluster_size: int) -> ClusterResult:
-    if min_cluster_size < 2:  # a point would become a cluster, which the walk cannot split
-        raise ValueError(f"min_cluster_size must be >= 2, got {min_cluster_size}")
+def hdbscan(points: np.ndarray) -> ClusterResult:
     distances = DistanceRows(points)
     n = distances.n
-    if n < max(min_pts, 2):
-        # core distances undefined, or no points at all; documented degenerate case
-        return ClusterResult(assignment=np.full(n, NOISE, dtype=np.int64),
-                             cluster_count=0)
+    if n < 2:  # no edge to build a tree from; documented degenerate case
+        return ClusterResult(assignment=np.full(n, NOISE, dtype=np.int64), cluster_count=0)
 
-    edges = mutual_reachability_mst(distances, core_distances(distances, min_pts))
-    parent, stability, fell_from = _condense(*_single_linkage(edges, n), min_cluster_size)
+    edges = minimum_spanning_tree(distances)
+    parent, stability, fell_from = _condense(*_single_linkage(edges, n), MIN_CLUSTER_SIZE)
     label, count = _excess_of_mass(parent, stability)
     return ClusterResult(assignment=np.array(label, dtype=np.int64)[fell_from],
                          cluster_count=count)

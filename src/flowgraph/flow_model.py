@@ -50,8 +50,10 @@ SCHEMAS = {"unsw15": UNSW15_COLUMNS, "synthetic": SYNTHETIC_COLUMNS}
 class EntityId:
     """A behavioural entity: one (IP address, port) endpoint.
 
-    An IPv6 scope id (`fe80::1%eth0`) is refused: `ipaddress` takes any
-    text after `%`, spaces and `;` too, which the artefact files split on.
+    `ip` holds `ipaddress`'s canonical text, so `2001:DB8:0:0:0:0:0:1`
+    and `2001:db8::1` name one entity. An IPv6 scope id (`fe80::1%eth0`)
+    is refused: `ipaddress` takes any text after `%`, spaces and `;`
+    too, which the artefact files split on.
     """
 
     ip: str
@@ -61,11 +63,13 @@ class EntityId:
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
         try:
-            ipaddress.ip_address(self.ip)
+            address = ipaddress.ip_address(self.ip)
         except ValueError:
             raise ValueError(f"not a valid IP address literal: {self.ip!r}") from None
         if "%" in self.ip:
             raise ValueError(f"IP address with a scope id: {self.ip!r}")
+        if (text := str(address)) != self.ip:  # a canonical text is kept, not copied
+            object.__setattr__(self, "ip", text)
 
 
 @functools.lru_cache(maxsize=1 << 16)

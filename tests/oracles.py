@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph, build_graph, normalize_features
+from flowgraph.density_cluster import DistanceRows
 from flowgraph.flow_model import EntityId, FlowTable
 from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
 from flowgraph.synth import SynthConfig, generate
@@ -122,6 +123,13 @@ def padded(points) -> np.ndarray:
 def distance_matrix(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
+
+
+def kernel_rows(points: np.ndarray) -> np.ndarray:
+    """Every row of `DistanceRows(points)`, made `rows.block` rows at a time, stacked."""
+    rows = DistanceRows(points)
+    return np.vstack([np.zeros((0, rows.n))] + [rows(slice(lo, lo + rows.block)).copy()
+                                                 for lo in range(0, rows.n, rows.block)])
 
 
 def exact_eps_cases() -> list[tuple[np.ndarray, float]]:

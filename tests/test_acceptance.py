@@ -32,7 +32,7 @@ from flowgraph.density_cluster import (
     dbscan,
     hdbscan,
 )
-from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
+from flowgraph.density_cluster.hdbscan import minimum_spanning_tree
 from flowgraph.flow_model import EntityId, parse_flows
 from flowgraph.report import clustering_effects_table, population_series
 from flowgraph.spectral_gcn import (
@@ -168,7 +168,7 @@ def test_criterion_4_hdbscan_blobs_and_mst():
             centers = np.array([[0.0, 0.0], [separation, 0.0], [0.0, separation]])
             points = padded(np.vstack([c + rng.normal(0.0, spread, size=(10, 2))
                                        for c in centers]))
-            result = hdbscan(points, 2, 5)
+            result = hdbscan(points)
             blobs = [set(range(10 * b, 10 * b + 10)) for b in range(3)]
             found = {}
             for b, members in enumerate(blobs):
@@ -183,11 +183,9 @@ def test_criterion_4_hdbscan_blobs_and_mst():
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(5, 51))
             points = padded(rng.random((n, 4)))
-            min_pts = int(rng.integers(2, 5))
-            rows = DistanceRows(points)
-            edges = mutual_reachability_mst(rows, core_distances(rows, min_pts))
+            edges = minimum_spanning_tree(DistanceRows(points))
             total = sum(w for _, _, w in edges)
-            assert abs(total - mst_weight_oracle(points, min_pts)) <= 1e-9
+            assert abs(total - mst_weight_oracle(points, 2)) <= 1e-9
 
 
 def test_criterion_5_population_accounting():

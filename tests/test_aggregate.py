@@ -111,8 +111,14 @@ def test_behaviour_and_clustered_graphs_are_one_type(tmp_path):
 
 def test_assignment_mismatch():
     graph = graph_from([feats(1.0)] * 3, [0, 0, 1])
-    with pytest.raises(AssignmentMismatch):
-        aggregate(graph, ClusterResult(assignment=np.array([0]), cluster_count=1))
+    # a point too few, ids outside [NOISE, cluster_count), a cluster with no member
+    for assignment, count, match in (([0], 1, "covers 1 points"),
+                                     ([0, 3], 1, "cluster id 3 is outside"),
+                                     ([0, -2], 1, "cluster id -2 is outside"),
+                                     ([0, 0], 2, "cluster 1 has no member"),
+                                     ([1, NOISE], 2, "cluster 0 has no member")):
+        with pytest.raises(AssignmentMismatch, match=match):
+            aggregate(graph, ClusterResult(np.array(assignment), count))
 
 
 def test_attack_population_invariant():

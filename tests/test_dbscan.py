@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowgraph.density_cluster import (MIN_PTS, NOISE, ClusterParams, DistanceRows,
+from flowgraph.density_cluster import (MIN_PTS, NOISE, ClusterParams,
                                       cluster_points, dbscan, eps_text, hdbscan, parse_tag)
-from oracles import block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases, padded
+from oracles import (block_edge_case, dbscan_oracle, distance_matrix, exact_eps_cases,
+                     kernel_rows, padded)
 
 
 def test_chain_within_eps():
@@ -35,7 +36,7 @@ def test_empty_input():
     empty = np.zeros((0, 8))
     for result in (dbscan(empty, eps=0.5),
                    cluster_points(empty, ClusterParams("optics", 0.5)),
-                   hdbscan(empty, min_pts=2, min_cluster_size=5)):
+                   hdbscan(empty)):
         assert result.cluster_count == 0
         assert result.assignment.dtype == np.int64 and len(result.assignment) == 0
 
@@ -53,9 +54,7 @@ def test_oracle_equivalence_100_seeds():
     cases.append(("block edge case", *block_edge_case()))
     for name, points, eps in cases:
         # the shared kernel is the oracle's distance matrix, bit for bit
-        rows = DistanceRows(points)
-        assert np.array_equal(np.vstack([block.copy() for _, block in rows.blocks()]),
-                              distance_matrix(points)), name
+        assert np.array_equal(kernel_rows(points), distance_matrix(points)), name
         result = dbscan(points, eps)
         expected, count = dbscan_oracle(points, eps, MIN_PTS)
         assert result.cluster_count == count, name

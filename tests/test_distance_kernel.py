@@ -14,7 +14,7 @@ import pytest
 
 from flowgraph.density_cluster import ClusterParams, DistanceRows, cluster_points, dbscan, hdbscan
 from oracles import (block_edge_case, distance_matrix as oracle_distance_matrix, exact_eps_cases,
-                     traffic_points)
+                     kernel_rows, traffic_points)
 
 
 def mixed_scale_points(n: int, seed: int) -> np.ndarray:
@@ -33,16 +33,11 @@ def cases():
     yield "block edge case", block_edge_case()[0]
 
 
-def all_rows(points: np.ndarray) -> np.ndarray:
-    rows = DistanceRows(points)
-    return np.vstack([np.zeros((0, len(points)))] + [block.copy() for _, block in rows.blocks()])
-
-
 def test_kernel_equals_oracle_bit_for_bit():
     for name, points in cases():
         expected = oracle_distance_matrix(points)
         n = len(points)
-        assert np.array_equal(all_rows(points), expected), name
+        assert np.array_equal(kernel_rows(points), expected), name
         rows = DistanceRows(points)
         for i in range(n):
             row = rows(i)
@@ -69,7 +64,7 @@ def test_kernel_takes_rows_in_any_order():
 
 
 def test_empty_input():
-    assert all_rows(np.zeros((0, 8))).shape == (0, 0)
+    assert kernel_rows(np.zeros((0, 8))).shape == (0, 0)
 
 
 def test_points_take_the_eight_behaviour_features():
@@ -78,7 +73,7 @@ def test_points_take_the_eight_behaviour_features():
             DistanceRows(np.ones(shape))
     # every clusterer, hdbscan also on too few points to build a tree
     for run in (lambda p: dbscan(p, 0.5), lambda p: cluster_points(p, ClusterParams("optics")),
-                lambda p: hdbscan(p, 2, 5)):
+                hdbscan):
         for n in (1, 3):
             with pytest.raises(ValueError, match=r"shaped \(n, 8\)"):
                 run(np.ones((n, 2)))
@@ -91,7 +86,7 @@ def test_optics_and_hdbscan_hold_no_distance_matrix():
     points = np.random.default_rng(12).random((2000, 8))
     for run, bound in ((lambda: dbscan(points, 0.5), 1),
                        (lambda: cluster_points(points, ClusterParams("optics", 0.5)), 1),
-                       (lambda: hdbscan(points, 2, 5), 4)):
+                       (lambda: hdbscan(points), 4)):
         tracemalloc.start()
         try:
             run()

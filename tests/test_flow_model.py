@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from flowgraph.behavior_graph import build_graph
 from flowgraph.errors import MalformedRow, MissingColumn
 from flowgraph.flow_model import EntityId, entity, parse_flows, write_flows
 from oracles import FlowRecord, from_records, table_records
@@ -46,6 +47,19 @@ def test_entity_validation():
     for port in ("8_0", "+80", "080", "٨٠", ""):
         with pytest.raises(ValueError, match="ASCII decimal"):
             entity("10.0.0.1", port)
+
+
+def test_ipv6_spellings_of_one_address_are_one_entity(tmp_path):
+    assert EntityId("2001:DB8:0:0:0:0:0:1", 80).ip == "2001:db8::1"
+    assert entity("2001:0db8::0001", "80") == EntityId("2001:db8::1", 80)
+    path = tmp_path / "v6.csv"
+    path.write_text(SYNTH_HEADER
+                    + "2001:db8::1,80,10.0.0.2,443,0.0,1.0,100,200,10,0\n"
+                    + "2001:DB8:0:0:0:0:0:1,80,10.0.0.2,443,1.0,1.0,100,200,10,0\n")
+    graph = build_graph(parse_flows(path).records)
+    assert graph.nodes == [EntityId("2001:db8::1", 80), EntityId("10.0.0.2", 443)]
+    assert graph.features[1, 0] == 1  # f1, in-degree: one distinct predecessor
+    assert graph.edges.tolist() == [[0, 1, 2]]
 
 
 def test_parse_empty_file_with_header(tmp_path):

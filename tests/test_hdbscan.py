@@ -1,12 +1,16 @@
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import importlib
 
-from flowgraph.density_cluster import NOISE, ClusterParams, DistanceRows, cluster_points, hdbscan
-from flowgraph.density_cluster.hdbscan import core_distances, mutual_reachability_mst
+import numpy as np
+
+from flowgraph.density_cluster import (MIN_CLUSTER_SIZE, NOISE, ClusterParams, DistanceRows,
+                                       cluster_points, hdbscan)
+from flowgraph.density_cluster.hdbscan import (_condense, _excess_of_mass, _single_linkage,
+                                               minimum_spanning_tree)
 from oracles import (block_edge_case, distance_matrix, exact_eps_cases,
-                     hdbscan_hierarchy_oracle, mst_weight_oracle, padded)
+                     hdbscan_hierarchy_oracle, mst_weight_oracle, mutual_reachability_matrix,
+                     padded)
 
 
 def three_blobs(seed: int, spread: float = 0.02, separation: float = 1.0):
@@ -31,7 +35,7 @@ def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def test_recovers_three_blobs():
     points, truth = three_blobs(seed=1)
-    result = hdbscan(points, min_pts=2, min_cluster_size=5)
+    result = hdbscan(points)
     assert result.cluster_count == 3
     assert partitions_equal(result.assignment, truth)
 
@@ -40,37 +44,37 @@ def test_min_cluster_size_threshold():
     # 4 points pairwise at distance 0.1: a tetrahedron on scaled basis
     # vectors; too small for min_cluster_size=5
     points = padded(np.eye(4) * (0.1 / np.sqrt(2.0)))
-    result = hdbscan(points, min_pts=2, min_cluster_size=5)
+    result = hdbscan(points)
     assert result.cluster_count == 0
     assert np.array_equal(result.assignment, [NOISE] * 4)
 
 
 def test_duplicate_points():
     points = padded([[0.0, 0.0]] * 6 + [[3.0, 3.0]] * 6)
-    result = hdbscan(points, min_pts=2, min_cluster_size=5)
+    result = hdbscan(points)
     assert result.cluster_count == 2
     assert len(set(result.assignment[:6])) == 1
     assert len(set(result.assignment[6:])) == 1
     assert result.assignment[0] != result.assignment[6]
 
 
-def test_fewer_points_than_min_pts():
-    points = padded([[0.0], [1.0]])
-    result = hdbscan(points, min_pts=3, min_cluster_size=2)
-    assert result.cluster_count == 0
-    assert np.array_equal(result.assignment, [NOISE, NOISE])
-
-
 def test_single_point():
-    result = hdbscan(padded([[0.5, 0.5]]), min_pts=2, min_cluster_size=2)
+    result = hdbscan(padded([[0.5, 0.5]]))
     assert np.array_equal(result.assignment, [NOISE])
 
 
-def test_min_cluster_size_below_two_is_refused():
-    points, _ = three_blobs(seed=3)
-    for bad in (1, 0, -1):
-        with pytest.raises(ValueError, match="min_cluster_size"):
-            hdbscan(points, min_pts=2, min_cluster_size=bad)
+def test_each_distance_row_is_computed_once(monkeypatch):
+    returned = []
+
+    class CountingRows(DistanceRows):
+        def __call__(self, idx):
+            rows = super().__call__(idx)
+            returned.append(1 if rows.ndim == 1 else len(rows))
+            return rows
+
+    monkeypatch.setattr(importlib.import_module(hdbscan.__module__), "DistanceRows", CountingRows)
+    hdbscan(np.random.default_rng(3).random((300, 8)))
+    assert sum(returned) == 300
 
 
 def test_mst_weight_against_exhaustive_oracle():
@@ -78,23 +82,15 @@ def test_mst_weight_against_exhaustive_oracle():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 51))
-        points = rng.uniform(0, 1, size=(n, 8))
-        min_pts = int(rng.integers(2, 5))
-        cases.append((f"seed {seed}", points, min_pts))
-    for i, (points, _) in enumerate(exact_eps_cases()[::3]):
-        cases.extend((f"exact eps case {i}", points, m) for m in (2, 4))
-    points, _ = block_edge_case()
-    cases.extend(("block edge case", points, m) for m in (2, 4))
-    for name, points, min_pts in cases:
-        if len(points) < min_pts:
-            continue
-        rows = DistanceRows(points)
-        core = core_distances(rows, min_pts)
-        assert np.array_equal(core, np.sort(distance_matrix(points), axis=1)[:, min_pts - 1]), name
-        edges = mutual_reachability_mst(rows, core)
+        cases.append((f"seed {seed}", rng.uniform(0, 1, size=(n, 8))))
+    cases.extend((f"exact eps case {i}", points)
+                 for i, (points, _) in enumerate(exact_eps_cases()[::3]))
+    cases.append(("block edge case", block_edge_case()[0]))
+    for name, points in cases:
+        edges = minimum_spanning_tree(DistanceRows(points))
         total = sum(w for _, _, w in edges)
         assert len(edges) == len(points) - 1
-        assert abs(total - mst_weight_oracle(points, min_pts)) < 1e-9, name
+        assert abs(total - mst_weight_oracle(points, 2)) < 1e-9, name
 
 
 def random_point_set(seed: int) -> np.ndarray:
@@ -114,23 +110,45 @@ def random_point_set(seed: int) -> np.ndarray:
     return padded(np.round(rng.uniform(0, 1, size=(n, dims)), 1))
 
 
+def case_sets() -> list[tuple[str, np.ndarray]]:
+    """The 2,000 random sets, every `exact_eps_cases` grid and `block_edge_case`."""
+    cases = [(f"seed {seed}", random_point_set(seed)) for seed in range(2000)]
+    cases.extend((f"exact eps case {i}", points) for i, (points, _) in enumerate(exact_eps_cases()))
+    cases.append(("block edge case", block_edge_case()[0]))
+    return cases
+
+
+def select(edges: list[tuple[int, int, float]], n: int, min_cluster_size: int):
+    """(assignment, cluster count) of hdbscan's hierarchy steps at any min_cluster_size."""
+    parent, stability, fell_from = _condense(*_single_linkage(edges, n), min_cluster_size)
+    label, count = _excess_of_mass(parent, stability)
+    return np.array(label, dtype=np.int64)[fell_from], count
+
+
+def test_mutual_reachability_at_min_pts_2_is_the_distance():
+    # the identity hdbscan rests on: core(p) and core(q) never exceed d(p, q)
+    for name, points in case_sets():
+        off_diagonal = ~np.eye(len(points), dtype=bool)
+        mr = mutual_reachability_matrix(points, 2)[off_diagonal]
+        assert np.array_equal(mr.view(np.int64),
+                              distance_matrix(points)[off_diagonal].view(np.int64)), name
+
+
 def test_hierarchy_matches_the_dict_oracle():
-    cases = []
-    for seed in range(2000):
-        rng = np.random.default_rng([seed, 1])
-        cases.append((f"seed {seed}", random_point_set(seed),
-                      int(rng.integers(1, 6)), int(rng.integers(2, 8))))
-    for i, (points, _) in enumerate(exact_eps_cases()):
-        cases.extend((f"exact eps case {i}", points, m, mcs) for m in (1, 2, 4) for mcs in (2, 5))
-    points, _ = block_edge_case()
-    cases.extend(("block edge case", points, m, mcs) for m in (2, 4) for mcs in (2, 5))
-    for name, points, min_pts, mcs in cases:
-        result = hdbscan(points, min_pts, mcs)
-        if len(points) < max(min_pts, 2):
+    sizes = {f"seed {seed}": [int(np.random.default_rng([seed, 1]).integers(2, 8))]
+             for seed in range(2000)}
+    for name, points in case_sets():
+        result = hdbscan(points)
+        n = len(points)
+        if n < 2:
             continue
-        rows = DistanceRows(points)
-        edges = mutual_reachability_mst(rows, core_distances(rows, min_pts))
-        assignment, count = hdbscan_hierarchy_oracle(edges, len(points), mcs)
+        edges = minimum_spanning_tree(DistanceRows(points))
+        for mcs in sizes.get(name, [2, 5]):
+            assignment, count = hdbscan_hierarchy_oracle(edges, n, mcs)
+            got, got_count = select(edges, n, mcs)
+            assert got_count == count, (name, mcs)
+            assert np.array_equal(got, assignment), (name, mcs)
+        assignment, count = hdbscan_hierarchy_oracle(edges, n, MIN_CLUSTER_SIZE)
         assert result.cluster_count == count, name
         assert np.array_equal(result.assignment, assignment), name
 
@@ -140,17 +158,20 @@ def test_selected_clusters_respect_min_cluster_size():
         rng = np.random.default_rng(400 + seed)
         points = rng.uniform(0, 1, size=(90, 8))
         mcs = int(rng.integers(3, 9))
-        result = hdbscan(points, min_pts=2, min_cluster_size=mcs)
-        ids = np.unique(result.assignment[result.assignment != NOISE])
-        assert np.array_equal(ids, np.arange(result.cluster_count))
-        for cid in ids:
-            assert (result.assignment == cid).sum() >= mcs
+        result = hdbscan(points)
+        for (assignment, count), size in (
+                (select(minimum_spanning_tree(DistanceRows(points)), 90, mcs), mcs),
+                ((result.assignment, result.cluster_count), MIN_CLUSTER_SIZE)):
+            ids = np.unique(assignment[assignment != NOISE])
+            assert np.array_equal(ids, np.arange(count))
+            for cid in ids:
+                assert (assignment == cid).sum() >= size
 
 
 def test_determinism():
     points, _ = three_blobs(seed=8)
-    a = hdbscan(points, 2, 5)
-    b = hdbscan(points, 2, 5)
+    a = hdbscan(points)
+    b = hdbscan(points)
     assert np.array_equal(a.assignment, b.assignment)
 
 
