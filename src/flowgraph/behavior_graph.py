@@ -26,12 +26,13 @@ graph of the same type, `SnapshotGraph`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MalformedArtefact
-from .flow_model import EntityId, FlowTable, decimal, entity, parse_label
+from .flow_model import EntityId, FlowTable, decimal, entity
 from .temporal import SnapshotIndex
 
 N_FEATURES = 8
@@ -40,6 +41,7 @@ N_FEATURES = 8
 _NODE_COLUMNS = "node_index ip port label f1 f2 f3 f4 f5 f6 f7 f8"
 _EDGE_COLUMNS = "src_index dst_index weight"
 _MAX_WEIGHT = np.iinfo(np.int64).max
+_BLOCK_ROWS = 4096  # rows a reader splits and checks at a time
 
 
 @dataclass
@@ -97,8 +99,9 @@ def build_graph(flows: FlowTable, snapshot: SnapshotIndex | None = None) -> Snap
 
     edge_keys, edge_of_flow = first_appearance(src * n + dst)
     edge_src, edge_dst = edge_keys // n, edge_keys % n
-    # distinct (sender, destination port) pairs give the ports each node contacted
-    port_pairs = np.unique(src * 65536 + ports[dst])
+    # distinct (sender, destination port) pairs give the ports each node contacted; plain
+    # np.unique would import numpy.ma, which costs a graph process more than the call
+    port_pairs = first_appearance(src * 65536 + ports[dst])[0]
 
     features = np.stack([
         np.bincount(edge_dst, minlength=n),
@@ -149,98 +152,139 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
             fh.write(f"{s} {d} {w}{weight_suffix}\n")
 
 
-def read_snapshot_text(path, noun: str, columns: str, make_node,
+def read_snapshot_text(path, noun: str, columns: str, make_nodes,
                        weight_suffix: str) -> SnapshotGraph:
     """The graph of the layout `write_snapshot_text` writes.
 
-    `make_node` gives a row's (node, label) from its fields (ValueError
-    on a value it refuses); the labels, features f1..f8 and edges come
-    back as an int64 vector, an (n, N_FEATURES) matrix and an int64
-    (m, 3) array. Raises MalformedArtefact naming `path` and the line
-    on a refused value, and unless the counts match the rows, the last
-    line ends with a newline, each node row has one field per column
-    and its position as index, each edge endpoint reads as a node row's
-    index, the snapshot index, the counts and the weights (each weight
-    followed by `weight_suffix`) are `decimal`, each weight is in
-    [1, 2**63), no (src, dst) pair repeats, the window bounds and
-    features are finite, unsigned, ASCII and without `_`, and the window
-    end is not below its start: any truncation of a written file fails.
+    `make_nodes` gives the nodes and int64 labels of a block of node
+    rows from its columns, one tuple of texts per column (ValueError on
+    a value it refuses). Rows are checked `_BLOCK_ROWS` at a time, and a
+    refused block row by row, so a check's message names its block's
+    first row. Raises MalformedArtefact naming `path` and the line of
+    the first refused row or value, and unless the counts match the
+    rows, the last line ends with a newline, each node row has one
+    field per column and its position as index, each edge endpoint
+    reads as a node row's index, the snapshot index, the counts and the
+    weights (each followed by `weight_suffix`) are `decimal`, each
+    weight is in [1, 2**63), no (src, dst) pair repeats, the window
+    bounds and features are finite, unsigned, ASCII and without `_`,
+    and the window end is not below its start: any truncation fails.
     """
     names = columns.split()
     first = names.index("f1")
+    weights = re.compile(f"(?:[1-9][0-9]*{re.escape(weight_suffix)} )*")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        lineno, line = 0, ""
+        *lines, last = fh.read().split("\n")
+    if last:  # the file does not end with a newline
+        lines.append(last)
+    lineno = 0  # of the last line read
 
-        def take(n: int, *prefix: str) -> list[str]:
-            nonlocal lineno, line
-            lineno, line = next(lines, (lineno + 1, ""))
-            parts = line.split()
-            if len(parts) != n or tuple(parts[:len(prefix)]) != prefix:
-                raise ValueError(f"expected {n} fields starting {' '.join(prefix)!r}, got "
-                                 + (repr(line.rstrip()) if line else "end of file"))
-            return parts
+    def take(n: int, *prefix: str) -> list[str]:
+        nonlocal lineno
+        line = lines[lineno] if lineno < len(lines) else None
+        lineno += 1
+        parts = [] if line is None else line.split()
+        if len(parts) != n or tuple(parts[:len(prefix)]) != prefix:
+            raise ValueError(f"expected {n} fields starting {' '.join(prefix)!r}, got "
+                             + ("end of file" if line is None else repr(line.rstrip())))
+        return parts
 
-        try:
-            _, _, index, *bounds = take(5, "#", "snapshot")
-            start, end = _read_floats(bounds, "window bound {}")
-            if end < start:
-                raise ValueError(f"window end {bounds[1]} is below its start {bounds[0]}")
-            snapshot = SnapshotIndex(decimal(index), start, end)
-            n_nodes = decimal(take(3, "#", noun)[2])
-            take(1 + len(names), "#", *names)
-            nodes, labels, features = [], [], []
-            for i, (lineno, line) in zip(range(n_nodes), lines):
-                row = line.split()
-                if len(row) != len(names) or row[0] != str(i):
-                    raise ValueError(f"expected node row {i}, got {line.rstrip()!r}")
-                node, label = make_node(row)
-                nodes.append(node)
-                labels.append(label)
-                features.append(_read_floats(row[first:first + N_FEATURES], "feature f{}"))
-            n_edges = decimal(take(3, "#", "edges")[2])
-            take(4, "#", *_EDGE_COLUMNS.split())
-            node_of = {str(i): i for i in range(n_nodes)}  # each index as node rows write it
-            edges, pairs = [], set()
-            for _, (lineno, line) in zip(range(n_edges), lines):
-                s, d, text = line.split()
-                if s not in node_of or d not in node_of:
-                    raise ValueError(f"edge endpoint not a node index in [0, {n_nodes}): {s} {d}")
-                if not text.endswith(weight_suffix):
-                    raise ValueError(f"edge weight must read <count>{weight_suffix}, got {text}")
-                s, d, w = node_of[s], node_of[d], decimal(text.removesuffix(weight_suffix))
-                if not 1 <= w <= _MAX_WEIGHT:
-                    raise ValueError(f"edge weight must be a count in [1, 2**63), got {text}")
-                if (s, d) in pairs:
-                    raise ValueError(f"edge {s} -> {d} appears twice")
-                pairs.add((s, d))
-                edges.append((s, d, w))
-            if len(edges) != n_edges:
-                raise ValueError(f"counted {n_edges} edges, found {len(edges)} rows")
-            if not line.endswith("\n"):
-                raise ValueError("no newline at end of file")
-            for lineno, _ in lines:
-                raise ValueError("unexpected line after the edge list")
-        except ValueError as exc:
-            raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
-    return SnapshotGraph(snapshot, nodes, np.array(labels, dtype=np.int64),
-                         np.array(features, dtype=np.float64).reshape(len(features), N_FEATURES),
-                         np.array(edges, dtype=np.int64).reshape(len(edges), 3))
+    def block(parse, n: int):  # parse's parts for the next n rows, and the first row error
+        nonlocal lineno
+        rows = lines[lineno:lineno + n]
+        parts = []
+        for lo in range(0, max(len(rows), 1), _BLOCK_ROWS):
+            run = rows[lo:lo + _BLOCK_ROWS]
+            try:
+                parts.append(parse(run, lo))
+            except ValueError:
+                for bad, row in enumerate(run):
+                    try:
+                        parse([row], lo + bad)
+                    except ValueError as error:
+                        parts.append(parse(run[:bad], lo))
+                        lineno += lo + bad + 1
+                        return parts, error
+        lineno += len(rows)
+        return parts, None
+
+    def parse_nodes(rows: list[str], start: int):
+        table = list(map(str.split, rows))
+        cols = list(zip(*table)) or [()] * len(names)
+        if (set(map(len, table)) - {len(names)}
+                or cols[0] != tuple(map(str, range(start, start + len(rows))))):
+            raise ValueError(f"expected node row {start}, got {rows[0].rstrip()!r}")
+        nodes, labels = make_nodes(cols)
+        return nodes, labels, _read_floats(cols[first:first + N_FEATURES], "feature f{}").T.copy()
+
+    def parse_edges(rows: list[str], start: int) -> np.ndarray:
+        table = list(map(str.split, rows))
+        if set(map(len, table)) - {3}:
+            raise ValueError(f"expected 3 fields, got {rows[0].rstrip()!r}")
+        src, dst, weight = list(zip(*table)) or [()] * 3
+        if not (node_index.issuperset(src) and node_index.issuperset(dst)):
+            raise ValueError(f"edge endpoint not a node index in [0, {n_nodes}): "
+                             f"{src[0]} {dst[0]}")
+        text = " ".join(weight + ("",))  # each weight followed by a space
+        counts = weights.fullmatch(text) and list(
+            map(int, text.replace(weight_suffix + " ", " ").split()))
+        if counts is None or max(counts, default=1) > _MAX_WEIGHT:
+            raise ValueError(f"edge weight must read <count>{weight_suffix} with a count in "
+                             f"[1, 2**63), got {weight[0]}")
+        return np.array([src, dst, counts], dtype=np.int64).T.copy()
+
+    try:
+        _, _, index, *bounds = take(5, "#", "snapshot")
+        start, end = _read_floats(list(zip(bounds)), "window bound {}").ravel().tolist()
+        if end < start:
+            raise ValueError(f"window end {bounds[1]} is below its start {bounds[0]}")
+        snapshot = SnapshotIndex(decimal(index), start, end)
+        n_nodes = decimal(take(3, "#", noun)[2])
+        take(1 + len(names), "#", *names)
+        parts, error = block(parse_nodes, n_nodes)
+        if error:
+            raise error
+        nodes, labels, features = zip(*parts)
+        n_edges = decimal(take(3, "#", "edges")[2])
+        take(4, "#", *_EDGE_COLUMNS.split())
+        node_index = frozenset(map(str, range(n_nodes)))  # each index as node rows write it
+        head = lineno
+        parts, error = block(parse_edges, n_edges)
+        edges = np.concatenate(parts)
+        firsts = np.unique(edges[:, 0] * n_nodes + edges[:, 1], return_index=True)[1]
+        if len(firsts) < len(edges):
+            repeat = int(np.flatnonzero(np.bincount(firsts, minlength=len(edges)) == 0)[0])
+            lineno = head + repeat + 1
+            raise ValueError(f"edge {edges[repeat, 0]} -> {edges[repeat, 1]} appears twice")
+        if error:
+            raise error
+        if len(edges) != n_edges:
+            raise ValueError(f"counted {n_edges} edges, found {len(edges)} rows")
+        if lineno < len(lines):
+            lineno += 1
+            raise ValueError("unexpected line after the edge list")
+        if last:
+            raise ValueError("no newline at end of file")
+    except ValueError as exc:
+        raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
+    return SnapshotGraph(snapshot, [node for part in nodes for node in part],
+                         np.concatenate(labels), np.concatenate(features), edges)
 
 
-def _read_floats(fields: list[str], name: str) -> list[float]:
-    """`float` of each text; ValueError naming `name.format(j)` for the first text j (from 1)
-    that is not finite, not ASCII, holds `_` or starts with a sign (`float` takes "1_0", "١"
-    and "+1"); an exponent's sign, as in "1e-05", is fine."""
-    text = " " + " ".join(fields)
-    values = list(map(float, fields))
+def _read_floats(cols: list[tuple[str, ...]], name: str) -> np.ndarray:
+    """The texts of `cols` as a float64 array, one row per column; ValueError naming
+    `name.format(j)` for the column j (from 1) whose first text is refused, unless the texts
+    are finite, ASCII, without `_` and unsigned (`float` takes "1_0", "١" and "+1"); an
+    exponent's sign, as in "1e-05", is fine."""
+    text = " " + " ".join(map(" ".join, cols))
+    values = np.array(cols, dtype=np.float64)
     if (text.isascii() and "_" not in text and " +" not in text and " -" not in text
-            and all(map(math.isfinite, values))):
+            and np.isfinite(values).all()):
         return values
-    bad = next(j for j, (t, v) in enumerate(zip(fields, values))
-               if not (t.isascii() and "_" not in t and t[0] not in "+-" and math.isfinite(v)))
-    raise ValueError(f"{name.format(bad + 1)} must be a finite unsigned ASCII number without "
-                     f"'_', got {fields[bad]}")
+    j = next((j for j, (t, v) in enumerate(zip(next(zip(*cols)), values[:, 0].tolist()))
+              if not (t.isascii() and "_" not in t and t[0] not in "+-" and math.isfinite(v))), 0)
+    raise ValueError(f"{name.format(j + 1)} must be a finite unsigned ASCII number without "
+                     f"'_', got {cols[j][0]}")
 
 
 def write_graph_text(path, graph: SnapshotGraph) -> None:
@@ -251,9 +295,12 @@ def write_graph_text(path, graph: SnapshotGraph) -> None:
     write_snapshot_text(path, graph.snapshot, "nodes", _NODE_COLUMNS, rows, graph.edges, "")
 
 
-def _graph_node(row: list[str]) -> tuple[EntityId, int]:
-    return entity(row[1], row[2]), parse_label(row[3])
+def _graph_nodes(cols: list[tuple[str, ...]]) -> tuple[list[EntityId], np.ndarray]:
+    nodes = list(map(entity, cols[1], cols[2]))
+    if not {"0", "1"}.issuperset(cols[3]):
+        raise ValueError(f"label must read 0 or 1, got {cols[3][0]}")
+    return nodes, np.array(cols[3], dtype=np.int64)
 
 
 def read_graph_text(path) -> SnapshotGraph:
-    return read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_node, "")
+    return read_snapshot_text(path, "nodes", _NODE_COLUMNS, _graph_nodes, "")

@@ -13,7 +13,9 @@ ran with is the same clustering, so one breadth-first pass serves both:
 it computes each point's row once, a block of rows at a time. At
 `MIN_PTS` = 2 HDBSCAN's mutual reachability is the plain distance, so
 it builds a euclidean minimum spanning tree, computing each point's row
-once, when the point joins the tree. No algorithm holds an n x n array.
+once, when the point joins the tree. Each search measures only the
+points still outside, which the kernel keeps as its columns. No
+algorithm holds an n x n array.
 Clustering is applied only to the normal-labeled nodes of a snapshot;
 noise points are discarded and the surviving clusters are aggregated
 into super-nodes with averaged behaviour.
@@ -31,22 +33,27 @@ NOISE = -1
 MIN_PTS = 2  # points in a core point's closed neighbourhood, itself included
 MIN_CLUSTER_SIZE = 5  # hdbscan: points a cluster needs to survive a split
 _BLOCK_BYTES = 256 << 10  # squared differences per kernel block: stays in cache
+_DEAD_SHARE = 0.2  # dropped columns a kernel holds before it compacts
 _LANES = (0, 4, 2, 6, 1, 5, 3, 7)  # feature on each plane: halving adds pair them as numpy does
 
 
 class DistanceRows:
-    """Exact euclidean distances between behaviour vectors, from chosen points to all.
+    """Exact euclidean distances between behaviour vectors, from any point to the points left.
 
-    `rows(p)` is point p's row and `rows(idx)` one row per index of a
-    slice or index array of at most `rows.block` points. Each entry is
-    the bits of
+    The columns are the points not dropped yet, in ascending order, and
+    `ids[c]` is column c's point. `rows(p)` is point p's row over them
+    and `rows(idx)` one row per index of a slice or index array of at
+    most `rows.block` points. Each entry is the bits of
     `sqrt(((points[i] - points[j]) ** 2).sum())`: the squares of the
     eight feature differences are made in one pass from a contiguous
     copy of `points.T`, one plane per feature in `_LANES` order, and
     three in-place halvings add them as numpy's add-reduce adds eight
-    terms, ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7)). d(p, q) and d(q, p)
-    are the same bits: the squares are equal and are added in the same
-    order. A returned row is a view of one scratch buffer allocated per
+    terms, ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7)). An entry depends on its
+    two points alone, so the columns held change none of its bits, and
+    d(p, q) and d(q, p) are the same bits. `drop(ids)` turns the points'
+    columns to NaN, which no comparison selects, until more than
+    `_DEAD_SHARE` of the columns are dropped and they are compacted
+    away. A returned row is a view of one scratch buffer allocated per
     point set, so it holds only until the next call.
     """
 
@@ -54,17 +61,23 @@ class DistanceRows:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != N_FEATURES:
             raise ValueError(f"points must be shaped (n, {N_FEATURES}), got {points.shape}")
-        self.n = len(points)
-        self._cols = np.ascontiguousarray(points.T[list(_LANES)])
-        self.block = max(1, _BLOCK_BYTES // (8 * N_FEATURES * max(self.n, 1)))
-        self._squares = np.empty(N_FEATURES * min(self.block, self.n) * self.n)
+        self.n = self.left = len(points)  # left: points not dropped
+        self._planes = np.ascontiguousarray(points.T[list(_LANES)])
+        self._cols, self.ids = self._planes.copy(), np.arange(self.n)
+        self._live = np.ones(self.n, dtype=bool)
+        self._squares = np.empty(max(_BLOCK_BYTES // 8, N_FEATURES * self.n))
+
+    @property
+    def block(self) -> int:
+        return max(1, _BLOCK_BYTES // (8 * N_FEATURES * max(len(self.ids), 1)))
 
     def __call__(self, idx) -> np.ndarray:
         single = isinstance(idx, (int, np.integer))
         if single:
             idx = slice(idx, idx + 1)
-        block = self._cols[:, idx, None]
-        t = self._squares[:block.size * self.n].reshape(N_FEATURES, block.shape[1], self.n)
+        block = self._planes[:, idx, None]
+        m = len(self.ids)
+        t = self._squares[:block.size * m].reshape(N_FEATURES, block.shape[1], m)
         np.subtract(block, self._cols[:, None], out=t)
         np.multiply(t, t, out=t)
         t[:4] += t[4:]
@@ -72,6 +85,19 @@ class DistanceRows:
         t[0] += t[1]
         np.sqrt(t[0], out=t[0])
         return t[0, 0] if single else t[0]
+
+    def drop(self, ids) -> np.ndarray | None:
+        """Drop the points `ids`, none dropped before; if this compacts the columns, the mask
+        of those kept, for arrays aligned with the columns to follow, else None."""
+        at = self.ids.searchsorted(ids)
+        self._cols[:, at] = np.nan
+        self._live[at] = False
+        self.left -= np.size(at)
+        if len(self.ids) - self.left <= _DEAD_SHARE * len(self.ids):
+            return None
+        keep, self._live = self._live, np.ones(self.left, dtype=bool)
+        self._cols, self.ids = self._cols[:, keep], self.ids[keep]
+        return keep
 
 
 @dataclass

@@ -28,6 +28,7 @@ KIND_CLUSTER = "cluster"
 KIND_ATTACK = "singleton-attack"
 
 _NODE_COLUMNS = "node_index kind hard_label behaviour_fraction f1 f2 f3 f4 f5 f6 f7 f8 members"
+_CLASSES = {(KIND_CLUSTER, "0", "0.0"), (KIND_ATTACK, "1", "1.0")}  # kind, hard label, fraction
 
 
 @dataclass
@@ -40,13 +41,13 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
     """Collapse clustered normal nodes; keep attack nodes as singletons.
 
     `result.assignment` must cover exactly the normal nodes of `graph`
-    in node order, with ids in [NOISE, cluster_count) and at least one
-    member in every cluster; `AssignmentMismatch` otherwise. Cluster
-    features are averaged from the input graph's feature vectors as
-    given (pass the raw graph for raw averaging) and the stacked
-    super-node matrix is then min-max re-normalized. Edges with a noise
-    endpoint are dropped; edges onto one super-node pair merge, in the
-    order of the pair's first edge, summing their weights.
+    in node order, with ids in [NOISE, cluster_count), cluster_count
+    >= 0 and a member in every cluster; `AssignmentMismatch` otherwise.
+    Cluster features are averaged from the input graph's feature
+    vectors as given (pass the raw graph for raw averaging) and the
+    stacked super-node matrix is then min-max re-normalized. Edges with
+    a noise endpoint are dropped; edges onto one super-node pair merge,
+    in the order of the pair's first edge, summing their weights.
     """
     normal = np.flatnonzero(graph.labels == 0)
     attack = np.flatnonzero(graph.labels == 1)
@@ -54,6 +55,8 @@ def aggregate(graph: SnapshotGraph, result: ClusterResult) -> SnapshotGraph:
         raise AssignmentMismatch(
             f"assignment covers {len(result.assignment)} points but the "
             f"graph has {len(normal)} normal nodes")
+    if result.cluster_count < 0:
+        raise AssignmentMismatch(f"cluster count {result.cluster_count} is negative")
     outside = (result.assignment < NOISE) | (result.assignment >= result.cluster_count)
     if outside.any():
         raise AssignmentMismatch(f"cluster id {int(result.assignment[outside][0])} is outside "
@@ -124,16 +127,16 @@ def write_clustered_text(path, graph: SnapshotGraph) -> None:
                         ".0")
 
 
-def _super_node(row: list[str]) -> tuple[SuperNode, int]:
-    kind = row[1]
-    if (kind, row[2], row[3]) not in ((KIND_CLUSTER, "0", "0.0"), (KIND_ATTACK, "1", "1.0")):
-        raise ValueError(f"kind, hard_label and behaviour_fraction must read "
-                         f"'{KIND_CLUSTER} 0 0.0' or '{KIND_ATTACK} 1 1.0', "
-                         f"got {' '.join(row[1:4])!r}")
-    members = [entity(ip, port) for ip, port in
-               (chunk.rsplit("|", 1) for chunk in row[-1].split(";"))]
-    return SuperNode(kind=kind, members=members), int(row[2])
+def _super_nodes(cols: list[tuple[str, ...]]) -> tuple[list[SuperNode], np.ndarray]:
+    if not _CLASSES.issuperset(zip(cols[1], cols[2], cols[3])):
+        raise ValueError(f"kind, hard_label and behaviour_fraction must read '{KIND_CLUSTER} 0 "
+                         f"0.0' or '{KIND_ATTACK} 1 1.0', got "
+                         f"'{cols[1][0]} {cols[2][0]} {cols[3][0]}'")
+    nodes = [SuperNode(kind=kind, members=[entity(ip, port) for ip, port in
+                                           (chunk.rsplit("|", 1) for chunk in text.split(";"))])
+             for kind, text in zip(cols[1], cols[-1])]
+    return nodes, np.array(cols[2], dtype=np.int64)
 
 
 def read_clustered_text(path) -> SnapshotGraph:
-    return read_snapshot_text(path, "supernodes", _NODE_COLUMNS, _super_node, ".0")
+    return read_snapshot_text(path, "supernodes", _NODE_COLUMNS, _super_nodes, ".0")

@@ -7,7 +7,8 @@ components of the eps-graph that hold two or more points, and a
 component of one point is noise. OPTICS's flat extraction at the eps it
 ran with gives the same clustering, so this pass serves both settings.
 Cluster ids are dense from 0 in ascending order of each cluster's
-lowest index.
+lowest index. A reached point leaves the kernel's columns, so a frontier
+row measures only unreached points, and no row is read once all are.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ def dbscan(points: np.ndarray, eps: float) -> ClusterResult:
         if reached[start]:
             continue
         reached[start] = True
+        rows.drop(start)
         frontier, size = np.array([start]), 1
-        while frontier.size:
-            found = []
-            for lo in range(0, frontier.size, rows.block):
-                near = (rows(frontier[lo:lo + rows.block]) <= eps).any(axis=0)
-                found.append(np.flatnonzero(near & ~reached))
-                reached[found[-1]] = True
+        while frontier.size and rows.left:
+            found, lo = [], 0
+            while lo < frontier.size and rows.left:
+                block = frontier[lo:lo + rows.block]
+                lo += block.size
+                found.append(rows.ids[(rows(block) <= eps).any(axis=0)])
+                if found[-1].size:
+                    rows.drop(found[-1])
             frontier = np.concatenate(found)
+            reached[frontier] = True
             labels[frontier] = cluster_count
             size += frontier.size
         if size > 1:

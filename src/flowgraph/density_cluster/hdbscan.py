@@ -5,12 +5,13 @@ other point, so core(p) <= d(p, q) and core(q) <= d(p, q), and the
 mutual reachability max(core(p), core(q), d(p, q)) is exactly the bits
 of d(p, q). Pipeline: (1) minimum spanning tree over the euclidean
 distances (dense Prim, computing each point's distance row when it
-joins the tree); (2) single-linkage dendrogram; (3) one breadth-first
-walk condensing it with `MIN_CLUSTER_SIZE`, which gives each cluster's
-parent and stability and the cluster each point falls from; (4)
-excess-of-mass selection of the flat clustering (Campello, Moulavi &
-Sander, PAKDD 2013). Steps 2-4 hold the tree in flat lists indexed by
-node or cluster. Points under no selected cluster are noise.
+joins the tree, against the points still outside it); (2)
+single-linkage dendrogram; (3) one breadth-first walk condensing it
+with `MIN_CLUSTER_SIZE`, which gives each cluster's parent and
+stability and the cluster each point falls from; (4) excess-of-mass
+selection of the flat clustering (Campello, Moulavi & Sander, PAKDD
+2013). Steps 2-4 hold the tree in flat lists indexed by node or
+cluster. Points under no selected cluster are noise.
 
 Fewer than 2 points is a documented degenerate case: everything is
 noise.
@@ -27,24 +28,26 @@ def minimum_spanning_tree(rows: DistanceRows) -> list[tuple[int, int, float]]:
     """MST edges (parent, child, weight) over the euclidean distances.
 
     Dense Prim from point 0, reading each point's distance row once,
-    when it joins the tree; ties on the cheapest frontier edge go to the
+    when it joins the tree and leaves the kernel's columns, against the
+    points still outside; ties on the cheapest frontier edge go to the
     lowest point index.
     """
-    n = rows.n
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = rows(0).copy()  # a row is a view of the kernel's scratch buffer
-    best_parent = np.zeros(n, dtype=np.int64)
-    edges = []
-    for _ in range(n - 1):
-        j = int(np.where(in_tree, np.inf, best).argmin())
-        edges.append((int(best_parent[j]), j, float(best[j])))
-        in_tree[j] = True
+    best = np.full(rows.n, np.inf)  # cheapest edge into each column's point
+    best_parent = np.zeros(rows.n, dtype=np.int64)
+    edges, j, at = [], 0, 0
+    while True:
+        best[at] = np.inf
+        keep = rows.drop(j)
+        if keep is not None:
+            best, best_parent = best[keep], best_parent[keep]
         row = rows(j)
-        improved = ~in_tree & (row < best)
-        best[improved] = row[improved]
-        best_parent[improved] = j
-    return edges
+        best_parent[row < best] = j
+        np.fmin(best, row, out=best)  # fmin keeps best where a dropped column reads NaN
+        if not rows.left:
+            return edges
+        at = int(best.argmin())
+        j = int(rows.ids[at])
+        edges.append((int(best_parent[at]), j, float(best[at])))
 
 
 def _single_linkage(edges: list[tuple[int, int, float]], n: int):

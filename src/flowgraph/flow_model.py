@@ -23,6 +23,7 @@ import csv
 import functools
 import ipaddress
 import operator
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,9 @@ UNSW15_COLUMNS = [
 # parse_flows decodes both in this order: every column between the byte
 # counts and the label is a packet count, and those are summed
 SCHEMAS = {"unsw15": UNSW15_COLUMNS, "synthetic": SYNTHETIC_COLUMNS}
+# a canonical IPv4 octet; [0-9], since \d also matches non-ASCII digits
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class EntityId:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
+        if _DOTTED_QUAD.fullmatch(self.ip):  # canonical IPv4 text, as ipaddress would keep it
+            return
         try:
             address = ipaddress.ip_address(self.ip)
         except ValueError:

@@ -119,6 +119,10 @@ def test_assignment_mismatch():
                                      ([1, NOISE], 2, "cluster 0 has no member")):
         with pytest.raises(AssignmentMismatch, match=match):
             aggregate(graph, ClusterResult(np.array(assignment), count))
+    # a negative cluster count, on a graph with normal nodes and on one with none
+    for graph, assignment in ((graph, [NOISE, NOISE]), (graph_from([feats(1.0)] * 2, [1, 1]), [])):
+        with pytest.raises(AssignmentMismatch, match="cluster count -1 is negative"):
+            aggregate(graph, ClusterResult(np.array(assignment, dtype=np.int64), -1))
 
 
 def test_attack_population_invariant():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowgraph import behavior_graph
 from flowgraph.behavior_graph import (
     N_FEATURES,
     build_graph,
@@ -15,7 +16,7 @@ from flowgraph.errors import MalformedArtefact
 from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
 from oracles import (FlowRecord, corrupted_snapshot_texts, extract_features, flow_tallies,
-                     from_records, majority_label, with_node_field)
+                     from_records, graph_from, majority_label, with_node_field)
 
 A = EntityId("10.0.0.1", 1000)
 B = EntityId("10.0.0.2", 2000)
@@ -197,6 +198,38 @@ def test_graph_text_round_trip(tmp_path):
         read_graph_text(path)
     path.write_text(text.replace(header, "# snapshot 0 0.0 0.0"))
     assert read_graph_text(path).snapshot == SnapshotIndex(0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+def test_reader_names_the_first_bad_row(tmp_path, monkeypatch, block_rows):
+    # rows are checked a run at a time, and a failed run reports the first
+    # row that fails on its own, wherever the runs split the rows
+    monkeypatch.setattr(behavior_graph, "_BLOCK_ROWS", block_rows)
+    g = graph_from(np.arange(40.0).reshape(5, 8), [0, 1, 0, 0, 1],
+                   [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 0, 6)])
+    path = tmp_path / "snap.txt"
+    write_graph_text(path, g)
+    lines = path.read_text().splitlines(keepends=True)  # node row i is line 4 + i
+
+    def read_with(**rows: str) -> str:
+        edited = list(lines)
+        for at, row in rows.items():
+            edited[int(at[1:]) - 1] = row + "\n"
+        path.write_text("".join(edited))
+        with pytest.raises(MalformedArtefact) as error:
+            read_graph_text(path)
+        return str(error.value).split(": ", 1)[1]
+
+    node = [line.split() for line in lines[3:8]]
+    node[1][4], node[3][3], node[4][11] = "nan", "7", "-1.0"
+    assert read_with(l5=" ".join(node[1]), l7=" ".join(node[3])).startswith("line 5: feature f1")
+    assert read_with(l7=" ".join(node[3]), l8=" ".join(node[4])).startswith(
+        "line 7: label must read 0 or 1, got 7")
+    assert read_with(l8=" ".join(node[4])).startswith("line 8: feature f8")
+    # edge row j is line 11 + j; a repeated pair before a bad weight, and after it
+    assert read_with(l13="0 1 9", l14="3 4 0") == "line 13: edge 0 -> 1 appears twice"
+    assert read_with(l13="3 4 0", l14="0 1 9").startswith("line 13: edge weight")
+    assert read_with(l15="4 5 1").startswith("line 15: edge endpoint not a node index")
 
 
 def test_extract_features_requires_incident_flow():

@@ -10,10 +10,14 @@ import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import flowgraph
 from flowgraph.cli import PipelineConfig, main
 from flowgraph.density_cluster import ClusterParams, DistanceRows
 from flowgraph.spectral_gcn import GcnModel, TrainConfig
@@ -47,6 +51,23 @@ def run(*argv) -> int:
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_graph_process_does_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma costs every graph process about 13 ms and 1 MB;
+    # numpy 2's plain np.unique imports it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    check = ("import sys; from flowgraph.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules); sys.exit(code)")
+    src = Path(flowgraph.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", check, "graph", "--config", str(cfg)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 5
 
 
 def test_synth_then_run_all_writes_all_artifacts(tmp_path):

@@ -7,12 +7,14 @@ entry differently. The row counts cross the kernel's block edges.
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from flowgraph.density_cluster import ClusterParams, DistanceRows, cluster_points, dbscan, hdbscan
+from flowgraph.density_cluster.hdbscan import minimum_spanning_tree
 from oracles import (block_edge_case, distance_matrix as oracle_distance_matrix, exact_eps_cases,
                      kernel_rows, traffic_points)
 
@@ -43,6 +45,34 @@ def test_kernel_equals_oracle_bit_for_bit():
             row = rows(i)
             assert row.shape == (n,), name
             assert np.array_equal(row, expected[i]), (name, i)
+
+
+def test_dropped_points_leave_the_columns():
+    # points leave in random order, a few at a time; the columns left keep
+    # ascending order and their entries' bits, and dropped columns are
+    # compacted away once more than a fifth of the columns are dropped
+    for name, points in cases():
+        expected = oracle_distance_matrix(points)
+        n = len(points)
+        rows = DistanceRows(points)
+        rng = np.random.default_rng(n)
+        order = rng.permutation(n)
+        at = 0
+        while at < n:
+            step = int(rng.integers(1, 4))
+            rows.drop(np.sort(order[at:at + step]))
+            at += step
+            left = np.sort(order[at:])
+            live = np.isin(rows.ids, left)
+            assert rows.left == len(left) and np.array_equal(rows.ids[live], left), name
+            assert np.all(np.diff(rows.ids) > 0), name
+            assert len(rows.ids) - rows.left <= 0.2 * len(rows.ids), name
+            i = int(rng.integers(n))
+            row = rows(i)
+            assert np.array_equal(row[live], expected[i, left]), (name, i)
+            assert np.isnan(row[~live]).all(), (name, i)
+            block = rng.integers(n, size=min(rows.block, n))
+            assert np.array_equal(rows(block)[:, live], expected[np.ix_(block, left)]), name
 
 
 def test_traffic_points_hold_zeros_and_ties():
@@ -94,3 +124,38 @@ def test_optics_and_hdbscan_hold_no_distance_matrix():
         finally:
             tracemalloc.stop()
         assert peak < bound * 1024 ** 2, peak
+
+
+class CountingRows(DistanceRows):
+    """The kernel, counting the distance entries it computes in `computed`."""
+
+    computed = 0
+
+    def __call__(self, idx):
+        rows = super().__call__(idx)
+        CountingRows.computed += rows.size
+        return rows
+
+
+def test_dbscan_measures_only_unreached_points(monkeypatch):
+    # every pair of these points is within eps, so the first row reaches
+    # them all and no row is read after it; all rows against all points
+    # would take n * n entries
+    n = 300
+    points = np.random.default_rng(7).random((n, 8)) * 0.1
+    monkeypatch.setattr(importlib.import_module(dbscan.__module__), "DistanceRows", CountingRows)
+    monkeypatch.setattr(CountingRows, "computed", 0)
+    result = dbscan(points, 0.5)
+    assert result.cluster_count == 1 and not result.assignment.any()
+    assert CountingRows.computed <= 2 * n
+
+
+def test_prim_measures_only_points_outside_the_tree(monkeypatch):
+    # a joining point's row covers the points still outside the tree, about
+    # n * n / 2 entries in all, plus the dropped columns awaiting compaction
+    n = 300
+    points = np.random.default_rng(8).random((n, 8))
+    monkeypatch.setattr(CountingRows, "computed", 0)
+    edges = minimum_spanning_tree(CountingRows(points))
+    assert edges == minimum_spanning_tree(DistanceRows(points))
+    assert CountingRows.computed <= 0.6 * n * n
