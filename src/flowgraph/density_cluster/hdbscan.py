@@ -30,7 +30,8 @@ def minimum_spanning_tree(rows: DistanceRows) -> list[tuple[int, int, float]]:
     Dense Prim from point 0, reading each point's distance row once,
     when it joins the tree and leaves the kernel's columns, against the
     points still outside; ties on the cheapest frontier edge go to the
-    lowest point index.
+    lowest point index. Raises ValueError on a distance that is not
+    finite (a feature gap past about 1e154 overflows its square).
     """
     best = np.full(rows.n, np.inf)  # cheapest edge into each column's point
     best_parent = np.zeros(rows.n, dtype=np.int64)
@@ -41,6 +42,8 @@ def minimum_spanning_tree(rows: DistanceRows) -> list[tuple[int, int, float]]:
         if keep is not None:
             best, best_parent = best[keep], best_parent[keep]
         row = rows(j)
+        if np.isinf(row).any():  # dropped columns read NaN, not inf
+            raise ValueError(f"a distance from point {j} is not finite")
         best_parent[row < best] = j
         np.fmin(best, row, out=best)  # fmin keeps best where a dropped column reads NaN
         if not rows.left:

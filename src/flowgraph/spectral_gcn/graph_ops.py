@@ -31,7 +31,7 @@ class EdgeOperator:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    # bincount index row * h + column of each entry's terms, per width h
+    # per width h: the bincount index row * h + column of each entry's terms, and their values
     _slots: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -52,11 +52,13 @@ class EdgeOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """This matrix times an (n, h) array; a vector goes in as an (n, 1) column."""
         h = x.shape[1]
-        slots = self._slots.get(h)
-        if slots is None:
-            slots = self._slots[h] = (self.rows[:, None] * h + np.arange(h)).ravel()
-        terms = x[self.cols] * self.vals[:, None]
-        return np.bincount(slots, weights=terms.ravel(), minlength=self.n * h).reshape(self.n, h)
+        if h not in self._slots:
+            self._slots[h] = ((self.rows[:, None] * h + np.arange(h)).ravel(),
+                              np.repeat(self.vals, h))
+        slots, vals = self._slots[h]
+        terms = np.take(x, self.cols, axis=0).ravel()
+        terms *= vals  # contiguous: a broadcast over h columns would loop h at a time
+        return np.bincount(slots, weights=terms, minlength=self.n * h).reshape(self.n, h)
 
 
 def renormalize_adjacency(a: EdgeOperator) -> EdgeOperator:
@@ -126,6 +128,18 @@ def chebyshev_basis(l_tilde: EdgeOperator, x: np.ndarray, k: int) -> list[np.nda
     return out
 
 
+def chebyshev_series(l_tilde: EdgeOperator, coeffs: list[np.ndarray]) -> np.ndarray:
+    """sum_j T_j(L~) coeffs[j] over two or more coefficients, by Clenshaw's recurrence.
+
+    b_j = c_j + 2 L~ b_{j+1} - b_{j+2} from j = k down to 1, with
+    b_{k+1} = b_{k+2} = 0; the sum is c_0 + L~ b_1 - b_2, in k products.
+    """
+    b1, b2 = coeffs[-1], 0.0
+    for c in coeffs[-2:0:-1]:
+        b1, b2 = c + 2.0 * (l_tilde @ b1) - b2, b1
+    return coeffs[0] + l_tilde @ b1 - b2
+
+
 def union_matrices(graphs):
     """Block-diagonal binary adjacency plus stacked features and labels.
 
@@ -135,12 +149,15 @@ def union_matrices(graphs):
     A_ij = A_ji = 1 when an edge joins i and j in either direction (a
     self-loop sets A_ii), and 0 elsewhere; edge weights are not read.
     One `np.unique` over both directions of every edge and the diagonal
-    gives the sorted entries, every diagonal one included.
+    gives the sorted entries, every diagonal one included. Raises
+    ValueError on an empty list: a union of no graphs has no feature width.
     """
+    if not graphs:
+        raise ValueError("need at least one graph")
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
     n = int(offsets[-1])
-    edges = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [
-        g.edges + [offset, offset, 0] for g, offset in zip(graphs, offsets.tolist())])
+    edges = np.concatenate([g.edges + [offset, offset, 0]
+                            for g, offset in zip(graphs, offsets.tolist())])
     src, dst = edges[:, 0], edges[:, 1]
     nodes = np.arange(n)
     keys, inverse = np.unique(np.concatenate([src * n + dst, dst * n + src, nodes * n + nodes]),
@@ -149,6 +166,4 @@ def union_matrices(graphs):
     vals[inverse[:2 * len(edges)]] = 1.0
     a = EdgeOperator(n, keys // n, keys % n, vals)
 
-    x = np.vstack([g.features for g in graphs]) if graphs else np.zeros((0, 0))
-    y = np.concatenate([g.labels for g in graphs]) if graphs else np.zeros(0, dtype=np.int64)
-    return a, x, y
+    return a, np.vstack([g.features for g in graphs]), np.concatenate([g.labels for g in graphs])

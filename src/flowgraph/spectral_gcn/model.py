@@ -4,11 +4,14 @@ Variants
 --------
 renormalized
     First-order propagation with the renormalized operator
-    A^ = D~^(-1/2)(A+I)D~^(-1/2):  scores = A^ relu(A^ X W0) W1.
+    A^ = D~^(-1/2)(A+I)D~^(-1/2):  scores = A^ (relu(A^ X W0) W1).
 chebyshev
-    Polynomial filters of order k over the rescaled Laplacian: each
-    layer sums per-order terms sum_j T_j(L~) H W_j before the
-    nonlinearity, with one weight block per order.
+    Polynomial filters of order k over the rescaled Laplacian, one
+    weight block per order: H = relu(sum_j T_j(L~) X W0_j), and
+    scores = sum_j T_j(L~) (H W1_j), summed by Clenshaw's recurrence.
+
+Each layer applies its stacked weight blocks in one product, and the
+second propagates the two columns of H W1, not the hidden layer.
 
 Training is EPOCHS steps of full-batch gradient descent, of size
 LEARNING_RATE, on cross-entropy weighted by inverse class frequency;
@@ -27,6 +30,7 @@ from ..errors import MalformedArtefact, NonFiniteLoss, require_integers
 from .graph_ops import (
     EdgeOperator,
     chebyshev_basis,
+    chebyshev_series,
     normalized_laplacian,
     renormalize_adjacency,
     scale_laplacian,
@@ -98,33 +102,41 @@ def build_operator(a: EdgeOperator, variant: str) -> EdgeOperator:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - np.maximum(scores[:, 0], scores[:, 1])[:, None]
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / (e[:, 0] + e[:, 1])[:, None]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - np.maximum(scores[:, 0], scores[:, 1])[:, None]
+    e = np.exp(shifted)
+    return shifted - np.log(e[:, 0] + e[:, 1])[:, None]
 
 
-def propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> list[np.ndarray]:
-    """One input per weight block: [A^ x], or [T_0(L~) x, ..., T_k(L~) x].
+def propagate(model: GcnModel, operator: EdgeOperator, x: np.ndarray) -> np.ndarray:
+    """A^ x, or T_0(L~) x, ..., T_k(L~) x side by side: a column block per weight block.
 
     Applied to the features, this is the first layer's input basis; it
     does not depend on the weights, so `train` computes it once.
     """
     if model.config.variant == VARIANT_RENORMALIZED:
-        return [operator @ x]
-    return chebyshev_basis(operator, x, model.config.k)
+        return operator @ x
+    return np.concatenate(chebyshev_basis(operator, x, model.config.k), axis=1)
 
 
-def _forward(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarray]):
+def _class_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """m's columns, N_CLASSES at a time: one block per second-layer weight block."""
+    return [m[:, j:j + N_CLASSES] for j in range(0, m.shape[1], N_CLASSES)]
+
+
+def _forward(model: GcnModel, operator: EdgeOperator, basis: np.ndarray):
     """Per-node class scores (n x 2) from the input basis, and what backward needs."""
-    z1 = sum(b @ w for b, w in zip(basis, model.w0))
-    h_basis = propagate(model, operator, np.maximum(z1, 0.0))
-    scores = sum(b @ w for b, w in zip(h_basis, model.w1))
-    return scores, (z1, h_basis)
+    z1 = basis @ np.concatenate(model.w0)
+    h = np.maximum(z1, 0.0)
+    w1 = np.concatenate(model.w1, axis=1)
+    if model.config.variant == VARIANT_RENORMALIZED:
+        return operator @ (h @ w1), (z1, h, w1)
+    return chebyshev_series(operator, _class_blocks(h @ w1)), (z1, h, w1)
 
 
 def forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
@@ -140,7 +152,7 @@ def inverse_frequency_weights(labels: np.ndarray) -> tuple[float, float]:
     return tuple(n / (N_CLASSES * max(int(c), 1)) for c in counts[:N_CLASSES])
 
 
-def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarray],
+def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: np.ndarray,
                    labels: np.ndarray, class_weights: tuple[float, float]):
     """Class-weighted cross-entropy and analytic parameter gradients.
 
@@ -153,7 +165,7 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarr
     sample_w = np.asarray(class_weights, dtype=float)[labels]
     total_w = sample_w.sum()
 
-    scores, (z1, h_basis) = _forward(model, operator, basis)
+    scores, (z1, h, w1) = _forward(model, operator, basis)
     log_p = _log_softmax(scores)
     loss = float(-(sample_w * log_p[rows, labels]).sum() / total_w)
 
@@ -161,19 +173,18 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: list[np.ndarr
     d_scores[rows, labels] -= 1.0
     d_scores *= (sample_w / total_w)[:, None]
 
-    gw1 = [b.T @ d_scores for b in h_basis]
     # A^ and each T_j(L~) are symmetric, so the adjoint of a propagation
-    # is the same propagation of the upstream gradient
-    dh = sum(g @ w.T for g, w in zip(propagate(model, operator, d_scores), model.w1))
-    dz1 = dh * (z1 > 0.0)
-    gw0 = [b.T @ dz1 for b in basis]
+    # is the same propagation of the upstream gradient: T_j d_scores
+    # gives both gw1_j = H^T (T_j d_scores) and the hidden layer's gradient
+    d_basis = propagate(model, operator, d_scores)
+    gw1 = _class_blocks(h.T @ d_basis)
+    dz1 = (d_basis @ w1.T) * (z1 > 0.0)
+    gw0 = list((basis.T @ dz1).reshape(len(model.w0), -1, dz1.shape[1]))
     return loss, gw0, gw1
 
 
 def train(graphs, config: TrainConfig):
     """EPOCHS steps of size LEARNING_RATE from `init_model(config)`; returns (model, losses)."""
-    if not graphs:
-        raise ValueError("need at least one training graph")
     if any(g.n_nodes == 0 for g in graphs):
         raise ValueError("training graphs must be non-empty")
     a, x, y = union_matrices(graphs)

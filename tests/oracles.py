@@ -14,7 +14,9 @@ import numpy as np
 from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph, build_graph, normalize_features
 from flowgraph.density_cluster import DistanceRows
 from flowgraph.flow_model import EntityId, FlowTable
-from flowgraph.spectral_gcn import build_operator, loss_and_grads, propagate, union_matrices
+from flowgraph.spectral_gcn import (VARIANT_RENORMALIZED, build_operator, lambda_max,
+                                   loss_and_grads, normalized_laplacian, propagate,
+                                   union_matrices)
 from flowgraph.synth import SynthConfig, generate
 from flowgraph.temporal import SnapshotIndex, dissect
 
@@ -660,6 +662,52 @@ def laplacian_oracle(a: np.ndarray) -> np.ndarray:
     lap = -(a * inv_sqrt[:, None] * inv_sqrt[None, :])
     lap[np.diag_indices_from(lap)] += connected.astype(float)
     return lap
+
+
+def dense_operators(model, graph) -> list[np.ndarray]:
+    """One dense n x n operator per weight block: [A^], or [T_0(L~), ..., T_k(L~)].
+
+    Built from `adjacency_oracle`, the Chebyshev terms by the dense
+    three-term recurrence. L~ is scaled by the `lambda_max` of the
+    production Laplacian: a power iteration, which an eigendecomposition
+    matches only to its 1e-6 tolerance.
+    """
+    a = adjacency_oracle(graph)
+    n = len(a)
+    if model.config.variant == VARIANT_RENORMALIZED:
+        return [renormalize_oracle(a)]
+    lam = lambda_max(normalized_laplacian(union_matrices([graph])[0]))
+    l_tilde = (2.0 / lam) * laplacian_oracle(a) - np.eye(n)
+    terms = [np.eye(n), l_tilde]
+    while len(terms) <= model.config.k:
+        terms.append(2.0 * l_tilde @ terms[-1] - terms[-2])
+    return terms[:model.config.k + 1]
+
+
+def dense_gcn_oracle(model, graph, class_weights: tuple[float, float]):
+    """(scores, loss, gw0, gw1) of `model` on `graph` with dense operators, block by block.
+
+    The plain product order: each layer sums (T_j H) W_j over its blocks,
+    propagating its input before the weights, and the gradients follow
+    the chain rule one block at a time, with T_j^T taken as written.
+    """
+    ops = dense_operators(model, graph)
+    x, y = graph.features, graph.labels
+    z1 = sum((t @ x) @ w for t, w in zip(ops, model.w0))
+    h = np.maximum(z1, 0.0)
+    scores = sum((t @ h) @ w for t, w in zip(ops, model.w1))
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    sample_w = np.asarray(class_weights, dtype=float)[y]
+    rows = np.arange(len(y))
+    loss = -(sample_w * log_p[rows, y]).sum() / sample_w.sum()
+    d_scores = np.exp(log_p)
+    d_scores[rows, y] -= 1.0
+    d_scores *= (sample_w / sample_w.sum())[:, None]
+    gw1 = [(t @ h).T @ d_scores for t in ops]
+    dz1 = sum(t.T @ d_scores @ w.T for t, w in zip(ops, model.w1)) * (z1 > 0.0)
+    gw0 = [(t @ x).T @ dz1 for t in ops]
+    return scores, float(loss), gw0, gw1
 
 
 def edges_of(a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from flowgraph.spectral_gcn import (
     train,
     union_matrices,
 )
-from oracles import gradient_check, graph_from
+from oracles import dense_gcn_oracle, dense_operators, gradient_check, graph_from
 
 
 def separable_graph(seed: int, n_per_class: int = 8, index: int = 0):
@@ -120,6 +120,41 @@ def test_forward_single_node_by_hand():
     expected = np.exp([2.0, -2.0])
     expected /= expected.sum()
     assert np.allclose(probs, [expected], atol=1e-15)
+
+
+def rel_err(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("hidden", [HIDDEN, 2])
+@pytest.mark.parametrize("variant, k", [(VARIANT_RENORMALIZED, 1)]
+                         + [(VARIANT_CHEBYSHEV, k) for k in (1, 2, 3, 5)])
+def test_forward_and_gradients_match_the_dense_oracle(variant, k, hidden):
+    """Scores, loss and every gradient block within 1e-12 of the dense oracle's, which
+    propagates each layer's input before its weights; a graph with self-loops, a
+    reciprocal pair, a node whose only edge is its self-loop and two isolated nodes."""
+    rng = np.random.default_rng(k + 10 * hidden)
+    edges = [(0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 0, 1), (3, 3, 4), (3, 4, 1), (5, 5, 1),
+             (7, 8, 3), (8, 2, 1)]
+    # centred features, so that the relu lets some hidden values through and stops others
+    g = graph_from(rng.normal(size=(10, 8)), [0, 1, 0, 0, 1, 0, 0, 1, 0, 1], edges)
+    blocks = 1 if variant == VARIANT_RENORMALIZED else k + 1
+    model = GcnModel(TrainConfig(variant=variant, k=k),
+                     [rng.normal(size=(8, hidden)) for _ in range(blocks)],
+                     [rng.normal(size=(hidden, 2)) for _ in range(blocks)])
+    z1 = sum(t @ g.features @ w for t, w in zip(dense_operators(model, g), model.w0))
+    assert 0.0 < (z1 > 0).mean() < 1.0
+    weights = inverse_frequency_weights(g.labels)
+    a, x, y = union_matrices([g])
+    operator = build_operator(a, variant)
+    scores, _ = forward(model, operator, x)
+    loss, gw0, gw1 = loss_and_grads(model, operator, propagate(model, operator, x), y, weights)
+    want_scores, want_loss, want_gw0, want_gw1 = dense_gcn_oracle(model, g, weights)
+    assert rel_err(scores, want_scores) <= 1e-12
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in ((gw0, want_gw0), (gw1, want_gw1)):  # relative to the layer's largest
+        assert [b.shape for b in got] == [b.shape for b in want]
+        assert len(got) == blocks and rel_err(np.stack(got), np.stack(want)) <= 1e-12
 
 
 def test_inverse_frequency_weights():
@@ -355,6 +390,18 @@ def test_balanced_accuracy_skips_absent_classes():
     model.w1 = [np.zeros_like(model.w1[0])]
     m = evaluate(model, [g])
     assert m.balanced_accuracy == 1.0  # only class 0 present, fully recalled
+
+
+def test_evaluate_refuses_an_empty_list():
+    """A union of no graphs has no feature width: evaluate refuses it as train does, while
+    a list of one empty graph gives zero-node metrics."""
+    model = init_model(TrainConfig())
+    for call in (lambda: evaluate(model, []), lambda: train([], TrainConfig()),
+                 lambda: union_matrices([])):
+        with pytest.raises(ValueError, match="need at least one graph"):
+            call()
+    m = evaluate(model, [graph_from(np.zeros((0, 8)), [])])
+    assert (m.n_nodes, m.accuracy, m.balanced_accuracy) == (0, 0.0, 0.0)
 
 
 def test_train_input_validation():

@@ -3,9 +3,10 @@ from __future__ import annotations
 import importlib
 
 import numpy as np
+import pytest
 
 from flowgraph.density_cluster import (MIN_CLUSTER_SIZE, NOISE, ClusterParams, DistanceRows,
-                                       cluster_points, hdbscan)
+                                       cluster_points, dbscan, hdbscan)
 from flowgraph.density_cluster.hdbscan import (_condense, _excess_of_mass, _single_linkage,
                                                minimum_spanning_tree)
 from oracles import (block_edge_case, distance_matrix, exact_eps_cases,
@@ -61,6 +62,23 @@ def test_duplicate_points():
 def test_single_point():
     result = hdbscan(padded([[0.5, 0.5]]))
     assert np.array_equal(result.assignment, [NOISE])
+
+
+def test_distances_that_are_not_finite_are_refused():
+    """A feature gap past about 1e154 squares to inf. The tree, and so hdbscan, refuse such
+    points with a ValueError; dbscan, whose eps no inf distance is within, keeps its answer."""
+    spread = np.arange(10.0)[:, None] * np.full((1, 8), 1e200)
+    near = np.random.default_rng(4).random((9, 8))
+    far = np.vstack([near, np.full((1, 8), 1e200)])
+    with np.errstate(over="ignore"):  # the kernel's squares overflow on these inputs
+        for points in (spread, far):
+            with pytest.raises(ValueError, match="not finite"):
+                hdbscan(points)
+            with pytest.raises(ValueError, match="not finite"):
+                minimum_spanning_tree(DistanceRows(points))
+        assert np.array_equal(dbscan(spread, 0.5).assignment, np.full(10, NOISE))
+        assert np.array_equal(dbscan(far, 0.5).assignment,
+                              np.append(dbscan(near, 0.5).assignment, NOISE))
 
 
 def test_each_distance_row_is_computed_once(monkeypatch):
