@@ -40,7 +40,7 @@ from . import behavior_graph, report, spectral_gcn, synth
 from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
                               write_assignment_csv, write_clustered_text)
 from .errors import EmptyCapture, FlowgraphError, NonPositiveParameter, OutOfMemory
-from .flow_model import parse_flows, write_flows
+from .flow_model import ON_MALFORMED, check_on_malformed, parse_flows, write_flows
 from .temporal import check_width, dissect
 
 log = logging.getLogger("flowgraph")
@@ -66,6 +66,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_width(self.width)
+        check_on_malformed(self.on_malformed)
         if self.jobs < 1:
             raise NonPositiveParameter(f"jobs must be >= 1, got {self.jobs}")
         if self.variant not in _VARIANT_BY_FLAG:
@@ -73,6 +74,7 @@ class PipelineConfig:
         # refuse a bad value before any stage writes, not when its stage runs
         self.cluster_params()
         self.train_config()
+        self.synth_config()
 
     @property
     def dataset_name(self) -> str:
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--input", help="flow CSV path")
-    common.add_argument("--malformed", dest="on_malformed", choices=["abort", "skip"],
+    common.add_argument("--malformed", dest="on_malformed", choices=ON_MALFORMED,
                         help="whether a malformed CSV row aborts or is skipped")
     common.add_argument("--out-dir", dest="out_dir")
     common.add_argument("--width", type=float, help="snapshot width in seconds")

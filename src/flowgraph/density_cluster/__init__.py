@@ -61,6 +61,8 @@ class DistanceRows:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != N_FEATURES:
             raise ValueError(f"points must be shaped (n, {N_FEATURES}), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must have finite coordinates")
         self.n = self.left = len(points)  # left: points not dropped
         self._planes = np.ascontiguousarray(points.T[list(_LANES)])
         self._cols, self.ids = self._planes.copy(), np.arange(self.n)

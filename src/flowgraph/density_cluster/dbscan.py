@@ -18,6 +18,7 @@ import numpy as np
 from . import NOISE, ClusterResult, DistanceRows
 
 
+@np.errstate(over="ignore")  # an overflowing distance is inf, within no eps
 def dbscan(points: np.ndarray, eps: float) -> ClusterResult:
     rows = DistanceRows(points)
     labels = np.full(rows.n, NOISE, dtype=np.int64)

@@ -24,6 +24,7 @@ import numpy as np
 from . import MIN_CLUSTER_SIZE, NOISE, ClusterResult, DistanceRows
 
 
+@np.errstate(over="ignore")  # an overflowing distance is refused below, not warned about
 def minimum_spanning_tree(rows: DistanceRows) -> list[tuple[int, int, float]]:
     """MST edges (parent, child, weight) over the euclidean distances.
 

@@ -45,6 +45,7 @@ UNSW15_COLUMNS = [
 # parse_flows decodes both in this order: every column between the byte
 # counts and the label is a packet count, and those are summed
 SCHEMAS = {"unsw15": UNSW15_COLUMNS, "synthetic": SYNTHETIC_COLUMNS}
+ON_MALFORMED = ("abort", "skip")  # what parse_flows does with a malformed row
 # a canonical IPv4 octet; [0-9], since \d also matches non-ASCII digits
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
@@ -169,6 +170,12 @@ def _parse_seconds(text: str) -> float:
     return value
 
 
+def check_on_malformed(on_malformed: str) -> None:
+    """Raise ValueError unless `on_malformed` is one of `ON_MALFORMED`."""
+    if on_malformed not in ON_MALFORMED:
+        raise ValueError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
+
+
 def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
     """Parse a flow CSV into a validated flow table.
 
@@ -185,9 +192,7 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
     Raises MissingColumn naming `path` for an empty file or a header
     naming every column of neither schema, or of both.
     """
-    if on_malformed not in ("abort", "skip"):
-        raise ValueError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
-
+    check_on_malformed(on_malformed)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -58,7 +58,8 @@ class EdgeOperator:
         slots, vals = self._slots[h]
         terms = np.take(x, self.cols, axis=0).ravel()
         terms *= vals  # contiguous: a broadcast over h columns would loop h at a time
-        return np.bincount(slots, weights=terms, minlength=self.n * h).reshape(self.n, h)
+        out = np.bincount(slots, weights=terms, minlength=self.n * h)
+        return out.astype(np.float64, copy=False).reshape(self.n, h)  # int64 when n is 0
 
 
 def renormalize_adjacency(a: EdgeOperator) -> EdgeOperator:

@@ -234,15 +234,12 @@ def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     _, probs = forward(model, operator, x)
     predicted = probs.argmax(axis=1)
 
-    precision, recall, present_recalls = [], [], []
-    for c in range(N_CLASSES):
-        tp = int(np.sum((predicted == c) & (y == c)))
-        fp = int(np.sum((predicted == c) & (y != c)))
-        fn = int(np.sum((predicted != c) & (y == c)))
-        precision.append(tp / (tp + fp) if tp + fp else 0.0)
-        recall.append(tp / (tp + fn) if tp + fn else 0.0)
-        if np.any(y == c):
-            present_recalls.append(recall[-1])
+    table = np.bincount(N_CLASSES * y + predicted, minlength=N_CLASSES ** 2)
+    table = table.reshape(N_CLASSES, N_CLASSES)  # [true class, predicted class]
+    tp, labeled, called = (v.tolist() for v in (table.diagonal(), table.sum(1), table.sum(0)))
+    precision = [t / c if c else 0.0 for t, c in zip(tp, called)]
+    recall = [t / c if c else 0.0 for t, c in zip(tp, labeled)]
+    present_recalls = [r for r, c in zip(recall, labeled) if c]
     return EvalMetrics(
         accuracy=float(np.mean(predicted == y)) if len(y) else 0.0,
         precision=(precision[0], precision[1]),

@@ -70,6 +70,33 @@ def test_graph_process_does_not_import_numpy_ma(tmp_path):
     assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 5
 
 
+def test_package_root_imports_no_module():
+    # the package root re-exports nothing, so importing one module loads only what it uses
+    src = Path(flowgraph.__file__).parents[1]
+    modules = sorted(".".join(p.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+                     for p in (src / "flowgraph").rglob("*.py"))
+    check = ("import importlib, json, sys\n"
+             "def loaded(): return sorted(m for m in sys.modules if m.startswith('flowgraph.'))\n"
+             "import flowgraph\n"
+             "root = loaded()\n"
+             "import flowgraph.flow_model\n"
+             "flow_model = loaded()\n"
+             "for name in sys.argv[1:]:  # each module from no flowgraph module loaded\n"
+             "    for m in [m for m in sys.modules if m.split('.')[0] == 'flowgraph']:\n"
+             "        del sys.modules[m]\n"
+             "    importlib.import_module(name)\n"
+             "print(json.dumps([root, flow_model]))\n")
+    done = subprocess.run([sys.executable, "-c", check, *modules],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    root, flow_model = json.loads(done.stdout.splitlines()[-1])
+    assert root == []
+    assert not {"flowgraph.density_cluster", "flowgraph.spectral_gcn", "flowgraph.synth",
+                "flowgraph.report"} & set(flow_model), flow_model
+    assert {"flowgraph", "flowgraph.cli", "flowgraph.density_cluster.hdbscan"} <= set(modules)
+
+
 def test_synth_then_run_all_writes_all_artifacts(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", out)
@@ -138,6 +165,8 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert run("synth", "--config", cfg) == 0
         assert run("graph", "--config", cfg, "--jobs", jobs) == 0
         assert run("cluster", "--config", cfg, "--jobs", jobs) == 0
+        assert run("cluster", "--config", cfg, "--jobs", jobs, "--algorithm", "hdbscan") == 0
+    assert (out_par / "clusters" / "hdbscan").is_dir()
     assert tree_bytes(out_serial / "graphs") == tree_bytes(out_par / "graphs")
     assert tree_bytes(out_serial / "clusters") == tree_bytes(out_par / "clusters")
 
@@ -295,6 +324,23 @@ def test_bad_config_fails_before_any_stage_writes(tmp_path, capsys):
         assert run("run-all", "--config", cfg, "--out-dir", out, *bad) == 1, bad
         assert "flowgraph run-all: error:" in capsys.readouterr().err, bad
         assert not (out / "graphs").exists(), bad
+
+
+def test_every_option_is_checked_before_a_stage_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out)
+    assert run("synth", "--config", cfg) == 0
+    assert run("run-all", "--config", cfg) == 0
+    before = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+    for bad in ({"on_malformed": "bogus"}, {"synth": {**SMALL_SYNTH, "seed": -1}}):
+        bad_cfg = write_config(tmp_path / "bad.json", out, **bad)
+        for command in ("cluster", "train", "report"):
+            capsys.readouterr()
+            assert run(command, "--config", bad_cfg) == 1, (command, bad)
+            assert f"flowgraph {command}: error:" in capsys.readouterr().err, (command, bad)
+            after = {p: (p.stat().st_mtime_ns, p.read_bytes())
+                     for p in out.rglob("*") if p.is_file()}
+            assert after == before, (command, bad)
 
 
 def test_flag_overrides_config(tmp_path):

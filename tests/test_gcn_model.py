@@ -394,14 +394,15 @@ def test_balanced_accuracy_skips_absent_classes():
 
 def test_evaluate_refuses_an_empty_list():
     """A union of no graphs has no feature width: evaluate refuses it as train does, while
-    a list of one empty graph gives zero-node metrics."""
+    a list of one empty graph gives zero-node metrics, for either variant."""
     model = init_model(TrainConfig())
     for call in (lambda: evaluate(model, []), lambda: train([], TrainConfig()),
                  lambda: union_matrices([])):
         with pytest.raises(ValueError, match="need at least one graph"):
             call()
-    m = evaluate(model, [graph_from(np.zeros((0, 8)), [])])
-    assert (m.n_nodes, m.accuracy, m.balanced_accuracy) == (0, 0.0, 0.0)
+    for variant in (VARIANT_RENORMALIZED, VARIANT_CHEBYSHEV):
+        m = evaluate(init_model(TrainConfig(variant=variant)), [graph_from(np.zeros((0, 8)), [])])
+        assert (m.n_nodes, m.accuracy, m.balanced_accuracy) == (0, 0.0, 0.0), variant
 
 
 def test_train_input_validation():

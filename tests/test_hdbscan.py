@@ -66,19 +66,29 @@ def test_single_point():
 
 def test_distances_that_are_not_finite_are_refused():
     """A feature gap past about 1e154 squares to inf. The tree, and so hdbscan, refuse such
-    points with a ValueError; dbscan, whose eps no inf distance is within, keeps its answer."""
+    points with a ValueError; dbscan, whose eps no inf distance is within, keeps its answer.
+    Neither lets numpy's overflow warning out. A NaN or infinite coordinate is refused by the
+    kernel, so by every setting alike."""
     spread = np.arange(10.0)[:, None] * np.full((1, 8), 1e200)
     near = np.random.default_rng(4).random((9, 8))
     far = np.vstack([near, np.full((1, 8), 1e200)])
-    with np.errstate(over="ignore"):  # the kernel's squares overflow on these inputs
-        for points in (spread, far):
-            with pytest.raises(ValueError, match="not finite"):
-                hdbscan(points)
-            with pytest.raises(ValueError, match="not finite"):
-                minimum_spanning_tree(DistanceRows(points))
-        assert np.array_equal(dbscan(spread, 0.5).assignment, np.full(10, NOISE))
-        assert np.array_equal(dbscan(far, 0.5).assignment,
-                              np.append(dbscan(near, 0.5).assignment, NOISE))
+    for points in (spread, far):
+        with pytest.raises(ValueError, match="not finite"):
+            hdbscan(points)
+        with pytest.raises(ValueError, match="not finite"):
+            minimum_spanning_tree(DistanceRows(points))
+    assert np.array_equal(dbscan(spread, 0.5).assignment, np.full(10, NOISE))
+    assert np.array_equal(dbscan(far, 0.5).assignment,
+                          np.append(dbscan(near, 0.5).assignment, NOISE))
+    blobs = three_blobs(5)[0]
+    for value in (np.nan, np.inf, -np.inf):
+        one_coordinate = blobs.copy()
+        one_coordinate[3, 7] = value
+        for bad in (np.vstack([blobs, np.full((1, 8), value)]), one_coordinate):
+            for call in (DistanceRows, hdbscan, lambda p: dbscan(p, 0.5),
+                         lambda p: minimum_spanning_tree(DistanceRows(p))):
+                with pytest.raises(ValueError, match="finite coordinates"):
+                    call(bad)
 
 
 def test_each_distance_row_is_computed_once(monkeypatch):
