@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
             _COMMANDS[args.command](config)
         except MemoryError as exc:  # also a pool worker's, which the pool re-raises here
             raise OutOfMemory(f"out of memory: {exc or type(exc).__name__}") from exc
-    except (FlowgraphError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FlowgraphError, ValueError, OSError) as exc:
         print(f"flowgraph {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -176,24 +176,3 @@ from .aggregate import (  # noqa: E402
     write_assignment_csv,
     write_clustered_text,
 )
-
-__all__ = [
-    "KIND_ATTACK",
-    "KIND_CLUSTER",
-    "MIN_CLUSTER_SIZE",
-    "MIN_PTS",
-    "NOISE",
-    "ClusterParams",
-    "ClusterResult",
-    "SuperNode",
-    "aggregate",
-    "cluster_points",
-    "cluster_snapshot",
-    "dbscan",
-    "eps_text",
-    "hdbscan",
-    "parse_tag",
-    "read_clustered_text",
-    "write_assignment_csv",
-    "write_clustered_text",
-]

@@ -180,8 +180,8 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
     """Parse a flow CSV into a validated flow table.
 
     Args:
-        path: CSV file with a header row, comma separated, UTF-8, in the
-            schema whose every column the header names.
+        path: UTF-8 CSV file (a leading BOM is dropped) with a header row,
+            comma separated, in the schema whose every column the header names.
         on_malformed: "abort" raises MalformedRow on the first bad row;
             "skip" drops bad rows and counts them.
 
@@ -193,7 +193,7 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
     naming every column of neither schema, or of both.
     """
     check_on_malformed(on_malformed)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

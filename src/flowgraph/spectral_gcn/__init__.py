@@ -32,34 +32,3 @@ from .model import (
     train,
     write_loss_trace_csv,
 )
-
-__all__ = [
-    "EPOCHS",
-    "HIDDEN",
-    "LEARNING_RATE",
-    "N_CLASSES",
-    "N_INPUT",
-    "VARIANT_CHEBYSHEV",
-    "VARIANT_RENORMALIZED",
-    "EdgeOperator",
-    "EvalMetrics",
-    "GcnModel",
-    "TrainConfig",
-    "build_operator",
-    "chebyshev_basis",
-    "evaluate",
-    "forward",
-    "init_model",
-    "inverse_frequency_weights",
-    "lambda_max",
-    "load_model",
-    "loss_and_grads",
-    "normalized_laplacian",
-    "propagate",
-    "renormalize_adjacency",
-    "save_model",
-    "scale_laplacian",
-    "train",
-    "union_matrices",
-    "write_loss_trace_csv",
-]

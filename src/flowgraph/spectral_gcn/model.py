@@ -10,8 +10,9 @@ chebyshev
     weight block per order: H = relu(sum_j T_j(L~) X W0_j), and
     scores = sum_j T_j(L~) (H W1_j), summed by Clenshaw's recurrence.
 
-Each layer applies its stacked weight blocks in one product, and the
-second propagates the two columns of H W1, not the hidden layer.
+Each layer holds its weight blocks stacked in one array and applies them
+in one product, and the second propagates the two columns of H W1, not
+the hidden layer.
 
 Training is EPOCHS steps of full-batch gradient descent, of size
 LEARNING_RATE, on cross-entropy weighted by inverse class frequency;
@@ -72,8 +73,8 @@ class TrainConfig:
 @dataclass
 class GcnModel:
     config: TrainConfig
-    w0: list[np.ndarray]  # input->hidden, one block per polynomial order
-    w1: list[np.ndarray]  # hidden->output blocks
+    w0: np.ndarray  # input->hidden (blocks*8, 16): one 8-row block per polynomial order
+    w1: np.ndarray  # hidden->output (16, blocks*2): one 2-column block per order
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -89,8 +90,8 @@ def _n_blocks(config: TrainConfig) -> int:
 def init_model(config: TrainConfig) -> GcnModel:
     rng = np.random.default_rng(config.seed)
     blocks = _n_blocks(config)
-    w0 = [_glorot(rng, N_INPUT, HIDDEN) for _ in range(blocks)]
-    w1 = [_glorot(rng, HIDDEN, N_CLASSES) for _ in range(blocks)]
+    w0 = np.concatenate([_glorot(rng, N_INPUT, HIDDEN) for _ in range(blocks)])
+    w1 = np.concatenate([_glorot(rng, HIDDEN, N_CLASSES) for _ in range(blocks)], axis=1)
     return GcnModel(config, w0, w1)
 
 
@@ -131,12 +132,11 @@ def _class_blocks(m: np.ndarray) -> list[np.ndarray]:
 
 def _forward(model: GcnModel, operator: EdgeOperator, basis: np.ndarray):
     """Per-node class scores (n x 2) from the input basis, and what backward needs."""
-    z1 = basis @ np.concatenate(model.w0)
+    z1 = basis @ model.w0
     h = np.maximum(z1, 0.0)
-    w1 = np.concatenate(model.w1, axis=1)
     if model.config.variant == VARIANT_RENORMALIZED:
-        return operator @ (h @ w1), (z1, h, w1)
-    return chebyshev_series(operator, _class_blocks(h @ w1)), (z1, h, w1)
+        return operator @ (h @ model.w1), (z1, h)
+    return chebyshev_series(operator, _class_blocks(h @ model.w1)), (z1, h)
 
 
 def forward(model: GcnModel, operator: EdgeOperator, features: np.ndarray):
@@ -154,7 +154,7 @@ def inverse_frequency_weights(labels: np.ndarray) -> tuple[float, float]:
 
 def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: np.ndarray,
                    labels: np.ndarray, class_weights: tuple[float, float]):
-    """Class-weighted cross-entropy and analytic parameter gradients.
+    """Class-weighted cross-entropy and its analytic gradients, shaped as w0 and w1.
 
     `basis` is `propagate(model, operator, features)`.
 
@@ -165,7 +165,7 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: np.ndarray,
     sample_w = np.asarray(class_weights, dtype=float)[labels]
     total_w = sample_w.sum()
 
-    scores, (z1, h, w1) = _forward(model, operator, basis)
+    scores, (z1, h) = _forward(model, operator, basis)
     log_p = _log_softmax(scores)
     loss = float(-(sample_w * log_p[rows, labels]).sum() / total_w)
 
@@ -177,10 +177,8 @@ def loss_and_grads(model: GcnModel, operator: EdgeOperator, basis: np.ndarray,
     # is the same propagation of the upstream gradient: T_j d_scores
     # gives both gw1_j = H^T (T_j d_scores) and the hidden layer's gradient
     d_basis = propagate(model, operator, d_scores)
-    gw1 = _class_blocks(h.T @ d_basis)
-    dz1 = (d_basis @ w1.T) * (z1 > 0.0)
-    gw0 = list((basis.T @ dz1).reshape(len(model.w0), -1, dz1.shape[1]))
-    return loss, gw0, gw1
+    dz1 = (d_basis @ model.w1.T) * (z1 > 0.0)
+    return loss, basis.T @ dz1, h.T @ d_basis
 
 
 def train(graphs, config: TrainConfig):
@@ -199,9 +197,9 @@ def train(graphs, config: TrainConfig):
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
         losses.append(loss)
-        for w, g in zip(model.w0 + model.w1, gw0 + gw1):
-            w -= LEARNING_RATE * g
-        if not all(np.isfinite(w).all() for w in model.w0 + model.w1):
+        model.w0 -= LEARNING_RATE * gw0
+        model.w1 -= LEARNING_RATE * gw1
+        if not (np.isfinite(model.w0).all() and np.isfinite(model.w1).all()):
             raise NonFiniteLoss(epoch)
     return model, losses
 
@@ -249,21 +247,23 @@ def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     )
 
 
-def _header(config: TrainConfig) -> list[str]:
-    """The lines of a model file before its weight blocks."""
-    return ["gcn-model v1", f"variant {config.variant}", f"k {config.k}", f"hidden {HIDDEN}",
-            f"seed {config.seed}", f"blocks {_n_blocks(config)}"]
+def _render(model: GcnModel) -> str:
+    """A model file's text: the header lines, then each layer's weight blocks, rows in order."""
+    config, blocks = model.config, _n_blocks(model.config)
+    lines = ["gcn-model v1", f"variant {config.variant}", f"k {config.k}", f"hidden {HIDDEN}",
+             f"seed {config.seed}", f"blocks {blocks}"]
+    for name, layer in (("w0", np.split(model.w0, blocks)),
+                        ("w1", np.split(model.w1, blocks, axis=1))):
+        for j, w in enumerate(layer):
+            lines.append(f"{name} {j} {w.shape[0]} {w.shape[1]}")
+            lines += (" ".join(repr(float(v)) for v in row) for row in w)
+    return "\n".join(lines) + "\n"
 
 
 def save_model(path, model: GcnModel) -> None:
-    """Plain-text export: `_header` lines, then row-major weight blocks."""
+    """Plain-text export: header lines, then row-major weight blocks, w0's then w1's."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_header(model.config)) + "\n")
-        for name, blocks in (("w0", model.w0), ("w1", model.w1)):
-            for j, w in enumerate(blocks):
-                fh.write(f"{name} {j} {w.shape[0]} {w.shape[1]}\n")
-                for row in w:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(_render(model))
 
 
 def load_model(path) -> GcnModel:
@@ -271,14 +271,13 @@ def load_model(path) -> GcnModel:
 
     Raises ValueError when the first line is not the model header, and
     MalformedArtefact naming `path` when the file is empty, cut short,
-    or otherwise not in the layout `save_model` writes: when a text is
-    not ASCII or holds `_`, `TrainConfig` refuses the variant, k or seed,
-    a header or block line differs from the one `save_model` writes for
-    that config (so numbers are plain decimal, hidden is HIDDEN, and each
-    layer holds 1 block (renormalized) or k + 1 (chebyshev), numbered
-    from 0, of shape (8, HIDDEN) in w0 and (HIDDEN, 2) in w1), or a
-    block's rows do not hold its shape of finite weights (`train` saves
-    no `nan` or `inf`).
+    or not exactly the text `save_model` writes for the model it parses
+    to (naming the first line that differs): when `TrainConfig` refuses
+    the variant, k or seed, the line count does not fit the 1 block
+    (renormalized) or k + 1 (chebyshev) per layer of that config, a row
+    does not parse to its block's width of numbers, a number is not
+    spelled as `repr` spells it, or a weight is not finite (`train`
+    saves no `nan` or `inf`).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -288,28 +287,27 @@ def load_model(path) -> GcnModel:
     try:
         if not text.endswith("\n"):
             raise ValueError("no newline at end of file" if text else "empty file")
-        if not text.isascii() or "_" in text:
-            raise ValueError("a text that is not ASCII or holds '_'")
         lines.pop()
         header = dict(ln.split(" ", 1) for ln in lines[1:6])
         config = TrainConfig(variant=header["variant"], k=int(header["k"]),
                              seed=int(header["seed"]))
-        if lines[:6] != _header(config):
-            raise ValueError(f"the header of {config} reads {_header(config)}, not {lines[:6]}")
-        at, blocks = 6, {"w0": [], "w1": []}
-        for name, shape in (("w0", (N_INPUT, HIDDEN)), ("w1", (HIDDEN, N_CLASSES))):
-            for j in range(_n_blocks(config)):
-                if lines[at] != f"{name} {j} {shape[0]} {shape[1]}":
-                    raise ValueError(f"line {at + 1}: expected {name} block {j} of shape {shape}")
-                data = [ln.split() for ln in lines[at + 1:at + 1 + shape[0]]]
-                blocks[name].append(np.array(data, dtype=np.float64).reshape(shape))
-                at += 1 + shape[0]
-        if at != len(lines):
-            raise ValueError(f"line {at + 1} follows the last weight block")
-        if not all(np.isfinite(block).all() for block in blocks["w0"] + blocks["w1"]):
+        blocks = _n_blocks(config)
+        w0_end, end = 6 + blocks * (1 + N_INPUT), 6 + blocks * (2 + N_INPUT + HIDDEN)
+        if len(lines) != end:
+            raise ValueError(f"{len(lines)} lines, not the {end} of {config}")
+        # each block is its block line, then its rows: N_INPUT in w0, HIDDEN in w1
+        w0, w1 = (np.array([ln.split() for i, ln in enumerate(part) if i % (1 + height)],
+                           dtype=np.float64).reshape(blocks * height, width)
+                  for part, height, width in ((lines[6:w0_end], N_INPUT, HIDDEN),
+                                              (lines[w0_end:], HIDDEN, N_CLASSES)))
+        model = GcnModel(config, w0, np.concatenate(np.split(w1, blocks), axis=1))
+        for at, (got, want) in enumerate(zip(lines, _render(model).split("\n"))):
+            if got != want:
+                raise ValueError(f"line {at + 1} reads {got!r}, where save_model writes {want!r}")
+        if not (np.isfinite(model.w0).all() and np.isfinite(model.w1).all()):
             raise ValueError("a weight that is not finite")
-        return GcnModel(config, blocks["w0"], blocks["w1"])
-    except (ValueError, KeyError, IndexError) as exc:
+        return model
+    except (ValueError, KeyError) as exc:
         raise MalformedArtefact(f"{path}: not the layout save_model writes "
                                 f"({type(exc).__name__}: {exc})") from None
 

@@ -619,21 +619,20 @@ def gradient_check(model, graph, *, class_weights: tuple[float, float] = (1.0, 1
         return loss
 
     max_err = 0.0
-    for blocks, grads in ((model.w0, gw0), (model.w1, gw1)):
-        for w, g in zip(blocks, grads):
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = w[idx]
-                w[idx] = original + step
-                upper = loss_at()
-                w[idx] = original - step
-                lower = loss_at()
-                w[idx] = original
-                numeric = (upper - lower) / (2.0 * step)
-                analytic = float(g[idx])
-                err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-                max_err = max(max_err, err)
+    for w, g in ((model.w0, gw0), (model.w1, gw1)):
+        it = np.nditer(w, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            original = w[idx]
+            w[idx] = original + step
+            upper = loss_at()
+            w[idx] = original - step
+            lower = loss_at()
+            w[idx] = original
+            numeric = (upper - lower) / (2.0 * step)
+            analytic = float(g[idx])
+            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+            max_err = max(max_err, err)
     return max_err
 
 
@@ -689,13 +688,16 @@ def dense_gcn_oracle(model, graph, class_weights: tuple[float, float]):
 
     The plain product order: each layer sums (T_j H) W_j over its blocks,
     propagating its input before the weights, and the gradients follow
-    the chain rule one block at a time, with T_j^T taken as written.
+    the chain rule one block at a time, with T_j^T taken as written. The
+    layers' blocks are split from, and the gradients stacked as, the
+    model's arrays: w0's row blocks and w1's column blocks.
     """
     ops = dense_operators(model, graph)
+    w0, w1 = np.split(model.w0, len(ops)), np.split(model.w1, len(ops), axis=1)
     x, y = graph.features, graph.labels
-    z1 = sum((t @ x) @ w for t, w in zip(ops, model.w0))
+    z1 = sum((t @ x) @ w for t, w in zip(ops, w0))
     h = np.maximum(z1, 0.0)
-    scores = sum((t @ h) @ w for t, w in zip(ops, model.w1))
+    scores = sum((t @ h) @ w for t, w in zip(ops, w1))
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     sample_w = np.asarray(class_weights, dtype=float)[y]
@@ -704,9 +706,9 @@ def dense_gcn_oracle(model, graph, class_weights: tuple[float, float]):
     d_scores = np.exp(log_p)
     d_scores[rows, y] -= 1.0
     d_scores *= (sample_w / sample_w.sum())[:, None]
-    gw1 = [(t @ h).T @ d_scores for t in ops]
-    dz1 = sum(t.T @ d_scores @ w.T for t, w in zip(ops, model.w1)) * (z1 > 0.0)
-    gw0 = [(t @ x).T @ dz1 for t in ops]
+    gw1 = np.concatenate([(t @ h).T @ d_scores for t in ops], axis=1)
+    dz1 = sum(t.T @ d_scores @ w.T for t, w in zip(ops, w1)) * (z1 > 0.0)
+    gw0 = np.concatenate([(t @ x).T @ dz1 for t in ops])
     return scores, float(loss), gw0, gw1
 
 

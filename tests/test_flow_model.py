@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from flowgraph.behavior_graph import build_graph
 from flowgraph.errors import MalformedRow, MissingColumn
 from flowgraph.flow_model import EntityId, entity, parse_flows, write_flows
+from flowgraph.synth import SynthConfig, generate
 from oracles import FlowRecord, from_records, table_records
 
 SYNTH_HEADER = ("src_ip,src_port,dst_ip,dst_port,start_time,duration,"
@@ -149,6 +152,16 @@ def test_schema_comes_from_the_header(tmp_path):
         with pytest.raises(MissingColumn,
                            match=f"^{re.escape(str(path))}: header names every column of {why}"):
             parse_flows(path)
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    """Excel's "CSV UTF-8" export starts the file with a BOM, before the header's first name."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_flows(plain, generate(SynthConfig(duration=1800.0, n_normal_entities=10)))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    table, again = parse_flows(plain).records, parse_flows(marked).records
+    for field in dataclasses.fields(table):
+        assert np.array_equal(getattr(again, field.name), getattr(table, field.name)), field.name
 
 
 def test_parameter_validation(tmp_path):

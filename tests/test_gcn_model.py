@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -74,21 +76,22 @@ def test_init_shapes():
     config = TrainConfig(variant=VARIANT_RENORMALIZED)
     renorm = init_model(config)
     assert renorm.config is config
-    assert len(renorm.w0) == 1
-    assert renorm.w0[0].shape == (8, 16)
-    assert renorm.w1[0].shape == (16, 2)
+    assert renorm.w0.shape == (8, 16)
+    assert renorm.w1.shape == (16, 2)
+    # a layer stacks its 4 blocks: w0's 8-row blocks, w1's 2-column blocks
     cheb = init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=3))
-    assert len(cheb.w0) == len(cheb.w1) == 4
-    assert all(w.shape == (8, 16) for w in cheb.w0)
-    assert all(w.shape == (16, 2) for w in cheb.w1)
+    assert cheb.w0.shape == (32, 16)
+    assert cheb.w1.shape == (16, 8)
+    # w0's blocks are drawn first, in order: k = 1's two are k = 3's first two
+    assert np.array_equal(cheb.w0[:16], init_model(TrainConfig(variant=VARIANT_CHEBYSHEV, k=1)).w0)
 
 
 def test_zero_weights_give_uniform_probabilities():
     g = separable_graph(seed=0)
     for variant, k in ((VARIANT_RENORMALIZED, 1), (VARIANT_CHEBYSHEV, 3)):
         model = init_model(TrainConfig(variant=variant, k=k))
-        model.w0 = [np.zeros_like(w) for w in model.w0]
-        model.w1 = [np.zeros_like(w) for w in model.w1]
+        model.w0 = np.zeros_like(model.w0)
+        model.w1 = np.zeros_like(model.w1)
         a, x, _ = union_matrices([g])
         operator = build_operator(a, variant)
         _, probs = forward(model, operator, x)
@@ -106,11 +109,11 @@ def test_softmax_rows_sum_to_one():
 
 def test_forward_single_node_by_hand():
     g = graph_from([[2.0, -3.0, 0, 0, 0, 0, 0, 0]], [0])
-    model = GcnModel(TrainConfig(), [np.zeros((8, 2))], [np.zeros((2, 2))])
-    model.w0[0][0, 0] = 1.0  # hidden0 = f1
-    model.w0[0][1, 1] = 1.0  # hidden1 = f2
-    model.w1[0][0, 0] = 1.0
-    model.w1[0][0, 1] = -1.0
+    model = GcnModel(TrainConfig(), np.zeros((8, 2)), np.zeros((2, 2)))
+    model.w0[0, 0] = 1.0  # hidden0 = f1
+    model.w0[1, 1] = 1.0  # hidden1 = f2
+    model.w1[0, 0] = 1.0
+    model.w1[0, 1] = -1.0
     a, x, _ = union_matrices([g])
     operator = build_operator(a, VARIANT_RENORMALIZED)
     assert np.array_equal(operator @ np.eye(1), [[1.0]])
@@ -140,9 +143,10 @@ def test_forward_and_gradients_match_the_dense_oracle(variant, k, hidden):
     g = graph_from(rng.normal(size=(10, 8)), [0, 1, 0, 0, 1, 0, 0, 1, 0, 1], edges)
     blocks = 1 if variant == VARIANT_RENORMALIZED else k + 1
     model = GcnModel(TrainConfig(variant=variant, k=k),
-                     [rng.normal(size=(8, hidden)) for _ in range(blocks)],
-                     [rng.normal(size=(hidden, 2)) for _ in range(blocks)])
-    z1 = sum(t @ g.features @ w for t, w in zip(dense_operators(model, g), model.w0))
+                     np.concatenate([rng.normal(size=(8, hidden)) for _ in range(blocks)]),
+                     np.concatenate([rng.normal(size=(hidden, 2)) for _ in range(blocks)], axis=1))
+    z1 = sum(t @ g.features @ w
+             for t, w in zip(dense_operators(model, g), np.split(model.w0, blocks)))
     assert 0.0 < (z1 > 0).mean() < 1.0
     weights = inverse_frequency_weights(g.labels)
     a, x, y = union_matrices([g])
@@ -153,8 +157,7 @@ def test_forward_and_gradients_match_the_dense_oracle(variant, k, hidden):
     assert rel_err(scores, want_scores) <= 1e-12
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in ((gw0, want_gw0), (gw1, want_gw1)):  # relative to the layer's largest
-        assert [b.shape for b in got] == [b.shape for b in want]
-        assert len(got) == blocks and rel_err(np.stack(got), np.stack(want)) <= 1e-12
+        assert got.shape == want.shape and rel_err(got, want) <= 1e-12
 
 
 def test_inverse_frequency_weights():
@@ -222,8 +225,7 @@ def test_zero_features_zero_first_layer_gradient():
         operator = build_operator(a, variant)
         _, gw0, _ = loss_and_grads(model, operator, propagate(model, operator, x), y,
                                    (1.0, 1.0))
-        for g0 in gw0:
-            assert np.array_equal(g0, np.zeros_like(g0))
+        assert np.array_equal(gw0, np.zeros_like(gw0))
 
 
 def test_divergence_raises_non_finite_loss():
@@ -241,8 +243,7 @@ def test_training_is_bit_reproducible():
     model1, trace1 = train(graphs, config)
     model2, trace2 = train(graphs, config)
     assert trace1 == trace2
-    for w1, w2 in zip(model1.w0 + model1.w1, model2.w0 + model2.w1):
-        assert np.array_equal(w1, w2)
+    assert np.array_equal(model1.w0, model2.w0) and np.array_equal(model1.w1, model2.w1)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -252,8 +253,17 @@ def test_save_load_round_trip(tmp_path):
         save_model(path, model)
         back = load_model(path)
         assert back.config == model.config == TrainConfig(variant=variant, k=k, seed=1)
-        for w1, w2 in zip(back.w0 + back.w1, model.w0 + model.w1):
-            assert np.array_equal(w1, w2)
+        assert np.array_equal(back.w0, model.w0) and np.array_equal(back.w1, model.w1)
+
+
+@pytest.mark.parametrize("variant, k", [(VARIANT_RENORMALIZED, 1)]
+                         + [(VARIANT_CHEBYSHEV, k) for k in (1, 2, 5)])
+def test_resaving_a_loaded_model_rewrites_its_bytes(tmp_path, variant, k):
+    model, _ = train([separable_graph(seed=5)], TrainConfig(variant=variant, k=k, seed=2))
+    path, again = tmp_path / "model.txt", tmp_path / "again.txt"
+    save_model(path, model)
+    save_model(again, load_model(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_other_files(tmp_path):
@@ -308,6 +318,34 @@ def test_load_refuses_a_header_the_weights_do_not_fit(tmp_path):
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(MalformedArtefact, match="model.txt"):
             load_model(path)
+
+
+def test_load_refuses_other_spellings_of_a_weight(tmp_path):
+    """Only repr's spelling of each weight, one space apart, is the text save_model writes."""
+    model, _ = train([separable_graph(seed=5)], TrainConfig(variant=VARIANT_CHEBYSHEV, k=2))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    text = path.read_text()
+    row = text.split("\nw0 0 8 16\n", 1)[1].split("\n", 1)[0]  # the first weight row
+    first, rest = row.split(" ", 1)
+    path.write_text(text.replace(row, f"0.5 {rest}", 1))
+    assert load_model(path).w0[0, 0] == 0.5
+    for bad in (f"0.50 {rest}", f"+0.5 {rest}", f"5e-1 {rest}", f".5 {rest}", f"0.5  {rest}",
+                f"0.5 {rest} ", f"0.5\t{rest}"):
+        path.write_text(text.replace(row, bad, 1))
+        with pytest.raises(MalformedArtefact, match=r"model\.txt.*line 8 reads"):
+            load_model(path)
+
+
+def test_load_counts_lines_before_it_builds_weights(tmp_path):
+    """A header whose k asks for billions of blocks is refused by its line count at once."""
+    path = tmp_path / "model.txt"
+    path.write_text("gcn-model v1\nvariant chebyshev\nk 4000000000\nhidden 16\nseed 0\n"
+                    "blocks 4000000001\n")
+    started = time.perf_counter()
+    with pytest.raises(MalformedArtefact, match="model.txt"):
+        load_model(path)
+    assert time.perf_counter() - started < 1.0
 
 
 def permuted_graph(g, perm):
@@ -369,8 +407,8 @@ def test_permutation_equivariance_chebyshev_operator():
 def test_evaluate_known_predictions():
     g = graph_from(np.zeros((4, 8)), [0, 0, 1, 1])
     model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED))
-    model.w0 = [np.zeros_like(model.w0[0])]
-    model.w1 = [np.zeros_like(model.w1[0])]
+    model.w0 = np.zeros_like(model.w0)
+    model.w1 = np.zeros_like(model.w1)
     # zero scores -> argmax picks class 0 everywhere
     m = evaluate(model, [g])
     assert m.accuracy == 0.5
@@ -386,8 +424,8 @@ def test_evaluate_known_predictions():
 def test_balanced_accuracy_skips_absent_classes():
     g = graph_from(np.zeros((3, 8)), [0, 0, 0])
     model = init_model(TrainConfig(variant=VARIANT_RENORMALIZED))
-    model.w0 = [np.zeros_like(model.w0[0])]
-    model.w1 = [np.zeros_like(model.w1[0])]
+    model.w0 = np.zeros_like(model.w0)
+    model.w1 = np.zeros_like(model.w1)
     m = evaluate(model, [g])
     assert m.balanced_accuracy == 1.0  # only class 0 present, fully recalled
 
