@@ -1,6 +1,6 @@
 """Command-line pipeline orchestration.
 
-Subcommands cover the two phases end to end:
+Commands cover the two phases end to end:
 
     synth     write a seeded synthetic flow CSV
     graph     flow CSV -> per-snapshot behaviour graph files
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import behavior_graph, report, spectral_gcn, synth
-from .density_cluster import (ClusterParams, cluster_snapshot, parse_tag, read_clustered_text,
-                              write_assignment_csv, write_clustered_text)
+from .density_cluster import (ALGORITHMS, ClusterParams, cluster_snapshot, parse_tag,
+                              read_clustered_text, write_assignment_csv, write_clustered_text)
 from .errors import EmptyCapture, FlowgraphError, NonPositiveParameter, OutOfMemory
 from .flow_model import ON_MALFORMED, check_on_malformed, parse_flows, write_flows
 from .temporal import check_width, dissect
@@ -70,7 +70,8 @@ class PipelineConfig:
         if self.jobs < 1:
             raise NonPositiveParameter(f"jobs must be >= 1, got {self.jobs}")
         if self.variant not in _VARIANT_BY_FLAG:
-            raise ValueError(f"variant must be one of {sorted(_VARIANT_BY_FLAG)}")
+            raise ValueError(f"unknown variant {self.variant!r}, "
+                             f"not one of {tuple(_VARIANT_BY_FLAG)}")
         # refuse a bad value before any stage writes, not when its stage runs
         self.cluster_params()
         self.train_config()
@@ -282,37 +283,6 @@ def _run_tasks(task, items, jobs: int):
         return list(pool.map(task, items))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flowgraph",
-        description="Behavioural entity graphs from flow captures: "
-                    "snapshot graphs, density clustering, spectral GCN.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--input", help="flow CSV path")
-    common.add_argument("--malformed", dest="on_malformed", choices=ON_MALFORMED,
-                        help="whether a malformed CSV row aborts or is skipped")
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--width", type=float, help="snapshot width in seconds")
-    common.add_argument("--algorithm", choices=["dbscan", "optics", "hdbscan"])
-    common.add_argument("--eps", type=float)
-    common.add_argument("--variant", choices=["gcn", "cheb"])
-    common.add_argument("--k", type=int, help="polynomial order (gcn: 1; cheb: default 3)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=int, help="parallel snapshot workers of the cluster stage")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("synth", "generate a labeled synthetic flow CSV"),
-            ("graph", "build per-snapshot behaviour graphs from a flow CSV"),
-            ("cluster", "cluster normal nodes and aggregate super-nodes"),
-            ("train", "train the node classifier on clustered graphs"),
-            ("report", "emit population series and clustering-effects table"),
-            ("run-all", "graph, cluster, train and report in sequence")):
-        sub.add_parser(name, parents=[common], help=help_text)
-    return parser
-
-
 _COMMANDS = {
     "synth": cmd_synth,
     "graph": cmd_graph,
@@ -321,6 +291,26 @@ _COMMANDS = {
     "report": cmd_report,
     "run-all": cmd_run_all,
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # every command takes every option; the values' owners, not argparse, refuse a bad one
+    parser = argparse.ArgumentParser(prog="flowgraph", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--input", help="flow CSV path")
+    parser.add_argument("--malformed", dest="on_malformed",
+                        help=f"what a malformed CSV row does: {' or '.join(ON_MALFORMED)}")
+    parser.add_argument("--out-dir", dest="out_dir")
+    parser.add_argument("--width", type=float, help="snapshot width in seconds")
+    parser.add_argument("--algorithm", help=f"one of {', '.join(ALGORITHMS)}")
+    parser.add_argument("--eps", type=float)
+    parser.add_argument("--variant", help=f"one of {', '.join(_VARIANT_BY_FLAG)}")
+    parser.add_argument("--k", type=int, help="polynomial order (gcn: 1; cheb: default 3)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--jobs", type=int, help="parallel snapshot workers of the cluster stage")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

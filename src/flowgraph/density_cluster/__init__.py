@@ -29,6 +29,7 @@ import numpy as np
 
 from ..behavior_graph import N_FEATURES
 
+ALGORITHMS = ("dbscan", "optics", "hdbscan")  # the values of ClusterParams.algorithm
 NOISE = -1
 MIN_PTS = 2  # points in a core point's closed neighbourhood, itself included
 MIN_CLUSTER_SIZE = 5  # hdbscan: points a cluster needs to survive a split
@@ -117,9 +118,9 @@ class ClusterParams:
     eps: float = 0.5
 
     def __post_init__(self):
-        if self.algorithm not in ("dbscan", "optics", "hdbscan"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in ("dbscan", "optics") and not 0 < self.eps < np.inf:
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}, not one of {ALGORITHMS}")
+        if self.algorithm != "hdbscan" and not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
     def tag(self) -> str:

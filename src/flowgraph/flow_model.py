@@ -173,7 +173,7 @@ def _parse_seconds(text: str) -> float:
 def check_on_malformed(on_malformed: str) -> None:
     """Raise ValueError unless `on_malformed` is one of `ON_MALFORMED`."""
     if on_malformed not in ON_MALFORMED:
-        raise ValueError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
+        raise ValueError(f"unknown on_malformed {on_malformed!r}, not one of {ON_MALFORMED}")
 
 
 def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:

@@ -295,11 +295,17 @@ def load_model(path) -> GcnModel:
         w0_end, end = 6 + blocks * (1 + N_INPUT), 6 + blocks * (2 + N_INPUT + HIDDEN)
         if len(lines) != end:
             raise ValueError(f"{len(lines)} lines, not the {end} of {config}")
+        layers = []
         # each block is its block line, then its rows: N_INPUT in w0, HIDDEN in w1
-        w0, w1 = (np.array([ln.split() for i, ln in enumerate(part) if i % (1 + height)],
-                           dtype=np.float64).reshape(blocks * height, width)
-                  for part, height, width in ((lines[6:w0_end], N_INPUT, HIDDEN),
-                                              (lines[w0_end:], HIDDEN, N_CLASSES)))
+        for start, stop, height, width in ((6, w0_end, N_INPUT, HIDDEN),
+                                           (w0_end, end, HIDDEN, N_CLASSES)):
+            rows = [(at + 1, lines[at].split()) for at in range(start, stop)
+                    if (at - start) % (1 + height)]
+            for line, row in rows:
+                if len(row) != width:
+                    raise ValueError(f"line {line} holds {len(row)} numbers, not {width}")
+            layers.append(np.array([row for _, row in rows], dtype=np.float64))
+        w0, w1 = layers
         model = GcnModel(config, w0, np.concatenate(np.split(w1, blocks), axis=1))
         for at, (got, want) in enumerate(zip(lines, _render(model).split("\n"))):
             if got != want:

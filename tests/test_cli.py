@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import flowgraph
-from flowgraph.cli import PipelineConfig, main
+from flowgraph.cli import _COMMANDS, PipelineConfig, main
 from flowgraph.density_cluster import ClusterParams, DistanceRows
 from flowgraph.spectral_gcn import GcnModel, TrainConfig
 from oracles import with_node_field
@@ -332,15 +332,41 @@ def test_every_option_is_checked_before_a_stage_runs(tmp_path, capsys):
     assert run("synth", "--config", cfg) == 0
     assert run("run-all", "--config", cfg) == 0
     before = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+
+    def refused(command, *argv) -> str:
+        capsys.readouterr()
+        assert run(command, *argv) == 1, (command, argv)
+        err = capsys.readouterr().err
+        assert err.startswith(f"flowgraph {command}: error:"), (command, argv)
+        after = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+        assert after == before, (command, argv)
+        return err
+
     for bad in ({"on_malformed": "bogus"}, {"synth": {**SMALL_SYNTH, "seed": -1}}):
         bad_cfg = write_config(tmp_path / "bad.json", out, **bad)
         for command in ("cluster", "train", "report"):
-            capsys.readouterr()
-            assert run(command, "--config", bad_cfg) == 1, (command, bad)
-            assert f"flowgraph {command}: error:" in capsys.readouterr().err, (command, bad)
-            after = {p: (p.stat().st_mtime_ns, p.read_bytes())
-                     for p in out.rglob("*") if p.is_file()}
-            assert after == before, (command, bad)
+            refused(command, "--config", bad_cfg)
+    # a value's owner alone refuses it: a flag and a config key read the same
+    for flag, key in (("--algorithm", "algorithm"), ("--variant", "variant"),
+                      ("--malformed", "on_malformed")):
+        bad_cfg = write_config(tmp_path / "bad.json", out, **{key: "bogus"})
+        for command in ("cluster", "train", "report"):
+            assert refused(command, "--config", cfg, flag, "bogus") \
+                == refused(command, "--config", bad_cfg), (command, flag)
+
+
+def test_one_parser_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("--help")
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    assert all(command in help_text for command in _COMMANDS), help_text
+    with pytest.raises(SystemExit) as exit_info:
+        run("bogus")
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("flowgraph: error: argument command: invalid choice:"), last
+    assert all(command in last for command in _COMMANDS), last
 
 
 def test_flag_overrides_config(tmp_path):

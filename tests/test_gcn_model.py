@@ -337,6 +337,22 @@ def test_load_refuses_other_spellings_of_a_weight(tmp_path):
             load_model(path)
 
 
+def test_load_names_a_row_with_the_wrong_count_of_numbers(tmp_path):
+    """A row with a number too many or too few is refused by its line number."""
+    model, _ = train([separable_graph(seed=5)], TrainConfig(variant=VARIANT_CHEBYSHEV, k=3))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    lines = path.read_text().split("\n")
+    assert lines[6] == "w0 0 8 16" and lines[42] == "w1 0 16 2"
+    for at, width in ((8, 16), (47, 2)):  # w0 block 0's first row, w1 block 0's fourth
+        row = lines[at - 1]
+        for bad, count in ((f"nan {row}", width + 1), (row.split(" ", 1)[1], width - 1)):
+            path.write_text("\n".join(lines[:at - 1] + [bad] + lines[at:]))
+            with pytest.raises(MalformedArtefact,
+                               match=rf"model\.txt.*line {at} holds {count} numbers, not {width}"):
+                load_model(path)
+
+
 def test_load_counts_lines_before_it_builds_weights(tmp_path):
     """A header whose k asks for billions of blocks is refused by its line count at once."""
     path = tmp_path / "model.txt"
