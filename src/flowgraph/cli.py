@@ -121,7 +121,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults <- JSON config file <- explicit command-line flags."""
     values: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")

@@ -274,8 +274,9 @@ def load_model(path) -> GcnModel:
     or not exactly the text `save_model` writes for the model it parses
     to (naming the first line that differs): when `TrainConfig` refuses
     the variant, k or seed, the line count does not fit the 1 block
-    (renormalized) or k + 1 (chebyshev) per layer of that config, a row
-    does not parse to its block's width of numbers, a number is not
+    (renormalized) or k + 1 (chebyshev) per layer of that config, a
+    header line or a row does not parse (naming its line: a row must be
+    its block's width of numbers), a number is not
     spelled as `repr` spells it, or a weight is not finite (`train`
     saves no `nan` or `inf`).
     """
@@ -288,9 +289,15 @@ def load_model(path) -> GcnModel:
         if not text.endswith("\n"):
             raise ValueError("no newline at end of file" if text else "empty file")
         lines.pop()
-        header = dict(ln.split(" ", 1) for ln in lines[1:6])
-        config = TrainConfig(variant=header["variant"], k=int(header["k"]),
-                             seed=int(header["seed"]))
+        header = {}
+        # hidden and blocks follow from the config; the text check below reads them
+        for at, line in enumerate(lines[1:6], 2):
+            try:
+                name, value = line.split(" ", 1)
+                header[name] = int(value) if name in ("k", "seed") else value
+            except ValueError as exc:
+                raise ValueError(f"line {at}: {exc}") from None
+        config = TrainConfig(variant=header["variant"], k=header["k"], seed=header["seed"])
         blocks = _n_blocks(config)
         w0_end, end = 6 + blocks * (1 + N_INPUT), 6 + blocks * (2 + N_INPUT + HIDDEN)
         if len(lines) != end:
@@ -301,10 +308,15 @@ def load_model(path) -> GcnModel:
                                            (w0_end, end, HIDDEN, N_CLASSES)):
             rows = [(at + 1, lines[at].split()) for at in range(start, stop)
                     if (at - start) % (1 + height)]
+            values = []
             for line, row in rows:
                 if len(row) != width:
                     raise ValueError(f"line {line} holds {len(row)} numbers, not {width}")
-            layers.append(np.array([row for _, row in rows], dtype=np.float64))
+                try:
+                    values.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {exc}") from None
+            layers.append(np.array(values, dtype=np.float64))
         w0, w1 = layers
         model = GcnModel(config, w0, np.concatenate(np.split(w1, blocks), axis=1))
         for at, (got, want) in enumerate(zip(lines, _render(model).split("\n"))):

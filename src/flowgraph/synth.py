@@ -28,13 +28,11 @@ in labeled captures.
 
 `generate` returns the trace as one `FlowTable`, the form `parse_flows`
 gives: each entity is validated once, the ring and probe schedules are
-columns, and the normal volumes come from one batch of standard normal
-draws, each value with the bits of one scalar `rng.lognormal` call.
+columns, and the normal volumes come from one `rng.lognormal` call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +47,6 @@ MAX_ATTACK_ENTITIES = 25_536
 # a trace is built in memory, a few hundred bytes per flow at its peak;
 # both populations at their caps ask for 34.3 million flows over a day
 MAX_FLOWS = 50_000_000
-_CHUNK = 1 << 16  # values per list of Python floats in `_exp`
 
 
 @dataclass
@@ -111,30 +108,19 @@ def _victim_entity(v: int) -> EntityId:
                     1 + v % 1024 + 1024 * (v // 51_200))
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """exp of each value by the C library's scalar exp, as `rng.lognormal` computes it.
-
-    np.exp's vector path can differ from it in the last bit.
-    """
-    out = np.empty_like(x)
-    for lo in range(0, len(x), _CHUNK):
-        out[lo:lo + _CHUNK] = list(map(math.exp, x[lo:lo + _CHUNK].tolist()))
-    return out
-
-
 def _normal_volumes(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """(duration, sent, received, packets) columns of `count` normal flow volumes.
 
     Each volume is three lognormal draws: sent bytes (median 3000),
-    received bytes (median 8000) and duration (median 1 s).
-    `rng.lognormal(mean, sigma)` is `exp(mean + sigma * z)` over the same
-    standard normal stream, so one batch of 3 * count draws gives the
-    bits of 3 * count scalar `rng.lognormal` calls in turn.
+    received bytes (median 8000) and duration (median 1 s). Each column's
+    law is broadcast over the rows, drawn in row order, so the values are
+    those of 3 * count scalar `rng.lognormal` calls in turn.
     """
-    z = rng.standard_normal(3 * count).reshape(count, 3)
-    sent = _exp(np.log(3000.0) + 0.1 * z[:, 0]).astype(np.int64)
-    received = _exp(np.log(8000.0) + 0.1 * z[:, 1]).astype(np.int64)
-    return [_exp(0.2 * z[:, 2]), sent, received, np.maximum(2, (sent + received) // 800)]
+    draws = rng.lognormal(mean=(np.log(3000.0), np.log(8000.0), 0.0), sigma=(0.1, 0.1, 0.2),
+                          size=(count, 3))
+    sent, received = draws[:, :2].T.astype(np.int64)
+    # a copy of the strided column, so that the draws are freed on return
+    return [draws[:, 2].copy(), sent, received, np.maximum(2, (sent + received) // 800)]
 
 
 def _attack_volumes(rng: np.random.Generator, count: int) -> list[np.ndarray]:

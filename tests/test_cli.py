@@ -353,6 +353,44 @@ def test_every_option_is_checked_before_a_stage_runs(tmp_path, capsys):
         for command in ("cluster", "train", "report"):
             assert refused(command, "--config", cfg, flag, "bogus") \
                 == refused(command, "--config", bad_cfg), (command, flag)
+    # --jobs 0, as a flag or a config key, and a config file that holds a
+    # JSON array are refused before any out-dir is made
+    fresh = tmp_path / "fresh"
+    jobs_cfg = write_config(tmp_path / "jobs.json", fresh, jobs=0)
+    array_cfg = tmp_path / "array.json"
+    array_cfg.write_text(json.dumps([{"out_dir": str(fresh)}]))
+    for command in _COMMANDS:
+        err = refused(command, "--config", cfg, "--out-dir", fresh, "--jobs", "0")
+        assert err == refused(command, "--config", jobs_cfg), command
+        assert "jobs must be >= 1, got 0" in err, command
+        assert "config file must hold a JSON object" \
+            in refused(command, "--config", array_cfg, "--out-dir", fresh), command
+    assert not fresh.exists()
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 BOM, as Windows Notepad saves one, is dropped from a config file."""
+    cfg = write_config(tmp_path / "cfg.json", tmp_path / "out")
+    bom_cfg = tmp_path / "bom.json"
+    bom_cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert run("synth", "--config", cfg) == 0
+    assert run("synth", "--config", bom_cfg, "--out-dir", tmp_path / "bom") == 0
+    assert (tmp_path / "bom" / "flows.csv").read_bytes() \
+        == (tmp_path / "out" / "flows.csv").read_bytes()
+
+
+def test_run_all_refuses_a_capture_with_no_training_snapshot(tmp_path, capsys):
+    """One snapshot leaves the 70% temporal split no training snapshot."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out,
+                       synth={"duration": 500.0, "n_normal_entities": 10})
+    assert run("synth", "--config", cfg) == 0
+    capsys.readouterr()
+    assert run("run-all", "--config", cfg) == 1
+    assert capsys.readouterr().err == ("flowgraph run-all: error: temporal split left "
+                                       "no non-empty training snapshots\n")
+    assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 1
+    assert not (out / "model.txt").exists()
 
 
 def test_one_parser_lists_every_command(capsys):

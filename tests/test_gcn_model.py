@@ -353,6 +353,21 @@ def test_load_names_a_row_with_the_wrong_count_of_numbers(tmp_path):
                 load_model(path)
 
 
+@pytest.mark.parametrize("at, edit", [
+    (8, lambda row: "abc " + row.split(" ", 1)[1]),  # w0 block 0's first weight
+    (3, lambda row: "k abc"), (5, lambda row: "seed x"),
+    (2, lambda row: "variant"), (6, lambda row: "blocks"),
+], ids=["weight", "k", "seed", "variant", "blocks"])
+def test_load_names_the_line_of_a_value_that_does_not_parse(tmp_path, at, edit):
+    model, _ = train([separable_graph(seed=5)], TrainConfig(variant=VARIANT_RENORMALIZED))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:at - 1] + [edit(lines[at - 1])] + lines[at:]))
+    with pytest.raises(MalformedArtefact, match=rf"model\.txt.*\bline {at}\b"):
+        load_model(path)
+
+
 def test_load_counts_lines_before_it_builds_weights(tmp_path):
     """A header whose k asks for billions of blocks is refused by its line count at once."""
     path = tmp_path / "model.txt"
