@@ -245,21 +245,24 @@ def cmd_train(config: PipelineConfig) -> Path:
 
 def cmd_report(config: PipelineConfig) -> list[Path]:
     tag = config.cluster_params().tag()
-    graphs = [behavior_graph.read_graph_text(p)
-              for p in _snapshot_files(config, "graphs", "graph")]
+    # each file is reduced to its snapshot index and labels as it is read, so
+    # that memory follows the node count, not the graphs of every run
+    labels = [(g.snapshot.index, g.labels) for g in map(
+        behavior_graph.read_graph_text, _snapshot_files(config, "graphs", "graph"))]
     _snapshot_files(config, f"clusters/{tag}", "cluster")  # the configured run must exist
     runs = {}
     for tag_dir in sorted(Path(config.out_dir).glob("clusters/*")):
         files = sorted(tag_dir.glob("snapshot_*.txt"))
         if files:  # a tag a graph re-run emptied gets no row in the effects table
-            runs[tag_dir.name] = [read_clustered_text(p) for p in files]
-    rows = report.population_series(graphs, runs[tag])
+            runs[tag_dir.name] = [(g.snapshot.index, g.labels)
+                                  for g in map(read_clustered_text, files)]
+    rows = report.population_series(labels, runs[tag])
     series_path = _out(config, "reports",
                        report.run_filename(config.dataset_name, *parse_tag(tag)))
     report.write_population_csv(series_path, rows)
 
     table = report.clustering_effects_table(
-        [(*parse_tag(name), run_graphs) for name, run_graphs in runs.items()])
+        [(*parse_tag(name), [y for _, y in run]) for name, run in runs.items()])
     effects_path = _out(config, "reports", f"{config.dataset_name}_effects.csv")
     report.write_effects_csv(effects_path, table)
     log.info("report: %s, %s", series_path, effects_path)

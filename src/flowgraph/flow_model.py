@@ -258,15 +258,16 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
 
 
 def write_flows(path: str | Path, flows: FlowTable) -> None:
-    """Write a flow table as synthetic-schema CSV (round-trips with parse_flows)."""
-    ips = [e.ip for e in flows.entities]
-    ports = [e.port for e in flows.entities]
+    """Write a flow table as synthetic-schema CSV (round-trips with parse_flows).
+
+    No field needs CSV quoting: an address is `EntityId`'s canonical text
+    and every other field a number.
+    """
+    ends = [f"{e.ip},{e.port}" for e in flows.entities]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SYNTHETIC_COLUMNS)
+        fh.write(",".join(SYNTHETIC_COLUMNS) + "\n")
         # a block of rows at a time, so that few Python objects are alive at once
         for lo in range(0, len(flows), _WRITE_ROWS):
             rows = zip(*(getattr(flows, name)[lo:lo + _WRITE_ROWS].tolist() for name in _COLUMNS))
-            writer.writerows((ips[s], ports[s], ips[d], ports[d], repr(t), repr(dur),
-                              fwd, bwd, packets, label)
-                             for s, d, t, dur, fwd, bwd, packets, label in rows)
+            fh.write("".join(f"{ends[s]},{ends[d]},{t!r},{dur!r},{fwd},{bwd},{packets},{label}\n"
+                             for s, d, t, dur, fwd, bwd, packets, label in rows))

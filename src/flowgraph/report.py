@@ -6,7 +6,9 @@ remain once clusters are collapsed to super-nodes), and the
 clustering-effects table comparing algorithms/parameters by the
 normal population left after clustering and its share of the whole
 population. The share uses (clustered normal + attack) as denominator,
-i.e. the population of the aggregated graphs.
+i.e. the population of the aggregated graphs. Both count node labels
+only (0 normal or a cluster, 1 attack), so a caller keeps each
+snapshot's labels, not its graph.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from .density_cluster import eps_text
 from .errors import LengthMismatch
 
+_COUNTS = ("normal_count", "attack_count", "clustered_normal_count")
+
 
 @dataclass
 class PopulationRow:
@@ -24,58 +28,44 @@ class PopulationRow:
     attack_count: int
     clustered_normal_count: int
 
-    def __post_init__(self):
-        if min(self.normal_count, self.attack_count, self.clustered_normal_count) < 0:
-            raise ValueError("population counts must be >= 0")
-        if self.clustered_normal_count > self.normal_count:
-            raise ValueError(
-                f"snapshot {self.snapshot_index}: clustered normal count "
-                f"{self.clustered_normal_count} exceeds normal count {self.normal_count}")
 
-
-def population_series(graphs, clustered_graphs) -> list[PopulationRow]:
+def population_series(labels, clustered_labels) -> list[PopulationRow]:
     """One row per snapshot, ordered by snapshot index.
 
-    `clustered_graphs` must correspond 1:1 (same snapshots) to `graphs`.
+    `labels` and `clustered_labels` hold one `(snapshot index, node
+    labels)` pair per behaviour graph and per clustered graph. Raises
+    LengthMismatch unless they pair 1:1 by snapshot index, and
+    ValueError when a clustered snapshot holds more normal nodes than
+    its behaviour graph (both are read from files).
     """
-    if len(graphs) != len(clustered_graphs):
+    if len(labels) != len(clustered_labels):
         raise LengthMismatch(
-            f"{len(graphs)} snapshot graphs vs {len(clustered_graphs)} clustered graphs")
+            f"{len(labels)} snapshot graphs vs {len(clustered_labels)} clustered graphs")
     rows = []
-    for g, cg in sorted(zip(graphs, clustered_graphs), key=lambda pair: pair[0].snapshot.index):
-        if g.snapshot.index != cg.snapshot.index:
+    for (index, y), (clustered_index, clustered_y) in sorted(
+            zip(labels, clustered_labels), key=lambda pair: pair[0][0]):
+        if index != clustered_index:
             raise LengthMismatch(
-                f"snapshot {g.snapshot.index} paired with clustered snapshot "
-                f"{cg.snapshot.index}")
-        rows.append(PopulationRow(
-            snapshot_index=g.snapshot.index,
-            normal_count=int((g.labels == 0).sum()),
-            attack_count=int((g.labels == 1).sum()),
-            clustered_normal_count=int((cg.labels == 0).sum()),
-        ))
+                f"snapshot {index} paired with clustered snapshot {clustered_index}")
+        normal, clustered_normal = int((y == 0).sum()), int((clustered_y == 0).sum())
+        if clustered_normal > normal:
+            raise ValueError(f"snapshot {index}: clustered normal count {clustered_normal} "
+                             f"exceeds normal count {normal}")
+        rows.append(PopulationRow(index, normal, len(y) - normal, clustered_normal))
     return rows
-
-
-def series_totals(rows: list[PopulationRow]) -> tuple[int, int, int]:
-    """(normal_total, attack_total, clustered_normal_total)."""
-    return (sum(r.normal_count for r in rows),
-            sum(r.attack_count for r in rows),
-            sum(r.clustered_normal_count for r in rows))
 
 
 def write_population_csv(path, rows: list[PopulationRow]) -> None:
     """Per-snapshot rows followed by `total` and `mean` summary rows."""
-    normal_total, attack_total, clustered_total = series_totals(rows)
-    n = len(rows)
+    totals = [sum(getattr(r, name) for r in rows) for name in _COUNTS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("snapshot,normal_count,attack_count,clustered_normal_count\n")
+        fh.write(",".join(("snapshot", *_COUNTS)) + "\n")
         for r in rows:
             fh.write(f"{r.snapshot_index},{r.normal_count},{r.attack_count},"
                      f"{r.clustered_normal_count}\n")
-        fh.write(f"total,{normal_total},{attack_total},{clustered_total}\n")
-        if n:
-            fh.write(f"mean,{normal_total / n!r},{attack_total / n!r},"
-                     f"{clustered_total / n!r}\n")
+        fh.write(",".join(("total", *map(str, totals))) + "\n")
+        if rows:
+            fh.write(",".join(("mean", *(repr(t / len(rows)) for t in totals))) + "\n")
 
 
 @dataclass
@@ -94,20 +84,13 @@ class EffectsRow:
         return round(100.0 * self.clustered_normal_total / population, 2)
 
 
-def run_totals(clustered_graphs) -> tuple[int, int]:
-    """(clustered_normal_total, attack_total) over one run's snapshots."""
-    attack = sum(int(cg.labels.sum()) for cg in clustered_graphs)
-    return sum(cg.n_nodes for cg in clustered_graphs) - attack, attack
-
-
 def clustering_effects_table(runs) -> list[EffectsRow]:
-    """Rows from (method, eps, clustered graphs) triples, input order."""
+    """Rows from (method, eps, [clustered node labels per snapshot]) triples, input order."""
     rows = []
-    for method, eps, clustered_graphs in runs:
-        clustered_normal, attack = run_totals(clustered_graphs)
-        rows.append(EffectsRow(method=method, eps=eps,
-                               clustered_normal_total=clustered_normal,
-                               attack_total=attack))
+    for method, eps, labels in runs:
+        clustered_normal = sum(int((y == 0).sum()) for y in labels)
+        rows.append(EffectsRow(method, eps, clustered_normal,
+                               sum(map(len, labels)) - clustered_normal))
     return rows
 
 

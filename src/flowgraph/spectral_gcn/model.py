@@ -273,12 +273,12 @@ def load_model(path) -> GcnModel:
     MalformedArtefact naming `path` when the file is empty, cut short,
     or not exactly the text `save_model` writes for the model it parses
     to (naming the first line that differs): when `TrainConfig` refuses
-    the variant, k or seed, the line count does not fit the 1 block
-    (renormalized) or k + 1 (chebyshev) per layer of that config, a
-    header line or a row does not parse (naming its line: a row must be
-    its block's width of numbers), a number is not
-    spelled as `repr` spells it, or a weight is not finite (`train`
-    saves no `nan` or `inf`).
+    the variant, k or seed (naming its line), the line count does not
+    fit the 1 block (renormalized) or k + 1 (chebyshev) per layer of
+    that config, a header line or a row does not parse (naming its line:
+    a row must be its block's width of numbers), a number is not spelled
+    as `repr` spells it, or a weight is not finite (`train` saves no
+    `nan` or `inf`).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -289,15 +289,17 @@ def load_model(path) -> GcnModel:
         if not text.endswith("\n"):
             raise ValueError("no newline at end of file" if text else "empty file")
         lines.pop()
-        header = {}
+        fields = {}
         # hidden and blocks follow from the config; the text check below reads them
         for at, line in enumerate(lines[1:6], 2):
             try:
                 name, value = line.split(" ", 1)
-                header[name] = int(value) if name in ("k", "seed") else value
+                if name in ("variant", "k", "seed"):  # checked as read, to name the line
+                    fields[name] = value if name == "variant" else int(value)
+                    TrainConfig(**fields)
             except ValueError as exc:
                 raise ValueError(f"line {at}: {exc}") from None
-        config = TrainConfig(variant=header["variant"], k=header["k"], seed=header["seed"])
+        config = TrainConfig(**fields)
         blocks = _n_blocks(config)
         w0_end, end = 6 + blocks * (1 + N_INPUT), 6 + blocks * (2 + N_INPUT + HIDDEN)
         if len(lines) != end:

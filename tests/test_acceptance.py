@@ -195,17 +195,23 @@ def test_criterion_5_population_accounting():
                                      flows_per_entity_rate=0.02))
         graphs = [build_graph(flows, snapshot=s)
                   for s, flows in dissect(table, 600.0).items()]
+        labels = [(g.snapshot.index, g.labels) for g in graphs]
         runs = []
         for params in (ClusterParams(algorithm="dbscan", eps=0.5),
                        ClusterParams(algorithm="hdbscan")):
             clustered = [cluster_snapshot(g, params)[1] for g in graphs]
-            rows = population_series(graphs, clustered)
+            rows = population_series(labels, [(cg.snapshot.index, cg.labels)
+                                              for cg in clustered])
+            assert [row.snapshot_index for row in rows] == sorted(g.snapshot.index
+                                                                  for g in graphs)
             for row, graph, cg in zip(rows, graphs, clustered):
                 assert row.clustered_normal_count <= row.normal_count
                 attack_supers = sum(1 for s in cg.nodes if s.kind == KIND_ATTACK)
                 assert attack_supers == row.attack_count
+                clusters = sum(1 for s in cg.nodes if s.kind == KIND_CLUSTER)
+                assert clusters == row.clustered_normal_count
             eps = params.eps if params.algorithm != "hdbscan" else None
-            runs.append((params.algorithm, eps, clustered))
+            runs.append((params.algorithm, eps, [cg.labels for cg in clustered]))
         for row in clustering_effects_table(runs):
             population = row.clustered_normal_total + row.attack_total
             expected = round(100.0 * row.clustered_normal_total / population, 2)

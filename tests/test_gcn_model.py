@@ -357,7 +357,9 @@ def test_load_names_a_row_with_the_wrong_count_of_numbers(tmp_path):
     (8, lambda row: "abc " + row.split(" ", 1)[1]),  # w0 block 0's first weight
     (3, lambda row: "k abc"), (5, lambda row: "seed x"),
     (2, lambda row: "variant"), (6, lambda row: "blocks"),
-], ids=["weight", "k", "seed", "variant", "blocks"])
+    (2, lambda row: "variant bogus"), (3, lambda row: "k 0"), (5, lambda row: "seed -1"),
+], ids=["weight", "k", "seed", "variant", "blocks", "variant-refused", "k-refused",
+        "seed-refused"])
 def test_load_names_the_line_of_a_value_that_does_not_parse(tmp_path, at, edit):
     model, _ = train([separable_graph(seed=5)], TrainConfig(variant=VARIANT_RENORMALIZED))
     path = tmp_path / "model.txt"

@@ -3,89 +3,75 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flowgraph.density_cluster import (
-    ClusterResult,
-    NOISE,
-    aggregate,
-)
 from flowgraph.errors import LengthMismatch
 from flowgraph.report import (
     EffectsRow,
-    PopulationRow,
     clustering_effects_table,
     population_series,
     run_filename,
-    run_totals,
-    series_totals,
     write_effects_csv,
     write_population_csv,
 )
-from oracles import graph_from
 
 
-def snapshot_graph(index, labels):
-    return graph_from(np.zeros((len(labels), 8)), labels, index=index)
+def labelled(index, labels):
+    """The `(snapshot index, labels)` pair `cmd_report` keeps of a graph file."""
+    return index, np.array(labels, dtype=np.int64)
 
 
-def clustered(graph, assignment, cluster_count):
-    result = ClusterResult(assignment=np.asarray(assignment), cluster_count=cluster_count)
-    return aggregate(graph, result)
+def test_clustered_normal_above_normal_is_refused():
+    with pytest.raises(ValueError, match="snapshot 4: clustered normal count 3 exceeds "
+                                         "normal count 2"):
+        population_series([labelled(4, [0, 0, 1])], [labelled(4, [0, 0, 0, 1])])
 
 
-def test_population_row_validation():
-    with pytest.raises(ValueError):
-        PopulationRow(snapshot_index=0, normal_count=2, attack_count=0,
-                      clustered_normal_count=3)
-    with pytest.raises(ValueError):
-        PopulationRow(snapshot_index=0, normal_count=-1, attack_count=0,
-                      clustered_normal_count=0)
-
-
-def test_series_counts_and_totals():
-    g0 = snapshot_graph(0, [0, 0, 0, 0, 1])
-    g1 = snapshot_graph(1, [0, 0, 1, 1])
-    c0 = clustered(g0, [0, 0, 0, NOISE], 1)
-    c1 = clustered(g1, [0, 0], 1)
+def test_series_counts_and_totals(tmp_path):
+    g0 = labelled(0, [0, 0, 0, 0, 1])
+    g1 = labelled(1, [0, 0, 1, 1])
+    c0 = labelled(0, [0, 1])
+    c1 = labelled(1, [0, 1, 1])
     rows = population_series([g0, g1], [c0, c1])
     assert [(r.snapshot_index, r.normal_count, r.attack_count,
              r.clustered_normal_count) for r in rows] \
         == [(0, 4, 1, 1), (1, 2, 2, 1)]
-    assert series_totals(rows) == (6, 3, 2)
+    path = tmp_path / "series.csv"
+    write_population_csv(path, rows)
+    assert path.read_text().splitlines()[-2:] == ["total,6,3,2", "mean,3.0,1.5,1.0"]
 
 
 def test_series_sorted_by_index():
-    g0, g1 = snapshot_graph(0, [0, 0]), snapshot_graph(1, [0, 0, 1])
-    c0, c1 = clustered(g0, [0, 0], 1), clustered(g1, [0, 0], 1)
+    g0, g1 = labelled(0, [0, 0]), labelled(1, [0, 0, 1])
+    c0, c1 = labelled(0, [0]), labelled(1, [0, 1])
     rows = population_series([g1, g0], [c1, c0])
     assert [r.snapshot_index for r in rows] == [0, 1]
 
 
-def test_empty_series():
+def test_empty_series(tmp_path):
     assert population_series([], []) == []
-    assert series_totals([]) == (0, 0, 0)
+    path = tmp_path / "series.csv"
+    write_population_csv(path, [])
+    assert path.read_text().splitlines() == [
+        "snapshot,normal_count,attack_count,clustered_normal_count", "total,0,0,0"]
 
 
 def test_length_and_pairing_mismatch():
-    g0 = snapshot_graph(0, [0, 0])
-    c0 = clustered(g0, [0, 0], 1)
+    g0, c0 = labelled(0, [0, 0]), labelled(0, [0])
     with pytest.raises(LengthMismatch):
         population_series([g0], [])
-    g1 = snapshot_graph(1, [0, 0])
-    c1 = clustered(g1, [0, 0], 1)
+    c1 = labelled(1, [0])
     with pytest.raises(LengthMismatch):
         population_series([g0, g0], [c0, c1])
 
 
 def test_population_csv(tmp_path):
-    g0 = snapshot_graph(0, [0, 0, 1])
-    c0 = clustered(g0, [0, 0], 1)
     path = tmp_path / "series.csv"
-    write_population_csv(path, population_series([g0], [c0]))
+    write_population_csv(path, population_series([labelled(0, [0, 0, 1])],
+                                                 [labelled(0, [0, 1])]))
     lines = path.read_text().splitlines()
     assert lines[0] == "snapshot,normal_count,attack_count,clustered_normal_count"
     assert lines[1] == "0,2,1,1"
     assert lines[2] == "total,2,1,1"
-    assert lines[3].startswith("mean,")
+    assert lines[3] == "mean,2.0,1.0,1.0"
 
 
 def test_effects_share_percent():
@@ -100,21 +86,16 @@ def test_effects_share_percent():
     assert empty.share_percent == 0.0
 
 
-def test_run_totals_and_table():
-    g0 = snapshot_graph(0, [0, 0, 0, 1])
-    g1 = snapshot_graph(1, [0, 0, 1, 1])
-    coarse = [clustered(g0, [0, 0, 0], 1), clustered(g1, [0, 0], 1)]
-    fine = [clustered(g0, [0, 0, NOISE], 1), clustered(g1, [NOISE, NOISE], 0)]
-    assert run_totals(coarse) == (2, 3)
-    assert run_totals(fine) == (1, 3)
-
+def test_effects_table_counts_labels():
+    coarse = [np.array([0, 1]), np.array([0, 1, 1])]
+    fine = [np.array([1]), np.array([1, 1])]
     rows = clustering_effects_table([
         ("dbscan", 0.5, coarse),
         ("dbscan", 0.2, fine),
+        ("hdbscan", None, []),
     ])
-    # attack totals are invariant across rows of the same dataset
-    assert len({r.attack_total for r in rows}) == 1
-    assert rows[0].clustered_normal_total >= rows[1].clustered_normal_total
+    assert [(r.method, r.eps, r.clustered_normal_total, r.attack_total) for r in rows] \
+        == [("dbscan", 0.5, 2, 3), ("dbscan", 0.2, 0, 3), ("hdbscan", None, 0, 0)]
 
 
 def test_effects_csv_recomputes(tmp_path):
