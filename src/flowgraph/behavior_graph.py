@@ -152,23 +152,24 @@ def write_snapshot_text(path, snapshot: SnapshotIndex, noun: str, columns: str,
             fh.write(f"{s} {d} {w}{weight_suffix}\n")
 
 
-def read_snapshot_text(path, noun: str, columns: str, make_nodes,
-                       weight_suffix: str) -> SnapshotGraph:
+def read_snapshot_text(path, noun: str, columns: str, make_nodes, weight_suffix: str,
+                       members=lambda node: (node,)) -> SnapshotGraph:
     """The graph of the layout `write_snapshot_text` writes.
 
     `make_nodes` gives the nodes and int64 labels of a block of node
     rows from its columns, one tuple of texts per column (ValueError on
-    a value it refuses). Rows are checked `_BLOCK_ROWS` at a time, and a
-    refused block row by row, so a check's message names its block's
-    first row. Raises MalformedArtefact naming `path` and the line of
-    the first refused row or value, and unless the counts match the
-    rows, the last line ends with a newline, each node row has one
-    field per column and its position as index, each edge endpoint
-    reads as a node row's index, the snapshot index, the counts and the
-    weights (each followed by `weight_suffix`) are `decimal`, each
-    weight is in [1, 2**63), no (src, dst) pair repeats, the window
-    bounds and features are finite, unsigned, ASCII and without `_`,
-    and the window end is not below its start: any truncation fails.
+    a value it refuses), and `members(node)` a node's entities. Rows
+    are checked `_BLOCK_ROWS` at a time, and a refused block row by
+    row, so a check's message names its block's first row. Raises
+    MalformedArtefact naming `path` and the line of the first refused
+    row or value, and unless the counts match the rows, the last line
+    ends with a newline, each node row has one field per column and its
+    position as index, each edge endpoint reads as a node row's index,
+    the snapshot index, the counts and the weights (each followed by
+    `weight_suffix`) are `decimal`, each weight is in [1, 2**63), no
+    entity and no (src, dst) pair repeats, the window bounds and
+    features are finite, unsigned, ASCII and without `_`, and the
+    window end is not below its start: any truncation fails.
     """
     names = columns.split()
     first = names.index("f1")
@@ -245,6 +246,14 @@ def read_snapshot_text(path, noun: str, columns: str, make_nodes,
         if error:
             raise error
         nodes, labels, features = zip(*parts)
+        nodes = [node for part in nodes for node in part]
+        seen = set()
+        for row, node in enumerate(nodes):
+            for e in members(node):
+                if e in seen:
+                    lineno = 4 + row  # node rows follow the three header lines
+                    raise ValueError(f"entity {e.ip}|{e.port} appears twice")
+                seen.add(e)
         n_edges = decimal(take(3, "#", "edges")[2])
         take(4, "#", *_EDGE_COLUMNS.split())
         node_index = frozenset(map(str, range(n_nodes)))  # each index as node rows write it
@@ -267,8 +276,7 @@ def read_snapshot_text(path, noun: str, columns: str, make_nodes,
             raise ValueError("no newline at end of file")
     except ValueError as exc:
         raise MalformedArtefact(f"{path}: line {lineno}: {exc}") from None
-    return SnapshotGraph(snapshot, [node for part in nodes for node in part],
-                         np.concatenate(labels), np.concatenate(features), edges)
+    return SnapshotGraph(snapshot, nodes, np.concatenate(labels), np.concatenate(features), edges)
 
 
 def _read_floats(cols: list[tuple[str, ...]], name: str) -> np.ndarray:

@@ -227,17 +227,9 @@ def cmd_train(config: PipelineConfig) -> Path:
     spectral_gcn.save_model(model_path, model)
     spectral_gcn.write_loss_trace_csv(_out(config, "loss_trace.csv"), losses)
 
-    rows = [(g.snapshot.index, [g]) for g in test_graphs]
-    if test_graphs:
-        rows.append(("union", test_graphs))
-    else:
+    if not test_graphs:
         log.warning("train: temporal split left no test snapshots")
-    metrics_path = _out(config, "metrics.csv")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(("snapshot", *spectral_gcn.EvalMetrics.KEYS)) + "\n")
-        for name, split in rows:
-            m = spectral_gcn.evaluate(model, split)
-            fh.write(",".join((str(name), *map(repr, m.as_dict().values()))) + "\n")
+    spectral_gcn.write_metrics_csv(_out(config, "metrics.csv"), model, test_graphs)
     log.info("train: %d train / %d test snapshots, final loss %s -> %s",
              len(train_graphs), len(test_graphs), losses[-1], model_path)
     return model_path

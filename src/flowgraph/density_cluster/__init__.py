@@ -168,10 +168,6 @@ def cluster_points(points: np.ndarray, params: ClusterParams) -> ClusterResult:
 from .dbscan import dbscan  # noqa: E402
 from .hdbscan import hdbscan  # noqa: E402
 from .aggregate import (  # noqa: E402
-    KIND_ATTACK,
-    KIND_CLUSTER,
-    SuperNode,
-    aggregate,
     cluster_snapshot,
     read_clustered_text,
     write_assignment_csv,

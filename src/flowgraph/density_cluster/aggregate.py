@@ -139,4 +139,5 @@ def _super_nodes(cols: list[tuple[str, ...]]) -> tuple[list[SuperNode], np.ndarr
 
 
 def read_clustered_text(path) -> SnapshotGraph:
-    return read_snapshot_text(path, "supernodes", _NODE_COLUMNS, _super_nodes, ".0")
+    return read_snapshot_text(path, "supernodes", _NODE_COLUMNS, _super_nodes, ".0",
+                              lambda node: node.members)

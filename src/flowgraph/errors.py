@@ -16,7 +16,7 @@ class FlowgraphError(Exception):
 
 
 class MissingColumn(FlowgraphError):
-    """A CSV header names every column of neither flow schema, or of both."""
+    """A CSV header names every column of neither flow schema, or of both, or one twice."""
 
 
 class MalformedRow(FlowgraphError):

@@ -1,8 +1,8 @@
 """Flow table data model and CSV parsing.
 
 `parse_flows` reads a CSV in the one schema whose every column its
-header names (extra columns are ignored; a header naming every column
-of neither schema, or of both, is refused):
+header names once (extra columns are ignored; a header naming every
+column of neither schema, or of both, is refused):
 
 * ``unsw15`` -- the column subset of the UNSW-NB15 flow files that this
   toolkit consumes: srcip, sport, dstip, dsport, stime, dur, sbytes,
@@ -189,8 +189,9 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
         ParseResult with flows in file order, start times rebased so
         the minimum observed start time maps to 0.
 
-    Raises MissingColumn naming `path` for an empty file or a header
-    naming every column of neither schema, or of both.
+    Raises MissingColumn naming `path` for an empty file, a header
+    naming every column of neither schema, or of both, or a header
+    naming a column of its schema twice.
     """
     check_on_malformed(on_malformed)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -199,7 +200,8 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
             header = next(reader)
         except StopIteration:
             raise MissingColumn(f"{path}: empty file, no header row") from None
-        lookup = {name.strip().lower(): i for i, name in enumerate(header)}
+        names = [name.strip().lower() for name in header]
+        lookup = {name: i for i, name in enumerate(names)}
         missing = {name: [c for c in columns if c not in lookup]
                    for name, columns in SCHEMAS.items()}
         found = [name for name, absent in missing.items() if not absent]
@@ -207,6 +209,9 @@ def parse_flows(path: str | Path, on_malformed: str = "abort") -> ParseResult:
             detail = (f"both schemas, {' and '.join(found)}" if found else "no schema; missing "
                       + "; ".join(f"{name}: {', '.join(c)}" for name, c in missing.items()))
             raise MissingColumn(f"{path}: header names every column of {detail}")
+        repeated = [c for c in SCHEMAS[found[0]] if names.count(c) > 1]
+        if repeated:
+            raise MissingColumn(f"{path}: header names column {repeated[0]!r} twice")
         idx = [lookup[c] for c in SCHEMAS[found[0]]]
 
         # entity code of each (ip, port) text; texts naming one entity

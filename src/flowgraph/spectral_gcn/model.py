@@ -23,10 +23,11 @@ block-diagonally into one disconnected graph per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from ..behavior_graph import N_FEATURES
 from ..errors import MalformedArtefact, NonFiniteLoss, require_integers
 from .graph_ops import (
     EdgeOperator,
@@ -38,7 +39,6 @@ from .graph_ops import (
     union_matrices,
 )
 
-N_INPUT = 8
 N_CLASSES = 2
 # both variants train with the settings of Kipf & Welling (ICLR 2017, arXiv 1609.02907)
 HIDDEN = 16
@@ -90,7 +90,7 @@ def _n_blocks(config: TrainConfig) -> int:
 def init_model(config: TrainConfig) -> GcnModel:
     rng = np.random.default_rng(config.seed)
     blocks = _n_blocks(config)
-    w0 = np.concatenate([_glorot(rng, N_INPUT, HIDDEN) for _ in range(blocks)])
+    w0 = np.concatenate([_glorot(rng, N_FEATURES, HIDDEN) for _ in range(blocks)])
     w1 = np.concatenate([_glorot(rng, HIDDEN, N_CLASSES) for _ in range(blocks)], axis=1)
     return GcnModel(config, w0, w1)
 
@@ -206,19 +206,15 @@ def train(graphs, config: TrainConfig):
 
 @dataclass
 class EvalMetrics:
+    """One evaluation; its fields, in order, are the columns of metrics.csv after `snapshot`."""
+
     accuracy: float
-    precision: tuple[float, float]  # per class; 0.0 when undefined
-    recall: tuple[float, float]
+    precision_normal: float
+    precision_attack: float
+    recall_normal: float
+    recall_attack: float
     balanced_accuracy: float
     n_nodes: int
-
-    # the keys of `as_dict`, in order: the columns of metrics.csv after `snapshot`
-    KEYS = ("accuracy", "precision_normal", "precision_attack", "recall_normal",
-            "recall_attack", "balanced_accuracy", "n_nodes")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.KEYS, (self.accuracy, *self.precision, *self.recall,
-                                    self.balanced_accuracy, self.n_nodes)))
 
 
 def evaluate(model: GcnModel, graphs) -> EvalMetrics:
@@ -238,13 +234,8 @@ def evaluate(model: GcnModel, graphs) -> EvalMetrics:
     precision = [t / c if c else 0.0 for t, c in zip(tp, called)]
     recall = [t / c if c else 0.0 for t, c in zip(tp, labeled)]
     present_recalls = [r for r, c in zip(recall, labeled) if c]
-    return EvalMetrics(
-        accuracy=float(np.mean(predicted == y)) if len(y) else 0.0,
-        precision=(precision[0], precision[1]),
-        recall=(recall[0], recall[1]),
-        balanced_accuracy=float(np.mean(present_recalls)) if present_recalls else 0.0,
-        n_nodes=len(y),
-    )
+    return EvalMetrics(float(np.mean(predicted == y)) if len(y) else 0.0, *precision, *recall,
+                       float(np.mean(present_recalls)) if present_recalls else 0.0, len(y))
 
 
 def _render(model: GcnModel) -> str:
@@ -289,24 +280,24 @@ def load_model(path) -> GcnModel:
         if not text.endswith("\n"):
             raise ValueError("no newline at end of file" if text else "empty file")
         lines.pop()
-        fields = {}
+        settings = {}
         # hidden and blocks follow from the config; the text check below reads them
         for at, line in enumerate(lines[1:6], 2):
             try:
                 name, value = line.split(" ", 1)
                 if name in ("variant", "k", "seed"):  # checked as read, to name the line
-                    fields[name] = value if name == "variant" else int(value)
-                    TrainConfig(**fields)
+                    settings[name] = value if name == "variant" else int(value)
+                    TrainConfig(**settings)
             except ValueError as exc:
                 raise ValueError(f"line {at}: {exc}") from None
-        config = TrainConfig(**fields)
+        config = TrainConfig(**settings)
         blocks = _n_blocks(config)
-        w0_end, end = 6 + blocks * (1 + N_INPUT), 6 + blocks * (2 + N_INPUT + HIDDEN)
+        w0_end, end = 6 + blocks * (1 + N_FEATURES), 6 + blocks * (2 + N_FEATURES + HIDDEN)
         if len(lines) != end:
             raise ValueError(f"{len(lines)} lines, not the {end} of {config}")
         layers = []
-        # each block is its block line, then its rows: N_INPUT in w0, HIDDEN in w1
-        for start, stop, height, width in ((6, w0_end, N_INPUT, HIDDEN),
+        # each block is its block line, then its rows: N_FEATURES in w0, HIDDEN in w1
+        for start, stop, height, width in ((6, w0_end, N_FEATURES, HIDDEN),
                                            (w0_end, end, HIDDEN, N_CLASSES)):
             rows = [(at + 1, lines[at].split()) for at in range(start, stop)
                     if (at - start) % (1 + height)]
@@ -337,3 +328,15 @@ def write_loss_trace_csv(path, losses: list[float]) -> None:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(losses):
             fh.write(f"{epoch},{loss!r}\n")
+
+
+def write_metrics_csv(path, model: GcnModel, graphs) -> None:
+    """metrics.csv: a row per graph, named by its snapshot index, then a `union` row
+    evaluating them together; the header line alone when `graphs` is empty."""
+    rows = [(g.snapshot.index, [g]) for g in graphs]
+    if graphs:
+        rows.append(("union", graphs))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(("snapshot", *(f.name for f in fields(EvalMetrics)))) + "\n")
+        for name, split in rows:
+            fh.write(",".join((str(name), *map(repr, astuple(evaluate(model, split))))) + "\n")

@@ -14,9 +14,9 @@ import numpy as np
 from flowgraph.behavior_graph import N_FEATURES, SnapshotGraph, build_graph, normalize_features
 from flowgraph.density_cluster import DistanceRows
 from flowgraph.flow_model import EntityId, FlowTable
-from flowgraph.spectral_gcn import (VARIANT_RENORMALIZED, build_operator, lambda_max,
-                                   loss_and_grads, normalized_laplacian, propagate,
-                                   union_matrices)
+from flowgraph.spectral_gcn.graph_ops import lambda_max, normalized_laplacian, union_matrices
+from flowgraph.spectral_gcn.model import (VARIANT_RENORMALIZED, build_operator, loss_and_grads,
+                                         propagate)
 from flowgraph.synth import SynthConfig, generate
 from flowgraph.temporal import SnapshotIndex, dissect
 

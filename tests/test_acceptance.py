@@ -22,8 +22,6 @@ import pytest
 
 from flowgraph.behavior_graph import build_graph
 from flowgraph.density_cluster import (
-    KIND_ATTACK,
-    KIND_CLUSTER,
     MIN_PTS,
     ClusterParams,
     DistanceRows,
@@ -32,21 +30,15 @@ from flowgraph.density_cluster import (
     dbscan,
     hdbscan,
 )
+from flowgraph.density_cluster.aggregate import KIND_ATTACK, KIND_CLUSTER
 from flowgraph.density_cluster.hdbscan import minimum_spanning_tree
 from flowgraph.flow_model import EntityId, parse_flows
 from flowgraph.report import clustering_effects_table, population_series
-from flowgraph.spectral_gcn import (
-    VARIANT_CHEBYSHEV,
-    VARIANT_RENORMALIZED,
-    TrainConfig,
-    chebyshev_basis,
-    evaluate,
-    init_model,
-    normalized_laplacian,
-    renormalize_adjacency,
-    train,
-    union_matrices,
-)
+from flowgraph.spectral_gcn import (VARIANT_CHEBYSHEV, VARIANT_RENORMALIZED, TrainConfig,
+                                   evaluate, train)
+from flowgraph.spectral_gcn.graph_ops import (chebyshev_basis, normalized_laplacian,
+                                             renormalize_adjacency, union_matrices)
+from flowgraph.spectral_gcn.model import init_model
 from flowgraph.synth import SynthConfig, generate
 from flowgraph.temporal import dissect
 from oracles import (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,18 +13,15 @@ from flowgraph import density_cluster
 from flowgraph.behavior_graph import (SnapshotGraph, build_graph, minmax_scale, read_graph_text,
                                       write_graph_text)
 from flowgraph.density_cluster import (
-    KIND_ATTACK,
-    KIND_CLUSTER,
     NOISE,
     ClusterParams,
     ClusterResult,
-    SuperNode,
-    aggregate,
     cluster_snapshot,
     read_clustered_text,
     write_assignment_csv,
     write_clustered_text,
 )
+from flowgraph.density_cluster.aggregate import KIND_ATTACK, KIND_CLUSTER, SuperNode, aggregate
 from flowgraph.errors import AssignmentMismatch, MalformedArtefact
 from flowgraph.flow_model import EntityId
 from flowgraph.synth import SynthConfig, generate
@@ -196,6 +194,15 @@ def test_clustered_text_round_trip(tmp_path):
     for bad in corrupted_snapshot_texts(text, clustered.n_nodes) + bad_values:
         path.write_text(bad)
         with pytest.raises(MalformedArtefact, match="clustered.txt"):
+            read_clustered_text(path)
+    # an entity is a member of one super-node, once: a repeat names the line it is on
+    assert text.splitlines()[3].endswith(" 10.0.0.1|1000;10.0.0.2|1001")
+    assert text.splitlines()[4].endswith(" 10.0.0.4|1003")
+    for line, bad in ((5, text.replace(" 10.0.0.4|1003", " 10.0.0.1|1000")),
+                      (4, text.replace(";10.0.0.2|1001", ";10.0.0.1|1000"))):
+        path.write_text(bad)
+        with pytest.raises(MalformedArtefact,
+                           match=re.escape(f"line {line}: entity 10.0.0.1|1000 appears twice")):
             read_clustered_text(path)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,15 @@ def test_graph_text_round_trip(tmp_path):
         read_graph_text(path)
     path.write_text(text.replace(header, "# snapshot 0 0.0 0.0"))
     assert read_graph_text(path).snapshot == SnapshotIndex(0, 0.0, 0.0)
+    # an entity is one node: row 1 may not repeat row 0's, in any spelling of its address
+    lines = text.splitlines(keepends=True)
+    for ip, spelling in (("10.0.0.1", "10.0.0.1"), ("2001:db8::1", "2001:DB8:0:0:0:0:0:1")):
+        rows = [line.split(" ") for line in lines[3:5]]
+        rows[0][1:3], rows[1][1:3] = [ip, "1000"], [spelling, "1000"]
+        path.write_text("".join(lines[:3] + [" ".join(row) for row in rows] + lines[5:]))
+        with pytest.raises(MalformedArtefact,
+                           match=re.escape(f"snap.txt: line 5: entity {ip}|1000 appears twice")):
+            read_graph_text(path)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 4096])

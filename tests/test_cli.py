@@ -15,13 +15,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowgraph
 from flowgraph.cli import _COMMANDS, PipelineConfig, main
-from flowgraph.density_cluster import ClusterParams, DistanceRows
-from flowgraph.spectral_gcn import GcnModel, TrainConfig
-from oracles import with_node_field
+from flowgraph.density_cluster import (ClusterParams, ClusterResult, DistanceRows,
+                                      write_clustered_text)
+from flowgraph.density_cluster.aggregate import aggregate
+from flowgraph.spectral_gcn import TrainConfig
+from flowgraph.spectral_gcn.model import GcnModel
+from oracles import graph_from, with_node_field
 
 SMALL_SYNTH = {
     "duration": 3000.0,
@@ -30,6 +34,10 @@ SMALL_SYNTH = {
     "flows_per_entity_rate": 0.02,
     "attack_fraction_of_flows": 0.05,
 }
+
+
+METRICS_HEADER = ("snapshot,accuracy,precision_normal,precision_attack,recall_normal,"
+                  "recall_attack,balanced_accuracy,n_nodes")
 
 
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
@@ -116,7 +124,7 @@ def test_synth_then_run_all_writes_all_artifacts(tmp_path):
     assert trace[0] == "epoch,loss"
     assert len(trace) == 1 + 200  # EPOCHS
     metrics = (out / "metrics.csv").read_text().splitlines()
-    assert metrics[0].startswith("snapshot,accuracy,")
+    assert metrics[0] == METRICS_HEADER
     assert metrics[-1].startswith("union,")
     assert len(metrics) == 1 + 2 + 1  # 2 test snapshots + union row
 
@@ -391,6 +399,22 @@ def test_run_all_refuses_a_capture_with_no_training_snapshot(tmp_path, capsys):
                                        "no non-empty training snapshots\n")
     assert len(list((out / "graphs").glob("snapshot_*.txt"))) == 1
     assert not (out / "model.txt").exists()
+
+
+def test_train_with_no_test_snapshot_writes_the_metrics_header_alone(tmp_path, caplog):
+    """Empty clustered files on the test side of the split leave metrics.csv one line."""
+    out = tmp_path / "out"
+    tag_dir = out / "clusters" / "dbscan_eps0.5"
+    tag_dir.mkdir(parents=True)
+    for index, labels in enumerate([[0, 0, 1], [0, 1, 1], [], []]):
+        graph = graph_from([[float(i)] * 8 for i in range(len(labels))], labels, index=index)
+        normal = labels.count(0)  # all in one cluster
+        clustered = aggregate(graph, ClusterResult(np.zeros(normal, dtype=np.int64), min(normal, 1)))
+        write_clustered_text(tag_dir / f"snapshot_{index:05d}.txt", clustered)
+    assert run("train", "--out-dir", out) == 0
+    assert (out / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+    assert "temporal split left no test snapshots" in caplog.text
+    assert (out / "model.txt").exists()
 
 
 def test_one_parser_lists_every_command(capsys):

@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowgraph.behavior_graph import build_graph, minmax_scale, read_graph_text, write_graph_text
-from flowgraph.density_cluster import (KIND_ATTACK, KIND_CLUSTER, NOISE, ClusterParams,
-                                      cluster_snapshot, read_clustered_text,
-                                      write_clustered_text)
+from flowgraph.density_cluster import (NOISE, ClusterParams, cluster_snapshot,
+                                      read_clustered_text, write_clustered_text)
+from flowgraph.density_cluster.aggregate import KIND_ATTACK, KIND_CLUSTER
 from flowgraph.flow_model import EntityId
 from flowgraph.temporal import SnapshotIndex
 from oracles import FlowRecord, from_records

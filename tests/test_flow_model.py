@@ -154,6 +154,21 @@ def test_schema_comes_from_the_header(tmp_path):
             parse_flows(path)
 
 
+def test_a_header_naming_a_schema_column_twice_is_refused(tmp_path):
+    """Otherwise the last of the repeated columns would be read: here a label of 1."""
+    path = tmp_path / "twice.csv"
+    for repeat in (",label,label", ",Label, label"):
+        path.write_text(SYNTH_HEADER.replace(",label", repeat)
+                        + "10.0.0.1,5000,10.0.0.2,80,12.5,1.0,100,200,10,0,1\n")
+        with pytest.raises(MissingColumn, match=f"^{re.escape(str(path))}: header names "
+                                                f"column 'label' twice"):
+            parse_flows(path)
+    # a column outside the schema may repeat
+    path.write_text(SYNTH_HEADER.replace(",label", ",label,note,note")
+                    + "10.0.0.1,5000,10.0.0.2,80,12.5,1.0,100,200,10,1,a,b\n")
+    assert parse_flows(path).records.label.tolist() == [1]
+
+
 def test_a_leading_byte_order_mark_is_dropped(tmp_path):
     """Excel's "CSV UTF-8" export starts the file with a BOM, before the header's first name."""
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"

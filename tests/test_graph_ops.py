@@ -5,9 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowgraph.spectral_gcn import (
-    VARIANT_CHEBYSHEV,
-    build_operator,
+from flowgraph.spectral_gcn.graph_ops import (
     chebyshev_basis,
     lambda_max,
     normalized_laplacian,
@@ -15,6 +13,7 @@ from flowgraph.spectral_gcn import (
     scale_laplacian,
     union_matrices,
 )
+from flowgraph.spectral_gcn.model import VARIANT_CHEBYSHEV, build_operator
 from oracles import (
     adjacency_oracle,
     chebyshev_eig_oracle,
